@@ -20,18 +20,29 @@ The nonlinear structure tensor
 
     b[i, k, j] = integral over the torus of (v_i . grad) v_k . v_j
 
-is assembled in closed form from the triad condition (the integral of a triple
-product of trigonometric modes vanishes unless the three wavevectors admit a
-signed sum equal to zero) and stored in coordinate format sorted by the output
+and the transport matrices <(w . grad) v_i, v_j> share one vectorized triad
+kernel.  The integral of a triple product of trigonometric modes vanishes
+unless the three wavevectors admit a signed sum s1 k1 + s2 k2 + s3 k3 = 0, so
+the only output wavevectors of a pair (k1, k2) are +/-(k1 + k2) and
++/-(k1 - k2).  The kernel finds them for all pairs at once in a dense integer
+table indexed by wavevector.  Writing cos and sin as exponentials, each
+surviving sign pattern adds +/-1/8 or 0, so the triple integral is an integer
+multiple m of 1/8 times the torus volume.  Multiples of 1/8 are exact in
+binary floating point, and the geometric factors are integer dot products of
+the unnormalized polarizations, so an entry is zero exactly when it should be
+and every nonzero value is the same few correctly rounded operations in a
+fixed order: the result does not depend on how the triads are enumerated.
+
+The convection tensor is stored in coordinate format sorted by the output
 index j.  Skew-symmetry in the last two slots, the discrete engine of energy
 conservation of the convection term, is enforced exactly by antisymmetrizing
-the assembled values.
+the assembled values: (b[i,k,j] - b[i,j,k]) / 2 under round-to-nearest is
+bitwise the negative of its mirror.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
 
 import numpy as np
 from scipy import sparse
@@ -176,9 +187,6 @@ class BasisSpec:
     def mode_c(self, i: int) -> np.ndarray:
         """Unnormalized integer polarization of mode i."""
         return self.pol_int[self.mode_wave[i], self.mode_pol[i]]
-
-    def mode_cnorm(self, i: int) -> float:
-        return float(self.pol_norm[self.mode_wave[i], self.mode_pol[i]])
 
     def mode_label(self, i: int) -> str:
         k = ",".join(str(int(c)) for c in self.mode_k(i))
@@ -390,59 +398,93 @@ def evaluate_field(basis: BasisSpec, a: np.ndarray, n: int) -> np.ndarray:
     return np.einsum("n,ndg->gd", np.asarray(a, dtype=np.float64), vals)
 
 
-# -- closed-form trigonometric integrals -------------------------------------
+# -- the triad kernel -----------------------------------------------------------
+
+# candidates per block of advecting modes; bounds the kernel's working memory
+_TRIAD_BLOCK = 1 << 19
+
+# sign patterns (s_b, s_c) of s_a k_a + s_b k_b + s_c k_c = 0 with s_a = +1;
+# the patterns with s_a = -1 are their negations and contribute equally
+_SIGN_PATTERNS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 
 
-def _exp_coeffs(phase: int) -> dict[int, complex]:
-    # cos t = (e^{it} + e^{-it})/2 ; sin t = -i/2 e^{it} + i/2 e^{-it}
-    if phase == COS:
-        return {1: 0.5 + 0.0j, -1: 0.5 + 0.0j}
-    return {1: -0.5j, -1: 0.5j}
+def _triads(
+    adv: BasisSpec, adv_modes: np.ndarray, basis: BasisSpec
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Every nonzero integral (v_a . grad) v_b . v_c over the torus.
 
+    v_a ranges over `adv_modes` of the advecting basis `adv`, v_b and v_c over
+    all modes of `basis` (same dimension, any cutoffs).  Returns index arrays
+    (a, b, c) and the values, a-major in the order of `adv_modes`; no index
+    triple repeats.  Each value equals the closed form
 
-def triple_trig_integral(
-    k1: np.ndarray, ph1: int, k2: np.ndarray, ph2: int, k3: np.ndarray, ph3: int, volume: float
-) -> float:
-    """Integral over the torus of trig(k1.x) * trig(k2.x) * trig(k3.x).
+        nc^3 * (c_a . k_b)(c_b . c_c) / (|c_a| |c_b| |c_c|) * dsign * (m / 8) * vol
 
-    Expands each factor into complex exponentials; only signed triples with
-    s1 k1 + s2 k2 + s3 k3 = 0 survive the integral.
+    evaluated in this operation order, with c_* the integer polarizations,
+    dsign the sign of differentiating v_b, and m the integer multiple of 1/8
+    that the product of three cos/sin factors integrates to.
     """
-    c1, c2, c3 = _exp_coeffs(ph1), _exp_coeffs(ph2), _exp_coeffs(ph3)
-    total = 0.0 + 0.0j
-    for s1, g1 in c1.items():
-        for s2, g2 in c2.items():
-            for s3, g3 in c3.items():
-                if not np.any(s1 * k1 + s2 * k2 + s3 * k3):
-                    total += g1 * g2 * g3
-    return float(total.real) * volume
-
-
-def _advection_entry(
-    norm_const: float,
-    k_a: np.ndarray, c_a: np.ndarray, n_a: float, ph_a: int,
-    k_b: np.ndarray, c_b: np.ndarray, n_b: float, ph_b: int,
-    k_c: np.ndarray, c_c: np.ndarray, n_c: float, ph_c: int,
-    volume: float,
-) -> float:
-    """Closed form of integral (v_a . grad) v_b . v_c over the torus.
-
-    Geometric factors use the integer polarizations c_* (with norms n_*), so
-    zero entries are detected exactly in integer arithmetic.
-    """
-    g1 = int(c_a @ k_b)
-    g2 = int(c_b @ c_c)
-    if g1 == 0 or g2 == 0:
-        return 0.0
-    # derivative of the middle factor: cos -> -sin (factor -1), sin -> cos (+1)
-    if ph_b == COS:
-        dphase, dsign = SIN, -1.0
-    else:
-        dphase, dsign = COS, 1.0
-    integral = triple_trig_integral(k_a, ph_a, k_b, dphase, k_c, ph_c, volume)
-    if integral == 0.0:
-        return 0.0
-    return norm_const ** 3 * (g1 * g2) / (n_a * n_b * n_c) * dsign * integral
+    dim = basis.dim
+    waves = basis.wavevectors
+    n_waves = waves.shape[0]
+    per_wave = basis.n_modes // n_waves
+    # integer wavevector (shifted by `reach`) -> index of its canonical
+    # representative in `basis`; -1 outside the cutoff and at k = 0
+    reach = adv.cutoff + basis.cutoff
+    table = np.full((2 * reach + 1,) * dim, -1, dtype=np.int64)
+    table[tuple((reach + waves).T)] = np.arange(n_waves)
+    table[tuple((reach - waves).T)] = np.arange(n_waves)
+    signs = np.array([1, -1])[:, None]
+    offsets = np.arange(per_wave)
+    nc3 = basis.norm_const ** 3
+    vol = basis.volume
+    block = max(1, _TRIAD_BLOCK // (2 * n_waves * per_wave ** 2))
+    parts = []
+    for start in range(0, len(adv_modes), block):
+        modes = np.asarray(adv_modes[start:start + block], dtype=np.int64)
+        wa, pa = adv.mode_wave[modes], adv.mode_pol[modes]
+        ka = adv.wavevectors[wa]
+        g1 = adv.pol_int[wa, pa] @ waves.T                       # (A, W), exact
+        # the only output waves a triad admits: +/-(k_a + k_b) and +/-(k_a - k_b)
+        combos = ka[:, None, None, :] + signs * waves[:, None, :]  # (A, W, 2, d)
+        target = table[tuple(np.moveaxis(combos + reach, -1, 0))]
+        sel = np.nonzero((target >= 0) & (g1 != 0)[:, :, None])
+        ra, wb, wc = sel[0], sel[1], target[sel]
+        # one wave triple -> per_wave x per_wave mode pairs (b, c)
+        b = (wb[:, None, None] * per_wave + offsets[:, None]).repeat(per_wave, axis=2).ravel()
+        c = (wc[:, None, None] * per_wave + offsets).repeat(per_wave, axis=1).ravel()
+        rep = per_wave ** 2
+        a = modes[ra].repeat(rep)
+        pol_b = basis.mode_wave[b], basis.mode_pol[b]
+        pol_c = basis.mode_wave[c], basis.mode_pol[c]
+        g = g1[ra, wb].repeat(rep) * np.einsum(
+            "nd,nd->n", basis.pol_int[pol_b], basis.pol_int[pol_c])
+        norms = (adv.pol_norm[wa[ra], pa[ra]].repeat(rep)
+                 * basis.pol_norm[pol_b] * basis.pol_norm[pol_c])
+        # phases of the integrand's factors after differentiating v_b
+        # (cos -> -sin, sin -> cos); cos t = (e^{it} + e^{-it})/2 and
+        # sin t = (-i e^{it} + i e^{-it})/2, so a surviving sign pattern adds
+        # 1/8 times 1 (no sin factor) or minus the product of the two sin
+        # factors' signs, and an odd number of sin factors integrates to zero
+        ph_b = basis.mode_phase[b]
+        ph_db = 1 - ph_b
+        ph_c = basis.mode_phase[c]
+        n_sin = adv.mode_phase[a] + ph_db + ph_c
+        kab, kb, kc = ka[ra], waves[wb], waves[wc]
+        m = np.zeros(a.size, dtype=np.int64)
+        for sb, sc in _SIGN_PATTERNS:
+            hit = ~np.any(kab + sb * kb + sc * kc, axis=1).repeat(rep)
+            sin_sign = np.where(ph_db == SIN, sb, 1) * np.where(ph_c == SIN, sc, 1)
+            m += 2 * hit * np.where(n_sin == 0, 1, np.where(n_sin == 2, -sin_sign, 0))
+        dsign = np.where(ph_b == COS, -1.0, 1.0)
+        integral = (m / 8.0) * vol
+        values = nc3 * g / norms * dsign * integral
+        keep = values != 0.0
+        parts.append((a[keep], b[keep], c[keep], values[keep]))
+    if not parts:
+        empty = np.zeros(0, dtype=np.int64)
+        return empty, empty, empty, np.zeros(0)
+    return tuple(np.concatenate(p) for p in zip(*parts))
 
 
 @dataclass(frozen=True)
@@ -496,83 +538,50 @@ class ConvectionTensor:
         return dense
 
 
-def _finish_tensor(n_modes: int, entries: dict[tuple[int, int, int], float]) -> ConvectionTensor:
-    # exact skew-symmetry in the last two slots: b[i,k,j] <- (b[i,k,j] - b[i,j,k]) / 2,
-    # storing mirror pairs together so the identity holds bitwise on the store
-    skew: dict[tuple[int, int, int], float] = {}
-    for (i, k, j), v in entries.items():
-        if (i, k, j) in skew or (i, j, k) in skew:
-            continue
-        w = 0.5 * (v - entries.get((i, j, k), 0.0))
-        if w != 0.0:
-            skew[(i, k, j)] = w
-            skew[(i, j, k)] = -w
-    if skew:
-        keys = sorted(skew.keys(), key=lambda t: (t[2], t[0], t[1]))
-        i_idx = np.array([t[0] for t in keys], dtype=np.int64)
-        k_idx = np.array([t[1] for t in keys], dtype=np.int64)
-        j_idx = np.array([t[2] for t in keys], dtype=np.int64)
-        values = np.array([skew[t] for t in keys])
-    else:
-        i_idx = k_idx = j_idx = np.zeros(0, dtype=np.int64)
-        values = np.zeros(0)
-    scatter = sparse.csr_matrix(
-        (values, (j_idx, np.arange(values.size))), shape=(n_modes, values.size)
-    )
+def _lookup(keys: np.ndarray, values: np.ndarray, query: np.ndarray) -> np.ndarray:
+    # values at `query` in the sorted unique `keys`, 0.0 where absent
+    pos = np.minimum(np.searchsorted(keys, query), keys.size - 1)
+    hit = keys[pos] == query
+    return np.where(hit, values[pos], 0.0)
+
+
+def _skew_tensor(
+    n_modes: int, i: np.ndarray, k: np.ndarray, j: np.ndarray, values: np.ndarray
+) -> ConvectionTensor:
+    # exact skew-symmetry in the last two slots: b[i,k,j] <- (b[i,k,j] - b[i,j,k]) / 2
+    # over the union of the stored triples and their mirrors; round-to-nearest
+    # gives fl(y - x) = -fl(x - y), so every mirror pair is bitwise skew
+    n = n_modes
+    key = (i * n + k) * n + j
+    order = np.argsort(key)
+    key, values = key[order], values[order]
+    full = np.union1d(key, (i * n + j) * n + k)
+    fi, rest = np.divmod(full, n * n)
+    fk, fj = np.divmod(rest, n)
+    mirror = (fi * n + fj) * n + fk
+    w = 0.5 * (_lookup(key, values, full) - _lookup(key, values, mirror))
+    keep = w != 0.0
+    order = np.lexsort((fk[keep], fi[keep], fj[keep]))
+    i_idx, k_idx, j_idx = fi[keep][order], fk[keep][order], fj[keep][order]
+    w = w[keep][order]
+    scatter = sparse.csr_matrix((w, (j_idx, np.arange(w.size))), shape=(n_modes, w.size))
     return ConvectionTensor(
-        n_modes=n_modes, i_idx=i_idx, k_idx=k_idx, j_idx=j_idx, values=values,
+        n_modes=n_modes, i_idx=i_idx, k_idx=k_idx, j_idx=j_idx, values=w,
         _scatter=scatter,
     )
-
-
-def _modes_of_wave(basis: BasisSpec, w: int) -> range:
-    per_wave = basis.n_modes // basis.n_wavevectors
-    return range(w * per_wave, (w + 1) * per_wave)
 
 
 def convection_tensor(basis: BasisSpec) -> ConvectionTensor:
     """Assemble b[i,k,j] = integral (v_i . grad) v_k . v_j in closed form.
 
-    Candidate output wavevectors are +/-(k_i + k_k) and +/-(k_i - k_k); all
-    other index triples violate the triad condition and vanish exactly.
+    The triad kernel enumerates, for every pair of modes (i, k), the only
+    output wavevectors the triad condition admits, +/-(k_i + k_k) and
+    +/-(k_i - k_k), and evaluates each entry in closed form with an exact
+    triple integral (see the module docstring).  The entries are then
+    skew-symmetrized in (k, j) and stored sorted by (j, i, k).
     """
-    waves = basis.wavevectors
-    nc = basis.norm_const
-    vol = basis.volume
-    entries: dict[tuple[int, int, int], float] = {}
-    for wi in range(basis.n_wavevectors):
-        ki = waves[wi]
-        for wk in range(basis.n_wavevectors):
-            kk = waves[wk]
-            targets = set()
-            for combo in (ki + kk, ki - kk):
-                canon, _ = canonicalize(combo)
-                wj = basis.wave_index(canon)
-                if wj >= 0:
-                    targets.add(wj)
-            if not targets:
-                continue
-            for i in _modes_of_wave(basis, wi):
-                c_i, ph_i = basis.mode_c(i), basis.mode_phase[i]
-                if int(c_i @ kk) == 0:
-                    # (p_i . k_k) factors out of every entry in this block
-                    continue
-                n_i = basis.mode_cnorm(i)
-                for k in _modes_of_wave(basis, wk):
-                    c_k, n_k, ph_k = basis.mode_c(k), basis.mode_cnorm(k), basis.mode_phase[k]
-                    for wj in targets:
-                        for j in _modes_of_wave(basis, wj):
-                            val = _advection_entry(
-                                nc,
-                                ki, c_i, n_i, ph_i,
-                                kk, c_k, n_k, ph_k,
-                                waves[wj], basis.mode_c(j), basis.mode_cnorm(j),
-                                basis.mode_phase[j],
-                                vol,
-                            )
-                            if val != 0.0:
-                                entries[(i, k, j)] = val
-    return _finish_tensor(basis.n_modes, entries)
+    i, k, j, values = _triads(basis, np.arange(basis.n_modes), basis)
+    return _skew_tensor(basis.n_modes, i, k, j, values)
 
 
 def advection_matrix(
@@ -582,9 +591,10 @@ def advection_matrix(
 ) -> np.ndarray:
     """Dense matrix Z with Z[j, i] = <(w . grad) v_i, v_j> for w = sum c_m u_m.
 
-    The advecting field w lives in `adv_basis` (same dimension, cutoff at
-    least as large is not required; any cutoff works since the closed form
-    only needs the triad condition against the target basis).
+    The advecting field w lives in `adv_basis`, of the same dimension and any
+    cutoff: the triad kernel pairs each mode u_m with nonzero c_m against the
+    target basis, and the contributions c_m * <(u_m . grad) v_i, v_j> are
+    summed in ascending m.
     """
     if adv_basis.dim != basis.dim:
         raise BasisError("advecting field dimension mismatch")
@@ -594,38 +604,10 @@ def advection_matrix(
             f"advecting coefficients have shape {adv_coeffs.shape}, "
             f"expected ({adv_basis.n_modes},)"
         )
-    nz = np.nonzero(adv_coeffs)[0]
+    m, i, j, values = _triads(adv_basis, np.nonzero(adv_coeffs)[0], basis)
     Z = np.zeros((basis.n_modes, basis.n_modes))
-    nc = basis.norm_const
-    vol = basis.volume
-    for m in nz:
-        km, phm = adv_basis.mode_k(m), adv_basis.mode_phase[m]
-        c_m, n_m = adv_basis.mode_c(m), adv_basis.mode_cnorm(m)
-        cm = adv_coeffs[m]
-        for wi in range(basis.n_wavevectors):
-            ki = basis.wavevectors[wi]
-            targets = set()
-            for combo in (km + ki, km - ki):
-                canon, _ = canonicalize(combo)
-                wj = basis.wave_index(canon)
-                if wj >= 0:
-                    targets.add(wj)
-            if not targets:
-                continue
-            for i in _modes_of_wave(basis, wi):
-                c_i, n_i, ph_i = basis.mode_c(i), basis.mode_cnorm(i), basis.mode_phase[i]
-                for wj in targets:
-                    for j in _modes_of_wave(basis, wj):
-                        val = _advection_entry(
-                            nc,
-                            km, c_m, n_m, phm,
-                            ki, c_i, n_i, ph_i,
-                            basis.mode_k(j), basis.mode_c(j), basis.mode_cnorm(j),
-                            basis.mode_phase[j],
-                            vol,
-                        )
-                        if val != 0.0:
-                            Z[j, i] += cm * val
+    # the kernel's output is m-major and np.add.at applies in order
+    np.add.at(Z, (j, i), adv_coeffs[m] * values)
     return Z
 
 

@@ -8,11 +8,9 @@ from .storage import (
     TruncatedFileError,
     VersionError,
     load_container,
-    load_structure,
     load_trajectory,
     save_container,
     save_ensemble,
-    save_structure,
     save_trajectory,
 )
 from .cli import main
@@ -28,11 +26,9 @@ __all__ = [
     "TruncatedFileError",
     "VersionError",
     "load_container",
-    "load_structure",
     "load_trajectory",
     "save_container",
     "save_ensemble",
-    "save_structure",
     "save_trajectory",
     "main",
 ]

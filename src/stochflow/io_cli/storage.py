@@ -1,10 +1,10 @@
-"""Self-identifying binary containers for trajectories, ensembles, and bases.
+"""Self-identifying binary containers for trajectories and ensembles.
 
 Layout (all integers little-endian):
 
     magic     8 bytes   b"SGNSBIN\\x00"
     version   u32       format version (currently 1)
-    kind      16 bytes  ascii, zero padded ("trajectory", "basis", ...)
+    kind      16 bytes  ascii, zero padded ("trajectory", ...)
     hash      64 bytes  ascii hex sha256 of the producing config
     n_meta    u32       scalar metadata: per item u16 name length, name utf8,
                         f64 value
@@ -26,7 +26,6 @@ from pathlib import Path
 
 import numpy as np
 
-from ..basis import BasisSpec, ConvectionTensor
 from ..sde import Trajectory
 
 MAGIC = b"SGNSBIN\x00"
@@ -221,65 +220,6 @@ def load_trajectory(path, expect_hash: str | None = None) -> tuple[Trajectory, s
         blowup_time=None if blow < 0 else blow,
     )
     return traj, box["config_hash"]
-
-
-# -- basis + tensors memoization ----------------------------------------------
-
-
-def save_structure(path, basis: BasisSpec, conv: ConvectionTensor, config_hash: str = "0" * 64):
-    save_container(
-        path,
-        kind="basis",
-        config_hash=config_hash,
-        meta={
-            "dim": basis.dim,
-            "cutoff": basis.cutoff,
-            "n_modes": basis.n_modes,
-            "ordering_version": basis.ordering_version,
-        },
-        arrays={
-            "wavevectors": basis.wavevectors,
-            "pol_int": basis.pol_int,
-            "mode_wave": basis.mode_wave,
-            "mode_pol": basis.mode_pol,
-            "mode_phase": basis.mode_phase,
-            "conv_i": conv.i_idx,
-            "conv_k": conv.k_idx,
-            "conv_j": conv.j_idx,
-            "conv_values": conv.values,
-        },
-    )
-
-
-def load_structure(path) -> tuple[BasisSpec, ConvectionTensor]:
-    from scipy import sparse
-
-    box = load_container(path, expect_kind="basis")
-    meta, arr = box["meta"], box["arrays"]
-    basis = BasisSpec(
-        dim=int(meta["dim"]),
-        cutoff=int(meta["cutoff"]),
-        wavevectors=arr["wavevectors"],
-        pol_int=arr["pol_int"],
-        mode_wave=arr["mode_wave"],
-        mode_pol=arr["mode_pol"],
-        mode_phase=arr["mode_phase"],
-        ordering_version=int(meta["ordering_version"]),
-    )
-    values = arr["conv_values"]
-    scatter = sparse.csr_matrix(
-        (values, (arr["conv_j"], np.arange(values.size))),
-        shape=(basis.n_modes, values.size),
-    )
-    conv = ConvectionTensor(
-        n_modes=basis.n_modes,
-        i_idx=arr["conv_i"],
-        k_idx=arr["conv_k"],
-        j_idx=arr["conv_j"],
-        values=values,
-        _scatter=scatter,
-    )
-    return basis, conv
 
 
 # -- ensembles -----------------------------------------------------------------

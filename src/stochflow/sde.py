@@ -144,15 +144,26 @@ def step_heun_stratonovich(system: GalerkinSystem, a: np.ndarray, dW: np.ndarray
 
     Drift excludes the Ito correction; the midpoint-averaged diffusion
     supplies it in law.  For zero noise this is the deterministic RK2 rule.
+    Members whose predictor is non-finite come out as NaN, for the caller to
+    flag as blown up; the corrector is evaluated only for the others.
     """
     if dt <= 0:
         raise SdeError(f"dt must be positive, got {dt}")
     f0 = drift(system, a, include_correction=False)
     g0 = _diffusion_increment(system, a, dW)
     pred = a + f0 * dt + g0
+    finite = np.all(np.isfinite(pred), axis=-1, keepdims=True)
+    blown = not np.all(finite)
+    if blown:
+        # stand the finite start state in for the blown-up predictors, so the
+        # batch keeps its shape and every finite member its bits
+        pred = np.where(finite, pred, a)
     f1 = drift(system, pred, include_correction=False)
     g1 = _diffusion_increment(system, pred, dW)
-    return a + 0.5 * dt * (f0 + f1) + 0.5 * (g0 + g1)
+    out = a + 0.5 * dt * (f0 + f1) + 0.5 * (g0 + g1)
+    if blown:
+        out = np.where(finite, out, np.nan)
+    return out
 
 
 _STEPPERS = {

@@ -121,9 +121,10 @@ def test_convection_energy_conservation(conv2_2, rng):
         assert abs(a @ conv2_2.apply(a)) <= 1e-12 * np.linalg.norm(a) ** 3
 
 
-@pytest.mark.parametrize("cutoff", [1, 2, 3])
-def test_convection_matches_dense_quadrature(cutoff):
-    b = build_basis(2, cutoff)
+@pytest.mark.parametrize("dim,cutoff", [(2, 1), (2, 2), (2, 3), (3, 1)],
+                         ids=["1", "2", "3", "3d-1"])
+def test_convection_matches_dense_quadrature(dim, cutoff):
+    b = build_basis(dim, cutoff)
     conv = convection_tensor(b)
     dense = oracles.dense_convection(b)
     sparse_dense = conv.to_dense()
@@ -159,6 +160,9 @@ def test_sparsity_count_matches_dense():
     # triad constraint keeps growth well below the dense N^3
     growth = np.log(counts[-1] / counts[0]) / np.log(modes[-1] / modes[0])
     assert growth < 2.5
+    b3 = build_basis(3, 1)
+    dense3 = oracles.dense_convection(b3)
+    assert convection_tensor(b3).nnz == int(np.sum(np.abs(dense3) > 1e-12))
 
 
 def test_bilinear_apply_against_dense(conv2_2, rng):

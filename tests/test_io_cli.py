@@ -11,10 +11,8 @@ from stochflow.io_cli.storage import (
     TruncatedFileError,
     VersionError,
     load_container,
-    load_structure,
     load_trajectory,
     save_container,
-    save_structure,
     save_trajectory,
 )
 from stochflow.sde import BrownianPath, integrate
@@ -154,17 +152,6 @@ def test_wrong_magic(tmp_path):
     f.write_bytes(b"NOTMINE!" + b"\x00" * 64)
     with pytest.raises(MagicError):
         load_container(f)
-
-
-def test_structure_round_trip(tmp_path, basis2_2, conv2_2):
-    f = tmp_path / "basis.bin"
-    save_structure(f, basis2_2, conv2_2)
-    basis, conv = load_structure(f)
-    assert basis.dim == 2 and basis.cutoff == 2
-    assert np.array_equal(basis.wavevectors, basis2_2.wavevectors)
-    assert np.array_equal(conv.values, conv2_2.values)
-    a = np.linspace(-1, 1, basis.n_modes)
-    assert np.array_equal(conv.apply(a), conv2_2.apply(a))
 
 
 def test_container_trailing_bytes_detected(tmp_path):

@@ -91,17 +91,29 @@ def test_zeta_entry_matches_quadrature(basis2_2):
 
 
 def test_zeta_dense_matrix_against_quadrature(basis2_1):
-    field = np.zeros(basis2_1.n_modes)
-    field[basis2_1.index_of("1,0:cos")] = 0.8
-    field[basis2_1.index_of("0,1:sin")] = -0.5
-    tr = assemble_zeta(basis2_1, [(0, field)])
-    N = basis2_1.n_modes
-    dense = np.zeros((N, N))
-    for m in np.nonzero(field)[0]:
-        for i in range(N):
-            for j in range(N):
-                dense[j, i] += field[m] * oracles.advection_integral(basis2_1, m, i, j)
-    assert np.abs(tr.zeta[0] - dense).max() <= 1e-12
+    # 2-D in the basis itself; 3-D with advecting modes beyond the basis
+    # cutoff, integrated on the finer basis that contains every mode
+    fine3 = build_basis(3, 2)
+    cases = [
+        (basis2_1, basis2_1, {"1,0:cos": 0.8, "0,1:sin": -0.5}),
+        (build_basis(3, 1), fine3, {"2,1,0:p0:cos": 0.8, "0,1,-1:p1:sin": -0.5,
+                                    "1,0,0:p1:cos": 0.3}),
+    ]
+    for basis, assembly, labels in cases:
+        field = np.zeros(assembly.n_modes)
+        for label, value in labels.items():
+            field[assembly.index_of(label)] = value
+        tr = assemble_zeta(basis, [(0, field)], assembly_basis=assembly)
+        emb = basis.embedding_into(assembly)
+        N = basis.n_modes
+        dense = np.zeros((N, N))
+        for m in np.nonzero(field)[0]:
+            for i in range(N):
+                for j in range(N):
+                    dense[j, i] += field[m] * oracles.advection_integral(
+                        assembly, m, emb[i], emb[j])
+        assert np.abs(dense).max() > 1e-3  # the case is not vacuous
+        assert np.abs(tr.zeta[0] - dense).max() <= 1e-12
 
 
 def test_zeta_rejects_wrong_assembly_length(basis2_2):

@@ -9,6 +9,7 @@ from stochflow.sde import (
     diffusion,
     drift,
     integrate,
+    integrate_batch,
     step_euler_maruyama,
     step_heun_stratonovich,
 )
@@ -207,6 +208,31 @@ def test_integrate_flags_blowup(basis2_2, conv2_2):
         traj = integrate(system, a0, path)
     assert traj.blowup_time is not None
     assert np.all(np.isfinite(traj.states))  # frozen at the last finite state
+
+
+@pytest.mark.parametrize("scheme", ["euler_maruyama", "heun"])
+def test_blowup_flagged_not_raised(basis2_2, conv2_2, scheme):
+    system = build_system(basis2_2, build_noise(basis2_2), nu=0.0, conv=conv2_2)
+    a0 = 50.0 * np.random.default_rng(0).normal(size=basis2_2.n_modes)
+    path = BrownianPath.generate(1, 0.5, 40, 0)
+    with pytest.warns(RuntimeWarning):
+        traj = integrate(system, a0, path, scheme=scheme)
+    assert traj.blowup_time is not None
+    assert np.all(np.isfinite(traj.states))  # frozen at the last finite state
+
+
+def test_heun_blowup_leaves_other_members_bitwise(basis2_2, conv2_2, rng):
+    system = build_system(basis2_2, build_noise(basis2_2), nu=0.0, conv=conv2_2)
+    calm = 0.1 * rng.normal(size=(2, basis2_2.n_modes))
+    wild = calm.copy()
+    wild[1] = 50.0 * np.random.default_rng(0).normal(size=basis2_2.n_modes)
+    inc = np.zeros((2, 40, 0))
+    with pytest.warns(RuntimeWarning):  # the dt guardrail
+        out = integrate_batch(system, wild, inc, 0.5, scheme="heun")
+        ref = integrate_batch(system, calm, inc, 0.5, scheme="heun")
+    assert out["blowup_step"][0] == -1 and out["blowup_step"][1] > 0
+    assert np.array_equal(out["states"][:, 0], ref["states"][:, 0])
+    assert np.all(np.isfinite(out["states"]))
 
 
 def test_energy_series_is_parseval(additive_system, rng):
