@@ -528,10 +528,6 @@ class ConvectionTensor:
         flat = prod.reshape(-1, self.nnz)
         return (self._scatter @ flat.T).T.reshape(*lead, self.n_modes)
 
-    def form(self, a: np.ndarray, c: np.ndarray, w: np.ndarray) -> float:
-        """Trilinear form sum b[i,k,j] a_i c_k w_j."""
-        return float(np.asarray(w) @ self.apply(a, c))
-
     def to_dense(self) -> np.ndarray:
         dense = np.zeros((self.n_modes,) * 3)
         dense[self.i_idx, self.k_idx, self.j_idx] = self.values

@@ -118,17 +118,8 @@ class Ensemble:
         inc = batch_increments(self.seeds[m : m + 1], self.dt, self.n_steps,
                                self.system.n_brownian)
         out = integrate_batch(self.system, self.initial_states[m : m + 1], inc,
-                              self.dt, self.scheme, store_every=1)
-        blow = out["blowup_step"][0]
-        return Trajectory(
-            times=out["times"], states=out["states"][:, 0, :],
-            energy=out["energy"][:, 0], grad_energy=out["grad_energy"][:, 0],
-            stoch_int=out["stoch_int"][:, 0], grad_int=out["grad_int"][:, 0],
-            increments=out["increments"][:, 0, :],
-            seed=int(self.seeds[m]), dt=self.dt, store_every=1,
-            scheme=self.scheme, nu=self.system.nu,
-            blowup_time=None if blow < 0 else float(blow * self.dt),
-        )
+                              self.dt, self.scheme)
+        return out.member(0, int(self.seeds[m]))
 
     def chunked_states(self) -> Iterator[tuple[slice, np.ndarray]]:
         """Regenerate full-resolution state series chunk by chunk.
@@ -142,9 +133,8 @@ class Ensemble:
             inc = batch_increments(self.seeds[sl], self.dt, self.n_steps,
                                    self.system.n_brownian)
             out = integrate_batch(self.system, self.initial_states[sl], inc,
-                                  self.dt, self.scheme, store_every=1,
-                                  track_sup=False)
-            yield sl, out["states"]
+                                  self.dt, self.scheme)
+            yield sl, out.states
 
     def states_at(self, t: float) -> np.ndarray:
         """Member states (M, N) at a probe time."""
@@ -209,15 +199,15 @@ def run_ensemble(
     def run_chunk(sl: slice):
         inc = batch_increments(seeds[sl], dt, n_steps, K)
         out = integrate_batch(system, a0[sl], inc, dt, scheme, store_every)
-        energy[:, sl] = out["energy"]
-        grad_energy[:, sl] = out["grad_energy"]
-        stoch_int[:, sl] = out["stoch_int"]
-        grad_int[:, sl] = out["grad_int"]
-        sup_energy[sl] = out["sup_energy"]
-        final_states[sl] = out["states"][-1]
-        blowup[sl] = out["blowup_step"]
+        energy[:, sl] = out.energy
+        grad_energy[:, sl] = out.grad_energy
+        stoch_int[:, sl] = out.stoch_int
+        grad_int[:, sl] = out.grad_int
+        sup_energy[sl] = out.sup_energy
+        final_states[sl] = out.states[-1]
+        blowup[sl] = out.blowup_step
         for p, j in enumerate(probe_idx):
-            probe_states[p, sl] = out["states"][j]
+            probe_states[p, sl] = out.states[j]
 
     chunk = _chunk_size(system.n_modes, system.conv.nnz, n_steps)
     slices = [slice(lo, min(lo + chunk, n_members)) for lo in range(0, n_members, chunk)]

@@ -57,10 +57,6 @@ class TransportNoise:
     zeta: np.ndarray            # (S, N, N); S == len(modes)
     _cache: dict = field(default_factory=dict, compare=False, repr=False)
 
-    @property
-    def support(self) -> tuple[int, ...]:
-        return self.modes
-
     def correction(self) -> np.ndarray:
         """Ito drift correction 1/2 sum_l zeta_l^T zeta_l (symmetric PSD)."""
         key = "corr"
@@ -82,10 +78,6 @@ class NoiseSpec:
     additive: AdditiveNoise
     transport: TransportNoise
     n_brownian: int
-
-    @property
-    def is_zero(self) -> bool:
-        return self.additive.hs_norm_sq() == 0.0 and len(self.transport.modes) == 0
 
 
 def assemble_eta(
@@ -184,16 +176,11 @@ def hs_norm(additive: AdditiveNoise) -> float:
     return additive.hs_norm_sq()
 
 
-def ito_correction(transport: TransportNoise) -> np.ndarray:
-    """Symmetric PSD matrix 1/2 sum_l zeta_l^T zeta_l entering the drift."""
-    return transport.correction()
-
-
 def check_orthogonality(spec: NoiseSpec) -> tuple[bool, set[int]]:
     """True iff the additive and transport Brownian supports are disjoint.
 
     Disjoint supports make the cross terms between the two noises vanish
     identically, with no tolerance involved.  Returns (ok, overlapping modes).
     """
-    overlap = set(spec.additive.support) & set(spec.transport.support)
+    overlap = set(spec.additive.support) & set(spec.transport.modes)
     return (len(overlap) == 0, overlap)

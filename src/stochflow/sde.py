@@ -18,6 +18,11 @@ Brownian increments are counter-based: a path is a pure function of
 (seed, level).  Refinement halves dt by a midpoint-bridge split, so the
 refined path sums pairwise to its parent, which is what coupled strong-order
 studies need.  Nothing has to be stored to reproduce a path.
+
+`integrate_batch` runs the time loop for M members at once and returns a
+`BatchResult`.  Its `member` method is the one place that turns a batch
+column into a single-member `Trajectory`; `integrate` and
+`Ensemble.member_trajectory` are both a batch of one viewed through it.
 """
 
 from __future__ import annotations
@@ -87,11 +92,6 @@ def build_system(basis: BasisSpec, noise: NoiseSpec | None = None, nu: float = 0
 
 
 # -- drift and diffusion -----------------------------------------------------
-
-
-def convection_part(system: GalerkinSystem, a: np.ndarray) -> np.ndarray:
-    """-B(a, a); orthogonal to a, the discrete energy-conserving term."""
-    return -system.conv.apply(np.asarray(a, dtype=np.float64))
 
 
 def drift(system: GalerkinSystem, a: np.ndarray, include_correction: bool = True) -> np.ndarray:
@@ -286,6 +286,51 @@ def _check_scheme(scheme: str):
         raise SdeError(f"unknown scheme {scheme!r}; choose from {SCHEMES}")
 
 
+@dataclass(frozen=True)
+class BatchResult:
+    """Everything one `integrate_batch` call produced for its M members.
+
+    Arrays: times (n_save+1,), states (n_save+1, M, N),
+    energy/grad_energy/stoch_int/grad_int (n_save+1, M), increments
+    aggregated onto the saved grid (n_save, M, K), sup_energy (M,) over every
+    step, and blowup_step (M,) with -1 for members that stayed finite.  The
+    scalars are the integration settings a member view needs.
+    """
+
+    times: np.ndarray
+    states: np.ndarray
+    energy: np.ndarray
+    grad_energy: np.ndarray
+    stoch_int: np.ndarray
+    grad_int: np.ndarray
+    increments: np.ndarray
+    sup_energy: np.ndarray
+    blowup_step: np.ndarray
+    dt: float
+    store_every: int
+    scheme: str
+    nu: float
+
+    def member(self, m: int, seed: int) -> Trajectory:
+        """Member m as a `Trajectory` whose arrays are views into this batch."""
+        blow = self.blowup_step[m]
+        return Trajectory(
+            times=self.times,
+            states=self.states[:, m, :],
+            energy=self.energy[:, m],
+            grad_energy=self.grad_energy[:, m],
+            stoch_int=self.stoch_int[:, m],
+            grad_int=self.grad_int[:, m],
+            increments=self.increments[:, m, :],
+            seed=seed,
+            dt=self.dt,
+            store_every=self.store_every,
+            scheme=self.scheme,
+            nu=self.nu,
+            blowup_time=None if blow < 0 else float(blow * self.dt),
+        )
+
+
 def integrate_batch(
     system: GalerkinSystem,
     a0: np.ndarray,                # (M, N)
@@ -293,15 +338,8 @@ def integrate_batch(
     dt: float,
     scheme: str = "euler_maruyama",
     store_every: int = 1,
-    track_sup: bool = True,
-) -> dict:
-    """Vectorized integration over a member batch; the core time loop.
-
-    Returns a dict of arrays: times (n_save+1,), states (n_save+1, M, N),
-    energy/grad_energy/stoch_int/grad_int (n_save+1, M), sup_energy (M,),
-    blowup_step (M,) with -1 for members that stayed finite, and increments
-    aggregated onto the saved grid (n_save, M, K).
-    """
+) -> BatchResult:
+    """Vectorized integration over a member batch; the core time loop."""
     _check_scheme(scheme)
     step = _STEPPERS[scheme]
     a = np.array(a0, dtype=np.float64)
@@ -370,8 +408,7 @@ def integrate_batch(
             a_new[bad] = a[bad]  # freeze at the last finite state
         a = a_new
         e_now = _energy(a)
-        if track_sup:
-            np.maximum(sup_energy, e_now, out=sup_energy)
+        np.maximum(sup_energy, e_now, out=sup_energy)
         save_slot, rem = divmod(n + 1, store_every)
         inc_saved[save_slot - 1 if rem == 0 else save_slot] += dW
         if rem == 0:
@@ -381,17 +418,12 @@ def integrate_batch(
             stoch_series[save_slot] = stoch_acc
             grad_series[save_slot] = grad_acc
 
-    return {
-        "times": times,
-        "states": states,
-        "energy": energy,
-        "grad_energy": grad_energy,
-        "stoch_int": stoch_series,
-        "grad_int": grad_series,
-        "increments": inc_saved,
-        "sup_energy": sup_energy,
-        "blowup_step": blowup_step,
-    }
+    return BatchResult(
+        times=times, states=states, energy=energy, grad_energy=grad_energy,
+        stoch_int=stoch_series, grad_int=grad_series, increments=inc_saved,
+        sup_energy=sup_energy, blowup_step=blowup_step,
+        dt=dt, store_every=store_every, scheme=scheme, nu=system.nu,
+    )
 
 
 def integrate(
@@ -414,20 +446,5 @@ def integrate(
             f"path has {path.n_brownian} brownian modes, system needs {system.n_brownian}"
         )
     inc = path.increments.reshape(1, path.n_steps, path.n_brownian)
-    out = integrate_batch(system, a0[None, :], inc, path.dt, scheme, store_every)
-    blow = out["blowup_step"][0]
-    return Trajectory(
-        times=out["times"],
-        states=out["states"][:, 0, :],
-        energy=out["energy"][:, 0],
-        grad_energy=out["grad_energy"][:, 0],
-        stoch_int=out["stoch_int"][:, 0],
-        grad_int=out["grad_int"][:, 0],
-        increments=out["increments"][:, 0, :],
-        seed=path.seed,
-        dt=path.dt,
-        store_every=store_every,
-        scheme=scheme,
-        nu=system.nu,
-        blowup_time=None if blow < 0 else float(blow * path.dt),
-    )
+    return integrate_batch(system, a0[None, :], inc, path.dt, scheme,
+                           store_every).member(0, path.seed)

@@ -15,6 +15,7 @@ from stochflow.io_cli.storage import (
     save_container,
     save_trajectory,
 )
+from stochflow.ensemble import run_ensemble
 from stochflow.sde import BrownianPath, integrate
 
 
@@ -99,22 +100,32 @@ def _traj(additive_system, n_steps=50):
     return integrate(additive_system, a0, path)
 
 
+def _bit_equal(a, b) -> bool:
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        a, b = np.asarray(a), np.asarray(b)
+        return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    return type(a) is type(b) and a == b
+
+
 def test_trajectory_round_trip_bitwise(tmp_path, additive_system):
-    traj = _traj(additive_system)
-    f = tmp_path / "t.bin"
-    save_trajectory(f, traj, "ab" * 32)
-    loaded, h = load_trajectory(f)
-    assert h == "ab" * 32
-    assert np.array_equal(loaded.states, traj.states)
-    assert np.array_equal(loaded.stoch_int, traj.stoch_int)
-    assert np.array_equal(loaded.increments, traj.increments)
-    assert loaded.scheme == traj.scheme
-    assert loaded.dt == traj.dt
-    # sidecar NDJSON exists, one record per saved time
-    lines = (tmp_path / "t.bin.ndjson").read_text().strip().splitlines()
-    assert len(lines) == traj.times.size
-    rec = json.loads(lines[0])
-    assert rec["t"] == 0.0 and rec["energy"] == traj.energy[0]
+    # one trajectory from `integrate`, one regenerated from an ensemble; a
+    # parameter id would rename the test, so the two sources are looped over
+    ens = run_ensemble(additive_system, 0.3 * np.ones(additive_system.n_modes), 3,
+                       base_seed=3, dt=1e-3, n_steps=50)
+    for source, traj in (("integrate", _traj(additive_system)),
+                         ("member", ens.member_trajectory(2))):
+        f = tmp_path / f"{source}.bin"
+        save_trajectory(f, traj, "ab" * 32)
+        loaded, h = load_trajectory(f)
+        assert h == "ab" * 32
+        assert vars(loaded).keys() == vars(traj).keys()
+        for key, value in vars(traj).items():
+            assert _bit_equal(value, getattr(loaded, key)), (source, key)
+        # sidecar NDJSON exists, one record per saved time
+        lines = (tmp_path / f"{source}.bin.ndjson").read_text().strip().splitlines()
+        assert len(lines) == traj.times.size
+        rec = json.loads(lines[0])
+        assert rec["t"] == 0.0 and rec["energy"] == traj.energy[0]
 
 
 def test_hash_mismatch_distinct_error(tmp_path, additive_system):

@@ -10,7 +10,6 @@ from stochflow.noise import (
     build_noise,
     check_orthogonality,
     hs_norm,
-    ito_correction,
 )
 
 import oracles
@@ -67,7 +66,7 @@ def test_hs_norm_reordering_invariant(perm_seed):
 def test_zero_transport(basis2_2):
     tr = assemble_zeta(basis2_2, [])
     assert tr.zeta.shape == (0, basis2_2.n_modes, basis2_2.n_modes)
-    assert np.abs(ito_correction(tr)).max() == 0.0
+    assert np.abs(tr.correction()).max() == 0.0
 
 
 def test_zeta_skew_bitwise(basis2_2, rng):
@@ -139,7 +138,7 @@ def test_zeta_larger_assembly_cutoff(basis2_1):
 def test_correction_psd(basis2_2, rng):
     field = rng.normal(size=basis2_2.n_modes) * (basis2_2.k_sq <= 2)
     tr = assemble_zeta(basis2_2, [(0, field)])
-    corr = ito_correction(tr)
+    corr = tr.correction()
     assert np.abs(corr - corr.T).max() == 0.0
     assert np.linalg.eigvalsh(corr).min() >= -1e-13
 
@@ -148,7 +147,7 @@ def test_correction_quadratic_identity(basis2_2, rng):
     fields = [(0, rng.normal(size=basis2_2.n_modes) * (basis2_2.k_sq <= 2)),
               (1, rng.normal(size=basis2_2.n_modes) * (basis2_2.k_sq <= 1))]
     tr = assemble_zeta(basis2_2, fields)
-    corr = ito_correction(tr)
+    corr = tr.correction()
     for _ in range(20):
         a = rng.normal(size=basis2_2.n_modes)
         direct = 0.5 * sum(np.linalg.norm(tr.zeta[s] @ a) ** 2

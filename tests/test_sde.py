@@ -37,11 +37,9 @@ def test_drift_single_viscous_mode(viscous_system):
 
 
 def test_convection_orthogonal_to_state(viscous_system, rng):
-    from stochflow.sde import convection_part
-
     for _ in range(100):
         a = rng.normal(size=viscous_system.n_modes)
-        assert abs(a @ convection_part(viscous_system, a)) <= 1e-12 * np.linalg.norm(a) ** 3
+        assert abs(a @ viscous_system.conv.apply(a)) <= 1e-12 * np.linalg.norm(a) ** 3
 
 
 def test_drift_rejects_nonfinite(viscous_system):
@@ -230,9 +228,9 @@ def test_heun_blowup_leaves_other_members_bitwise(basis2_2, conv2_2, rng):
     with pytest.warns(RuntimeWarning):  # the dt guardrail
         out = integrate_batch(system, wild, inc, 0.5, scheme="heun")
         ref = integrate_batch(system, calm, inc, 0.5, scheme="heun")
-    assert out["blowup_step"][0] == -1 and out["blowup_step"][1] > 0
-    assert np.array_equal(out["states"][:, 0], ref["states"][:, 0])
-    assert np.all(np.isfinite(out["states"]))
+    assert out.blowup_step[0] == -1 and out.blowup_step[1] > 0
+    assert np.array_equal(out.states[:, 0], ref.states[:, 0])
+    assert np.all(np.isfinite(out.states))
 
 
 def test_energy_series_is_parseval(additive_system, rng):
