@@ -3,9 +3,11 @@
 An ensemble is a pure function of (system, base seed, member count, path
 configuration): member m integrates along the counter-based Brownian path
 with seed base_seed XOR m, so any member trajectory can be regenerated on
-demand instead of stored.  Summary series (energy, pathwise integrals) are
-kept for every member; full states are retained at probe times only, with
-opt-in retention of everything else.
+demand instead of stored.  Integration is invariant to batch size (see
+`stochflow.sde`), so the regenerated member, a batch of one, matches its
+ensemble bit for bit, whatever the chunking and thread count.  Summary
+series (energy, pathwise integrals) are kept for every member; full states
+are retained at probe times only, with opt-in retention of everything else.
 
 The empirical Young measure is the collection of member field samples at the
 probe points; its pairings <mu, f> are ensemble-probe averages, reported with

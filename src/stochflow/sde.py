@@ -23,6 +23,12 @@ studies need.  Nothing has to be stored to reproduce a path.
 `BatchResult`.  Its `member` method is the one place that turns a batch
 column into a single-member `Trajectory`; `integrate` and
 `Ensemble.member_trajectory` are both a batch of one viewed through it.
+
+A member's bits do not depend on the batch it runs in.  Products with the
+coefficient matrices (the dissipation matrix and eta) are `np.einsum`
+contractions, which evaluate every row with the same loop whatever the batch
+size; a BLAS matrix product blocks and vectorizes by batch size, so its rows
+would change in the last bits with the member count.
 """
 
 from __future__ import annotations
@@ -104,7 +110,7 @@ def drift(system: GalerkinSystem, a: np.ndarray, include_correction: bool = True
         raise SdeError("drift evaluated at non-finite state")
     out = -system.conv.apply(a)
     if include_correction:
-        out -= a @ system.drift_mat.T
+        out -= np.einsum("ij,...j->...i", system.drift_mat, a)
     else:
         out -= system.nu * (system.basis.k_sq * a)
     return out
@@ -124,7 +130,7 @@ def diffusion(system: GalerkinSystem, a: np.ndarray) -> np.ndarray:
 
 def _diffusion_increment(system: GalerkinSystem, a: np.ndarray, dW: np.ndarray) -> np.ndarray:
     """diffusion(a) @ dW without materializing the (..., N, K) matrix."""
-    out = dW @ system.noise.additive.eta.T
+    out = np.einsum("jl,...l->...j", system.noise.additive.eta, dW)
     tr = system.noise.transport
     if tr.zeta.shape[0]:
         za = np.einsum("sji,...i->...sj", tr.zeta, a)
@@ -396,7 +402,7 @@ def integrate_batch(
     for n in range(n_steps):
         dW = increments[:, n, :]
         # left-point accumulators along the path
-        stoch_acc += np.einsum("mj,mj->m", a @ eta, dW)
+        stoch_acc += np.einsum("ml,ml->m", np.einsum("mj,jl->ml", a, eta), dW)
         grad_acc += _grad_energy(a) * dt
         a_new = step(system, a, dW, dt)
         if not np.all(alive):

@@ -1,7 +1,11 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
+from stochflow import ensemble as ensemble_mod
 from stochflow.ensemble import (
+    Ensemble,
     EnsembleError,
     empirical_measure,
     gaussian_initial,
@@ -12,6 +16,7 @@ from stochflow.ensemble import (
     young_eval,
 )
 from stochflow.noise import hs_norm
+from stochflow.sde import SCHEMES
 
 import oracles
 
@@ -46,13 +51,40 @@ def test_repeatability_bitwise(additive_system, rng):
     assert np.array_equal(e1.sup_energy, e2.sup_energy)
 
 
-def test_threaded_matches_serial(additive_system, rng):
-    a0 = rng.normal(size=additive_system.n_modes) * 0.3
-    e1 = run_ensemble(additive_system, a0, 64, base_seed=5, dt=1e-3, n_steps=20,
-                      threads=1)
-    e2 = run_ensemble(additive_system, a0, 64, base_seed=5, dt=1e-3, n_steps=20,
-                      threads=4)
-    assert np.array_equal(e1.energy, e2.energy)
+def _same(a, b) -> bool:
+    if isinstance(a, np.ndarray):
+        return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    return a is b or a == b
+
+
+def test_threaded_matches_serial(mixed_system, monkeypatch):
+    sample = gaussian_initial(0.5)
+    kw = dict(base_seed=5, dt=1e-3, n_steps=20, store_every=4, probe_times=(0.0, 0.008, 0.02))
+    for scheme in SCHEMES:
+        one = run_ensemble(mixed_system, sample, 64, scheme=scheme, **kw)
+        with monkeypatch.context() as patch:
+            patch.setattr(ensemble_mod, "_chunk_size", lambda *args: 5)
+            for threads in (1, 4):
+                many = run_ensemble(mixed_system, sample, 64, scheme=scheme,
+                                    threads=threads, **kw)
+                for f in fields(Ensemble):
+                    assert _same(getattr(many, f.name), getattr(one, f.name)), \
+                        (scheme, threads, f.name)
+
+
+@pytest.mark.parametrize("chunk, threads", [(None, 1), (5, 1), (5, 4)],
+                         ids=["one-chunk", "chunks-of-5", "chunks-of-5-threads-4"])
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_member_trajectory_matches_ensemble(mixed_system, monkeypatch, scheme, chunk, threads):
+    if chunk is not None:
+        monkeypatch.setattr(ensemble_mod, "_chunk_size", lambda *args: chunk)
+    ens = run_ensemble(mixed_system, gaussian_initial(0.5), 24, base_seed=9, dt=1e-3,
+                       n_steps=20, scheme=scheme, threads=threads)
+    for m in range(ens.n_members):
+        traj = ens.member_trajectory(m)
+        assert np.array_equal(traj.states[-1], ens.final_states[m]), m
+        for key in ("energy", "grad_energy", "stoch_int", "grad_int"):
+            assert np.array_equal(getattr(traj, key), getattr(ens, key)[:, m]), (m, key)
 
 
 def test_rejects_empty_ensemble(additive_system):
