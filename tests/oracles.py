@@ -11,6 +11,15 @@ import numpy as np
 TWO_PI = 2.0 * np.pi
 
 
+def bit_equal(a, b) -> bool:
+    """Arrays: same dtype, shape and bytes.  Anything else: the same object,
+    or the same type and an equal value."""
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        a, b = np.asarray(a), np.asarray(b)
+        return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    return a is b or (type(a) is type(b) and a == b)
+
+
 def torus_grid(dim, n):
     axes = [np.arange(n) * (TWO_PI / n)] * dim
     mesh = np.meshgrid(*axes, indexing="ij")

@@ -51,12 +51,6 @@ def test_repeatability_bitwise(additive_system, rng):
     assert np.array_equal(e1.sup_energy, e2.sup_energy)
 
 
-def _same(a, b) -> bool:
-    if isinstance(a, np.ndarray):
-        return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
-    return a is b or a == b
-
-
 def test_threaded_matches_serial(mixed_system, monkeypatch):
     sample = gaussian_initial(0.5)
     kw = dict(base_seed=5, dt=1e-3, n_steps=20, store_every=4, probe_times=(0.0, 0.008, 0.02))
@@ -68,7 +62,7 @@ def test_threaded_matches_serial(mixed_system, monkeypatch):
                 many = run_ensemble(mixed_system, sample, 64, scheme=scheme,
                                     threads=threads, **kw)
                 for f in fields(Ensemble):
-                    assert _same(getattr(many, f.name), getattr(one, f.name)), \
+                    assert oracles.bit_equal(getattr(many, f.name), getattr(one, f.name)), \
                         (scheme, threads, f.name)
 
 

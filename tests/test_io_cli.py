@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from stochflow.ensemble import run_ensemble
 from stochflow.io_cli.cli import main
 from stochflow.io_cli.config import ConfigError, emit_config, parse_config
 from stochflow.io_cli.storage import (
@@ -15,8 +16,9 @@ from stochflow.io_cli.storage import (
     save_container,
     save_trajectory,
 )
-from stochflow.ensemble import run_ensemble
 from stochflow.sde import BrownianPath, integrate
+
+import oracles
 
 
 MINIMAL = {
@@ -100,13 +102,6 @@ def _traj(additive_system, n_steps=50):
     return integrate(additive_system, a0, path)
 
 
-def _bit_equal(a, b) -> bool:
-    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-        a, b = np.asarray(a), np.asarray(b)
-        return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
-    return type(a) is type(b) and a == b
-
-
 def test_trajectory_round_trip_bitwise(tmp_path, additive_system):
     # one trajectory from `integrate`, one regenerated from an ensemble; a
     # parameter id would rename the test, so the two sources are looped over
@@ -120,7 +115,7 @@ def test_trajectory_round_trip_bitwise(tmp_path, additive_system):
         assert h == "ab" * 32
         assert vars(loaded).keys() == vars(traj).keys()
         for key, value in vars(traj).items():
-            assert _bit_equal(value, getattr(loaded, key)), (source, key)
+            assert oracles.bit_equal(value, getattr(loaded, key)), (source, key)
         # sidecar NDJSON exists, one record per saved time
         lines = (tmp_path / f"{source}.bin.ndjson").read_text().strip().splitlines()
         assert len(lines) == traj.times.size
