@@ -487,6 +487,12 @@ def _triads(
     return tuple(np.concatenate(p) for p in zip(*parts))
 
 
+# doubles in the gathered (entries, rows) product of one row block of
+# ConvectionTensor.apply: small enough to stay in a core's cache (2^15 to
+# 2^17 timed alike at N = 80 to 288 on a 2-CPU x86-64 host, 2^18 slower)
+_APPLY_WORKSPACE = 1 << 16
+
+
 @dataclass(frozen=True)
 class ConvectionTensor:
     """Sparse rank-3 convection tensor b[i, k, j], skew-symmetric in (k, j).
@@ -494,6 +500,18 @@ class ConvectionTensor:
     Entries are stored in coordinate format sorted by output index j; the
     per-j scatter matrix realizes the quadratic contraction
     B(a, c)_j = sum over (i, k) of b[i, k, j] a_i c_k.
+
+    `apply` computes member-minor: the R states of a batch become the columns
+    of a contiguous (N, R) array, so gathering a_i for one entry copies a
+    whole row of R members.  Output modes are walked in row blocks, runs of
+    whole scatter rows [j0, j1) whose entries [lo, hi) fill at most a fixed
+    workspace of (hi - lo) * R doubles (one row may exceed it).  Each block
+    gathers its (hi - lo, R) product and sums it with the block's slice of the
+    scatter matrix.  Every output entry is thus the same sequential sum, over
+    the same entries in the same order, as the single sparse product over the
+    full (nnz, R) product, so the bits do not depend on R or on the blocking,
+    and a batch matches its members applied one by one.  The partitions are
+    built on first use, one per power of two of R, and cached on the tensor.
     """
 
     n_modes: int
@@ -502,6 +520,7 @@ class ConvectionTensor:
     j_idx: np.ndarray
     values: np.ndarray
     _scatter: sparse.csr_matrix = field(repr=False, compare=False, default=None)
+    _blocks: dict = field(repr=False, compare=False, default_factory=dict)
 
     @property
     def nnz(self) -> int:
@@ -514,19 +533,44 @@ class ConvectionTensor:
     def scatter(self) -> sparse.csr_matrix:
         return self._scatter
 
+    def _row_blocks(self, rows: int) -> list:
+        # keyed by rows rounded up to a power of two; building a partition is
+        # deterministic, so threads that race to fill an entry store equal lists
+        key = 1 << max(rows - 1, 0).bit_length()
+        blocks = self._blocks.get(key)
+        if blocks is None:
+            cap = max(1, _APPLY_WORKSPACE // key)
+            indptr = self._scatter.indptr
+            blocks, j0 = [], 0
+            while j0 < self.n_modes:
+                lo = indptr[j0]
+                j1 = max(j0 + 1, int(np.searchsorted(indptr, lo + cap, side="right")) - 1)
+                hi = indptr[j1]
+                sub = sparse.csr_matrix(
+                    (self.values[lo:hi], np.arange(hi - lo), indptr[j0:j1 + 1] - lo),
+                    shape=(j1 - j0, hi - lo))
+                blocks.append((j0, j1, self.i_idx[lo:hi], self.k_idx[lo:hi], sub))
+                j0 = j1
+            self._blocks[key] = blocks
+        return blocks
+
     def apply(self, a: np.ndarray, c: np.ndarray | None = None) -> np.ndarray:
         """B(a, c) with c defaulting to a; supports arbitrary leading batch axes."""
-        if c is None:
-            c = a
         a = np.asarray(a, dtype=np.float64)
+        if c is not None:
+            a, c = np.broadcast_arrays(a, np.asarray(c, dtype=np.float64))
         if self.nnz == 0:
             return np.zeros_like(a)
-        prod = a[..., self.i_idx] * np.asarray(c)[..., self.k_idx]
-        if prod.ndim == 1:
-            return self._scatter @ prod
-        lead = prod.shape[:-1]
-        flat = prod.reshape(-1, self.nnz)
-        return (self._scatter @ flat.T).T.reshape(*lead, self.n_modes)
+        flat = a.reshape(-1, self.n_modes)
+        rows = flat.shape[0]
+        aT = np.ascontiguousarray(flat.T)
+        cT = aT if c is None else np.ascontiguousarray(c.reshape(rows, self.n_modes).T)
+        out = np.empty((self.n_modes, rows))
+        for j0, j1, i_idx, k_idx, sub in self._row_blocks(rows):
+            prod = np.take(aT, i_idx, axis=0)
+            prod *= np.take(cT, k_idx, axis=0)
+            out[j0:j1] = sub @ prod
+        return out.T.reshape(a.shape)
 
     def to_dense(self) -> np.ndarray:
         dense = np.zeros((self.n_modes,) * 3)

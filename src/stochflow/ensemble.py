@@ -64,10 +64,15 @@ def constant_initial(a0: np.ndarray) -> Callable:
     return sample
 
 
-def _chunk_size(n_modes: int, nnz: int, n_steps: int) -> int:
-    # keep the (chunk, nnz) contraction workspace near ~2.5e7 doubles
-    per_member = max(nnz, 4 * n_modes, 1)
-    return max(16, min(8192, int(2.5e7 / per_member)))
+# bytes of per-member arrays one chunk may hold
+_CHUNK_BYTES = 1 << 28
+
+
+def _chunk_size(n_modes: int, n_brownian: int, n_steps: int) -> int:
+    # integrate_batch holds (n_steps + 1) states and n_steps increments per
+    # member; a member that alone exceeds the budget runs in a chunk of one
+    per_member = 8 * ((n_steps + 1) * n_modes + n_steps * n_brownian)
+    return max(1, _CHUNK_BYTES // per_member)
 
 
 @dataclass
@@ -129,7 +134,7 @@ class Ensemble:
         Yields (member slice, states (n_steps + 1, chunk, N)); deterministic
         order, independent of chunking.
         """
-        chunk = _chunk_size(self.system.n_modes, self.system.conv.nnz, self.n_steps)
+        chunk = _chunk_size(self.system.n_modes, self.system.n_brownian, self.n_steps)
         for lo in range(0, self.n_members, chunk):
             sl = slice(lo, min(lo + chunk, self.n_members))
             inc = batch_increments(self.seeds[sl], self.dt, self.n_steps,
@@ -211,7 +216,7 @@ def run_ensemble(
         for p, j in enumerate(probe_idx):
             probe_states[p, sl] = out.states[j]
 
-    chunk = _chunk_size(system.n_modes, system.conv.nnz, n_steps)
+    chunk = _chunk_size(system.n_modes, K, n_steps)
     slices = [slice(lo, min(lo + chunk, n_members)) for lo in range(0, n_members, chunk)]
     if threads > 1 and len(slices) > 1:
         from concurrent.futures import ThreadPoolExecutor

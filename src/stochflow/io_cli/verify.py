@@ -119,6 +119,13 @@ def run_battery(seed: int = 20240901) -> list[CheckResult]:
         a = rng.normal(size=b.n_modes)
         worst = max(worst, abs(a @ conv.apply(a)) / np.linalg.norm(a) ** 3)
     results.append(_leq("conv.energy_conservation", worst, 1e-12))
+    # own stream, so the draws of the checks below stay as they were
+    states = np.random.default_rng(seed + 1).normal(size=(257, b.n_modes))
+    batch = conv.apply(states)
+    mismatched = sum(batch[r].tobytes() != conv.apply(states[r]).tobytes()
+                     for r in range(len(states)))
+    results.append(_leq("conv.apply.batch_invariant", mismatched, 0.0,
+                        note="rows of a batch of 257 that differ from their row alone"))
 
     worst = 0.0
     stored = set(zip(conv.i_idx.tolist(), conv.k_idx.tolist(), conv.j_idx.tolist()))

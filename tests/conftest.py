@@ -52,17 +52,29 @@ def transport_system(basis2_2, conv2_2):
     return build_system(basis2_2, noise, nu=0.0, conv=conv2_2)
 
 
+def _mixed(basis, conv):
+    gen = np.random.default_rng(11)
+    field = gen.normal(scale=0.3, size=basis.n_modes) * (basis.k_sq <= 2)
+    cols = gen.normal(scale=0.2, size=(3, basis.n_modes))
+    noise = build_noise(basis, sigma1_modes=[(ell + 1, c) for ell, c in enumerate(cols)],
+                        transport_fields=[(0, field)])
+    return build_system(basis, noise, nu=0.05, conv=conv)
+
+
 @pytest.fixture(scope="session")
 def mixed_system(basis2_2, conv2_2):
     """nu = 0.05, one transport field on brownian mode 0 and three dense
     additive columns on modes 1-3; the field spans every mode with
     |k|^2 <= 2, so the Ito correction is a dense matrix too."""
-    gen = np.random.default_rng(11)
-    field = gen.normal(scale=0.3, size=basis2_2.n_modes) * (basis2_2.k_sq <= 2)
-    cols = gen.normal(scale=0.2, size=(3, basis2_2.n_modes))
-    noise = build_noise(basis2_2, sigma1_modes=[(ell + 1, c) for ell, c in enumerate(cols)],
-                        transport_fields=[(0, field)])
-    return build_system(basis2_2, noise, nu=0.05, conv=conv2_2)
+    return _mixed(basis2_2, conv2_2)
+
+
+@pytest.fixture(scope="session")
+def mixed_system_c4():
+    """`mixed_system` at 2-D cutoff 4 (N = 80), where rows of a matrix
+    product that depend on the batch size round differently."""
+    basis = basis_mod.build_basis(2, 4)
+    return _mixed(basis, basis_mod.convection_tensor(basis))
 
 
 @pytest.fixture()

@@ -1,3 +1,4 @@
+import itertools
 from dataclasses import fields
 
 import numpy as np
@@ -51,19 +52,44 @@ def test_repeatability_bitwise(additive_system, rng):
     assert np.array_equal(e1.sup_energy, e2.sup_energy)
 
 
-def test_threaded_matches_serial(mixed_system, monkeypatch):
+def test_threaded_matches_serial(mixed_system, mixed_system_c4, monkeypatch):
     sample = gaussian_initial(0.5)
     kw = dict(base_seed=5, dt=1e-3, n_steps=20, store_every=4, probe_times=(0.0, 0.008, 0.02))
-    for scheme in SCHEMES:
-        one = run_ensemble(mixed_system, sample, 64, scheme=scheme, **kw)
+    for system, scheme in itertools.product((mixed_system, mixed_system_c4), SCHEMES):
+        one = run_ensemble(system, sample, 64, scheme=scheme, **kw)
         with monkeypatch.context() as patch:
             patch.setattr(ensemble_mod, "_chunk_size", lambda *args: 5)
             for threads in (1, 4):
-                many = run_ensemble(mixed_system, sample, 64, scheme=scheme,
-                                    threads=threads, **kw)
+                many = run_ensemble(system, sample, 64, scheme=scheme, threads=threads, **kw)
                 for f in fields(Ensemble):
                     assert oracles.bit_equal(getattr(many, f.name), getattr(one, f.name)), \
-                        (scheme, threads, f.name)
+                        (system.n_modes, scheme, threads, f.name)
+
+
+class _Stop(Exception):
+    pass
+
+
+def test_chunk_memory_bounded_in_steps(mixed_system, monkeypatch):
+    # record the first chunk's member count, then stop before integrating it
+    sizes = []
+
+    def first_chunk(seeds, *args):
+        sizes.append(len(seeds))
+        raise _Stop
+
+    monkeypatch.setattr(ensemble_mod, "batch_increments", first_chunk)
+    N, K = mixed_system.n_modes, mixed_system.n_brownian
+    for n_members, n_steps in ((1024, 12), (10_000, 10_000), (4, 10_000_000)):
+        with pytest.raises(_Stop):
+            run_ensemble(mixed_system, np.zeros(N), n_members, base_seed=0, dt=1e-3,
+                         n_steps=n_steps, store_every=n_steps)
+        chunk = sizes.pop()
+        # states (n_steps + 1, N) and increments (n_steps, K) per member
+        held = chunk * ((n_steps + 1) * N + n_steps * K) * 8
+        assert chunk == 1 or held <= 2 ** 30, (n_steps, chunk)
+        # a short run stays one chunk; a member too large for a budget runs alone
+        assert chunk == {12: n_members, 10_000_000: 1}.get(n_steps, chunk), (n_steps, chunk)
 
 
 @pytest.mark.parametrize("chunk, threads", [(None, 1), (5, 1), (5, 4)],

@@ -1,0 +1,109 @@
+"""Bitwise pins of the convection kernel B(a, c) = ConvectionTensor.apply.
+
+Each digest is the SHA-256 of the little-endian bytes of one `apply` output,
+recorded from the kernel that gathers the full (rows, nnz) product and sums
+it with one sparse product over all output modes.  The pins hold any later
+layout, blocking or batching of the kernel to those bits exactly: every
+output entry must be summed over the same tensor entries in the same order.
+"""
+
+import functools
+import hashlib
+
+import numpy as np
+import pytest
+
+from stochflow.basis import build_basis, convection_tensor
+
+import oracles
+
+SIZES = ((2, 2), (2, 4), (3, 1))
+ROWS = (1, 5, 1024)
+# leading shape (t, M) of the time-series case for each row count
+SERIES = {1: (1, 1), 5: (5, 1), 1024: (8, 128)}
+CASES = ("aa", "ac", "series")
+
+
+@functools.cache
+def conv_of(dim, cutoff):
+    return convection_tensor(build_basis(dim, cutoff))
+
+
+def _digest(arr):
+    arr = np.asarray(arr)
+    return hashlib.sha256(
+        np.ascontiguousarray(arr, dtype=arr.dtype.newbyteorder("<")).tobytes()
+    ).hexdigest()
+
+
+def kernel_case(dim, cutoff, rows, case):
+    """`apply` output of one case; a single row is passed as a 1-D state."""
+    conv = conv_of(dim, cutoff)
+    n = conv.n_modes
+    gen = np.random.default_rng([dim, cutoff, rows, CASES.index(case)])
+    if case == "series":
+        # as dissipative_weak_residual calls it: states (t, M, N), c a
+        # broadcast test function
+        a = gen.normal(size=SERIES[rows] + (n,))
+        phi = gen.normal(size=n)
+        return conv.apply(a, np.broadcast_to(phi, a.shape))
+    shape = (n,) if rows == 1 else (rows, n)
+    a = gen.normal(size=shape)
+    if case == "aa":
+        return conv.apply(a)
+    return conv.apply(a, gen.normal(size=shape))
+
+
+# (dim, cutoff, rows, case) -> digest of the float64 output
+KERNEL = {
+    (2, 2, 1, "aa"): "9222118e30f406498abd957c608f9f3d55aa7915ab472bd7ff1d93b4f9a65b67",
+    (2, 2, 1, "ac"): "1d0cfb096791e550eeb346ffdfbc28149ee438ae4429e0c873867068e1cd1669",
+    (2, 2, 1, "series"): "fbbbd25a1a39460e1736171c63ace7bb984c0548e95d28494d84cc97d57a4879",
+    (2, 2, 5, "aa"): "c4343c1c2bd85728d757e5475bcdd38d3a3714972895f282b56a3490d6afe3cc",
+    (2, 2, 5, "ac"): "24514c9b00f70462495e33ef0d6ef8c92d6b6bdc9435349121bc9761f42312b6",
+    (2, 2, 5, "series"): "ad8ff3d16f5296814ac2bb2fa0f21170a69dd32e055d8d3e89a68187def7595f",
+    (2, 2, 1024, "aa"): "b38fe49a7fc98cfa9bc0a5c0902bc116c2e47709faad256ff92a4eb8e7b7c7ec",
+    (2, 2, 1024, "ac"): "7f6f7b28a769219b3cf3eebc845bb522cdf4ed8300691afbf2b17f44547eb017",
+    (2, 2, 1024, "series"): "268d7d68a3491c3c3a0173435680fa93e8e401a30a2cce08324b7a69026aa171",
+    (2, 4, 1, "aa"): "a5aa7f6128e260f66e3f1a32eb4dcfbac98ad8b29ee77df09f2e288ae00984af",
+    (2, 4, 1, "ac"): "55ae62128b7d18c17385d5a9b0ca4135f078c81afd9b2a7db1cc33bbc17ab777",
+    (2, 4, 1, "series"): "8175693bf52d8324aa76b93fb0172878fde331376431d3612378c993c5fd6eca",
+    (2, 4, 5, "aa"): "cf37275b94e4f41d6875fd9e64bdc77ab856569c780305dee1d2d7999567f350",
+    (2, 4, 5, "ac"): "a8cccb2e00b2a624b980a0aff5033e8c258c2cb772702295f8656eb8c338c2ef",
+    (2, 4, 5, "series"): "0febe463be2c73afc22310ac5b90139210581dfccdaf0ffb973821e9bfb91ce3",
+    (2, 4, 1024, "aa"): "49ecbaf2a8347b6885771228e9ec4e46aa0d72d761dbda981e14118fa205e232",
+    (2, 4, 1024, "ac"): "358b7f0f2784fc19bb8d4039e6d9a89eabe8879128f993208bd9bf59061b7e03",
+    (2, 4, 1024, "series"): "cf65678d734128a06d0768ca1ff57ab819181cf3a0f91f7d45242ff22d746423",
+    (3, 1, 1, "aa"): "4a33373a746bb6378c6fb1c0da93149a3697f372714baad82c34742499bb1a29",
+    (3, 1, 1, "ac"): "cb0b88d1b275f5d2df89dfa0a2d2d924747d527b1341d1871679505aa15f7158",
+    (3, 1, 1, "series"): "be68b78271635c4193b59cbfb9613501a6e4a2af13f1c528003dd5d7f95c39e0",
+    (3, 1, 5, "aa"): "563e630183d0ce009d519df0eb211a92bf2124130915a94a0568d26a6b60c8f6",
+    (3, 1, 5, "ac"): "68c9eaa1008bea4e5f1233f7e4c5e9828dca9063beb07aef5ad68004d9279615",
+    (3, 1, 5, "series"): "9221b8ff3c370de6e25a49b0a7546ef2e7f02d841b905c52be0378b3c673bc76",
+    (3, 1, 1024, "aa"): "dd8c7a1e90eb113bcfa2e3ea3e66dac3673692f94eba8d45cbc60c47ff077539",
+    (3, 1, 1024, "ac"): "cda9bba511516bc26a7f6c2f302232196c3f6fc61229f28f379a55c8fe20241f",
+    (3, 1, 1024, "series"): "fd84e71f86c861269f33c79cdeb30db01ba0c4558f4efbcc88152a19056d0abd",
+}
+
+
+@pytest.mark.parametrize("dim,cutoff,rows,case", sorted(KERNEL))
+def test_apply_bitwise(dim, cutoff, rows, case):
+    out = kernel_case(dim, cutoff, rows, case)
+    assert out.dtype == np.float64
+    lead = SERIES[rows] if case == "series" else (() if rows == 1 else (rows,))
+    assert out.shape == lead + (conv_of(dim, cutoff).n_modes,)
+    assert _digest(out) == KERNEL[(dim, cutoff, rows, case)]
+
+
+# row counts on both sides of several workspace block sizes
+@pytest.mark.parametrize("dim,cutoff", [(2, 4), (3, 1)])
+def test_apply_batch_invariant(dim, cutoff):
+    conv = conv_of(dim, cutoff)
+    gen = np.random.default_rng(7)
+    for rows in (2, 17, 33, 257, 1500):
+        a = gen.normal(size=(rows, conv.n_modes))
+        c = gen.normal(size=(rows, conv.n_modes))
+        for batch, single in ((conv.apply(a), lambda r: conv.apply(a[r])),
+                              (conv.apply(a, c), lambda r: conv.apply(a[r], c[r]))):
+            for r in range(rows):
+                assert oracles.bit_equal(batch[r], single(r)), (rows, r)
