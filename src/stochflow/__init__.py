@@ -39,7 +39,6 @@ from .sde import (
     SdeError,
     Trajectory,
     build_system,
-    diffusion,
     drift,
     integrate,
     step_euler_maruyama,

@@ -22,8 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import BasisSpec, TrigField, default_grid, leray_project, solenoidal_field
+from .ensemble import mean_stderr
 from .noise import hs_norm
-from .sde import GalerkinSystem, Trajectory
+from .sde import BrownianPath, GalerkinSystem, Trajectory, integrate
 
 
 class DiagnosticsError(ValueError):
@@ -340,8 +341,6 @@ def calibrate_gap_tolerance(
     log-log slope, and returns safety * (largest |gap| at dt_target) as the
     tolerance, together with the study data.
     """
-    from .sde import BrownianPath, integrate  # local import keeps module load light
-
     base_dt = dt_target * (2 ** levels)
     n_base = n_steps_target // (2 ** levels)
     if n_base * (2 ** levels) != n_steps_target:
@@ -496,17 +495,17 @@ def dissipative_weak_residual(ensemble, phi, t: float) -> dict:
         raise DiagnosticsError(f"test field has shape {phi.shape}, expected ({basis.n_modes},)")
     ksq_phi = system.basis.k_sq * phi
     corr_phi = system.corr @ phi
-    dt_s = ensemble.saved_dt
-    j = int(round(t / dt_s))
-    if abs(j * dt_s - t) > 1e-9 * max(1.0, t) or j >= ensemble.n_saved:
-        raise DiagnosticsError(f"time {t} is not on the ensemble grid")
+    # chunked_states regenerates every step, whatever the saved grid
+    dt = ensemble.dt
+    j = int(round(t / dt))
+    if abs(j * dt - t) > 1e-9 * max(1.0, t) or not 0 <= j <= ensemble.n_steps:
+        raise DiagnosticsError(f"time {t} is not on the ensemble's step grid")
     residuals = np.empty(ensemble.n_members)
     for sl, batch in ensemble.chunked_states():
         a = batch[: j + 1]                                  # (j+1, M, N)
         conv = system.conv.apply(a[:-1], np.broadcast_to(phi, a[:-1].shape))
         quad = np.einsum("tmn,tmn->m", conv, a[:-1])
         quad -= np.einsum("tmn,n->m", a[:-1], system.nu * ksq_phi + corr_phi)
-        residuals[sl] = -(a[j] - a[0]) @ phi + quad * dt_s
-    mean = float(residuals.mean())
-    se = float(residuals.std(ddof=1) / np.sqrt(ensemble.n_members)) if ensemble.n_members > 1 else 0.0
+        residuals[sl] = -(a[j] - a[0]) @ phi + quad * dt
+    mean, se = mean_stderr(residuals)
     return {"residual": mean, "stderr": se, "n_members": ensemble.n_members, "t": t}

@@ -1,10 +1,11 @@
 """Monte-Carlo ensembles, empirical Young measures, and moment reports.
 
 An ensemble is a pure function of (system, base seed, member count, path
-configuration): member m integrates along the counter-based Brownian path
-with seed base_seed XOR m, so any member trajectory can be regenerated on
-demand instead of stored.  Integration is invariant to batch size (see
-`stochflow.sde`), so the regenerated member, a batch of one, matches its
+configuration): member m integrates along the level-0 Brownian path with
+seed base_seed XOR m, so any member can be regenerated instead of stored.
+One member runner over one chunk partition serves `run_ensemble`,
+`chunked_states` and `member_trajectory`, and integration is invariant to
+batch size (see `stochflow.sde`), so a regenerated member matches its
 ensemble bit for bit, whatever the chunking and thread count.  Summary
 series (energy, pathwise integrals) are kept for every member; full states
 are retained at probe times only, with opt-in retention of everything else.
@@ -23,7 +24,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .basis import BasisSpec, default_grid
-from .sde import GalerkinSystem, Trajectory, batch_increments, integrate_batch
+from .sde import BatchResult, GalerkinSystem, Trajectory, batch_increments, integrate_batch
 
 
 class EnsembleError(ValueError):
@@ -33,6 +34,12 @@ class EnsembleError(ValueError):
 def member_seeds(base_seed: int, n_members: int) -> np.ndarray:
     """Member seeds base_seed XOR index; pairwise distinct by construction."""
     return np.uint64(base_seed) ^ np.arange(n_members, dtype=np.uint64)
+
+
+def mean_stderr(x: np.ndarray) -> tuple[float, float]:
+    """Sample mean of x and its Monte-Carlo standard error (0 for one sample)."""
+    se = float(x.std(ddof=1) / math.sqrt(x.size)) if x.size > 1 else 0.0
+    return float(x.mean()), se
 
 
 def gaussian_initial(scale: float, max_ksq: float = 2.0, decay: float = 1.0) -> Callable:
@@ -75,6 +82,18 @@ def _chunk_size(n_modes: int, n_brownian: int, n_steps: int) -> int:
     return max(1, _CHUNK_BYTES // per_member)
 
 
+def _chunks(system: GalerkinSystem, n_members: int, n_steps: int) -> list[slice]:
+    chunk = _chunk_size(system.n_modes, system.n_brownian, n_steps)
+    return [slice(lo, min(lo + chunk, n_members)) for lo in range(0, n_members, chunk)]
+
+
+def _run_members(system: GalerkinSystem, seeds: np.ndarray, a0: np.ndarray, dt: float,
+                 n_steps: int, scheme: str, store_every: int = 1) -> BatchResult:
+    """Integrate the members with these seeds and initial states."""
+    inc = batch_increments(seeds, dt, n_steps, system.n_brownian)
+    return integrate_batch(system, a0, inc, dt, scheme, store_every)
+
+
 @dataclass
 class Ensemble:
     """Summary arrays for M independent trajectories plus regeneration metadata.
@@ -109,24 +128,16 @@ class Ensemble:
         return self.seeds.size
 
     @property
-    def n_saved(self) -> int:
-        return self.times.size
-
-    @property
-    def saved_dt(self) -> float:
-        return self.dt * self.store_every
-
-    @property
     def t_final(self) -> float:
         return self.n_steps * self.dt
 
+    def _rerun(self, sl: slice) -> BatchResult:
+        return _run_members(self.system, self.seeds[sl], self.initial_states[sl],
+                            self.dt, self.n_steps, self.scheme)
+
     def member_trajectory(self, m: int) -> Trajectory:
         """Regenerate member m at full resolution (bitwise reproducible)."""
-        inc = batch_increments(self.seeds[m : m + 1], self.dt, self.n_steps,
-                               self.system.n_brownian)
-        out = integrate_batch(self.system, self.initial_states[m : m + 1], inc,
-                              self.dt, self.scheme)
-        return out.member(0, int(self.seeds[m]))
+        return self._rerun(slice(m, m + 1)).member(0, int(self.seeds[m]))
 
     def chunked_states(self) -> Iterator[tuple[slice, np.ndarray]]:
         """Regenerate full-resolution state series chunk by chunk.
@@ -134,14 +145,8 @@ class Ensemble:
         Yields (member slice, states (n_steps + 1, chunk, N)); deterministic
         order, independent of chunking.
         """
-        chunk = _chunk_size(self.system.n_modes, self.system.n_brownian, self.n_steps)
-        for lo in range(0, self.n_members, chunk):
-            sl = slice(lo, min(lo + chunk, self.n_members))
-            inc = batch_increments(self.seeds[sl], self.dt, self.n_steps,
-                                   self.system.n_brownian)
-            out = integrate_batch(self.system, self.initial_states[sl], inc,
-                                  self.dt, self.scheme)
-            yield sl, out.states
+        for sl in _chunks(self.system, self.n_members, self.n_steps):
+            yield sl, self._rerun(sl).states
 
     def states_at(self, t: float) -> np.ndarray:
         """Member states (M, N) at a probe time."""
@@ -173,10 +178,8 @@ def run_ensemble(
     if n_members < 1:
         raise EnsembleError(f"need at least one member, got {n_members}")
     seeds = member_seeds(base_seed, n_members)
-    if callable(initial):
-        a0 = initial(seeds, system.basis)
-    else:
-        a0 = np.tile(np.asarray(initial, dtype=np.float64), (n_members, 1))
+    sample = initial if callable(initial) else constant_initial(initial)
+    a0 = sample(seeds, system.basis)
     if a0.shape != (n_members, system.n_modes):
         raise EnsembleError(f"initial states have shape {a0.shape}")
 
@@ -192,7 +195,6 @@ def run_ensemble(
         probe_idx.append(j)
 
     n_save = n_steps // store_every if n_steps else 0
-    K = system.n_brownian
     times = np.arange(n_save + 1) * saved_dt
     energy = np.empty((n_save + 1, n_members))
     grad_energy = np.empty_like(energy)
@@ -204,8 +206,7 @@ def run_ensemble(
     probe_states = np.empty((len(probe_times), n_members, system.n_modes))
 
     def run_chunk(sl: slice):
-        inc = batch_increments(seeds[sl], dt, n_steps, K)
-        out = integrate_batch(system, a0[sl], inc, dt, scheme, store_every)
+        out = _run_members(system, seeds[sl], a0[sl], dt, n_steps, scheme, store_every)
         energy[:, sl] = out.energy
         grad_energy[:, sl] = out.grad_energy
         stoch_int[:, sl] = out.stoch_int
@@ -216,8 +217,7 @@ def run_ensemble(
         for p, j in enumerate(probe_idx):
             probe_states[p, sl] = out.states[j]
 
-    chunk = _chunk_size(system.n_modes, K, n_steps)
-    slices = [slice(lo, min(lo + chunk, n_members)) for lo in range(0, n_members, chunk)]
+    slices = _chunks(system, n_members, n_steps)
     if threads > 1 and len(slices) > 1:
         from concurrent.futures import ThreadPoolExecutor
 
@@ -305,8 +305,7 @@ def young_eval(
     else:
         wt = np.array([1.0])
     per_member = wt @ space                                    # (M,)
-    est = float(per_member.mean())
-    se = float(per_member.std(ddof=1) / math.sqrt(M)) if M > 1 else 0.0
+    est, se = mean_stderr(per_member)
     return {
         "estimate": est,
         "stderr": se,
@@ -326,25 +325,17 @@ def moment_report(ensemble: Ensemble, p: float) -> dict:
     """
     if p < 2:
         raise EnsembleError(f"moment exponent must be >= 2, got {p}")
-    M = ensemble.n_members
     sup_norm_p = (2.0 * ensemble.sup_energy) ** (p / 2.0)
     grad_p = ensemble.grad_int[-1] ** (p / 2.0)
-    nu = ensemble.system.nu
-
-    def stats(x):
-        mean = float(x.mean())
-        se = float(x.std(ddof=1) / math.sqrt(M)) if M > 1 else 0.0
-        return mean, se
-
-    sup_mean, sup_se = stats(sup_norm_p)
-    grad_mean, grad_se = stats(nu * grad_p)
+    sup_mean, sup_se = mean_stderr(sup_norm_p)
+    grad_mean, grad_se = mean_stderr(ensemble.system.nu * grad_p)
     return {
         "p": p,
         "sup_moment": sup_mean,
         "sup_moment_stderr": sup_se,
         "viscous_moment": grad_mean,
         "viscous_moment_stderr": grad_se,
-        "n_members": M,
+        "n_members": ensemble.n_members,
     }
 
 

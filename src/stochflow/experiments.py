@@ -7,7 +7,8 @@ as a Cauchy surrogate for the limit, while moments and the weighted viscous
 functional are tracked for uniformity and decay.
 
 The order study measures strong convergence rates by dyadic refinement of a
-single family of Brownian paths against a finer reference run.
+single family of Brownian paths against a finer reference run: each member's
+path is refined level by level, never regenerated.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diagnostics import energy_variational_gap, make_test_processes
-from .ensemble import Ensemble, member_seeds, run_ensemble
+from .ensemble import Ensemble, mean_stderr, member_seeds, moment_report, run_ensemble
 from .noise import hs_norm
 from .sde import BrownianPath, GalerkinSystem, build_system, integrate_batch
 
@@ -94,8 +95,6 @@ def viscosity_sweep(
         )
         ensembles.append(ens)
         finals.append(ens.final_states)
-        from .ensemble import moment_report
-
         mom = moment_report(ens, plan.moment_p)
         resid = (
             ens.energy[-1] - ens.energy[0]
@@ -103,15 +102,15 @@ def viscosity_sweep(
             - ens.stoch_int[-1]
             - 0.5 * t_final * hs2
         )
+        resid_mean, resid_se = mean_stderr(resid)
         grad_mean = float(ens.grad_int[-1].mean())
         viscous_functional = nu * grad_mean
         weighted = math.sqrt(nu) * math.sqrt(max(viscous_functional, 0.0)) * grad_phi
         points.append({
             "nu": nu,
             "moment": mom,
-            "residual_mean": float(resid.mean()),
-            "residual_stderr": float(resid.std(ddof=1) / math.sqrt(plan.n_members))
-            if plan.n_members > 1 else 0.0,
+            "residual_mean": resid_mean,
+            "residual_stderr": resid_se,
             "viscous_functional": viscous_functional,
             "weighted_viscous": weighted,
             "blowups": int(np.sum(ens.blowup_step >= 0)),
@@ -180,21 +179,19 @@ def order_study(
     if not math.isclose(n0 * dt_values[0], t_final, rel_tol=1e-9):
         raise ExperimentError("t_final must be a multiple of the coarsest dt")
 
-    seeds = member_seeds(base_seed, n_members)
+    paths = [BrownianPath.generate(int(seed), dt_values[0], n0, system.n_brownian)
+             for seed in member_seeds(base_seed, n_members)]
     levels = len(dt_values) + ref_levels
     finals = []
     a0 = np.tile(np.asarray(initial, dtype=np.float64), (n_members, 1))
     for lvl in range(levels):
+        if lvl:
+            paths = [path.refine() for path in paths]
         if not (lvl < len(dt_values) or lvl == levels - 1):
             continue
-        dt_l = dt_values[0] / 2 ** lvl
-        n_l = n0 * 2 ** lvl
-        inc = np.stack([
-            BrownianPath.generate(int(seed), dt_l, n_l, system.n_brownian,
-                                  level=lvl).increments
-            for seed in seeds
-        ])
-        out = integrate_batch(system, a0, inc, dt_l, scheme, store_every=max(n_l, 1))
+        inc = np.stack([path.increments for path in paths])
+        out = integrate_batch(system, a0, inc, paths[0].dt, scheme,
+                              store_every=max(paths[0].n_steps, 1))
         finals.append(out.states[-1])
     ref = finals.pop()
     errors = [float(np.linalg.norm(f - ref, axis=1).mean()) for f in finals]

@@ -41,9 +41,6 @@ class AdditiveNoise:
         cols = np.nonzero(np.any(self.eta != 0.0, axis=0))[0]
         return tuple(int(c) for c in cols)
 
-    def hs_norm_sq(self) -> float:
-        return float(np.sum(self.eta ** 2))
-
 
 @dataclass(frozen=True)
 class TransportNoise:
@@ -173,7 +170,7 @@ def build_noise(
 
 def hs_norm(additive: AdditiveNoise) -> float:
     """Squared Hilbert-Schmidt norm of sigma1, sum over all entries of eta^2."""
-    return additive.hs_norm_sq()
+    return float(np.sum(additive.eta ** 2))
 
 
 def check_orthogonality(spec: NoiseSpec) -> tuple[bool, set[int]]:

@@ -15,9 +15,10 @@ diffusion).  Both converge to the same law as dt -> 0.
 
 Brownian increments are counter-based: a path is a pure function of
 (seed, base_dt, level, n_steps, K) through the Philox generator, keyed by
-(seed, level).  Refinement halves dt by a midpoint-bridge split, so the
-refined path sums pairwise to its parent, which is what coupled strong-order
-studies need.  Nothing has to be stored to reproduce a path.
+(seed, level).  One level-0 draw serves `BrownianPath.generate` and
+`batch_increments`; `BrownianPath.refine`, the one midpoint-bridge split,
+halves dt so that the refined path sums pairwise to its parent, which is
+what coupled strong-order studies need.  Nothing has to be stored.
 
 `integrate_batch` runs the time loop for M members at once and returns a
 `BatchResult`.  Its `member` method is the one place that turns a batch
@@ -35,7 +36,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -116,20 +117,8 @@ def drift(system: GalerkinSystem, a: np.ndarray, include_correction: bool = True
     return out
 
 
-def diffusion(system: GalerkinSystem, a: np.ndarray) -> np.ndarray:
-    """Noise coefficient matrix, column l = eta[:, l] + zeta_l a; shape (..., N, K)."""
-    a = np.asarray(a, dtype=np.float64)
-    eta = system.noise.additive.eta
-    out = np.broadcast_to(eta, a.shape[:-1] + eta.shape).copy()
-    tr = system.noise.transport
-    if tr.zeta.shape[0]:
-        cols = np.einsum("sji,...i->...js", tr.zeta, a)
-        out[..., list(tr.modes)] += cols
-    return out
-
-
 def _diffusion_increment(system: GalerkinSystem, a: np.ndarray, dW: np.ndarray) -> np.ndarray:
-    """diffusion(a) @ dW without materializing the (..., N, K) matrix."""
+    """Noise term sum_l (eta[:, l] + zeta_l a) dW_l, without the (..., N, K) matrix."""
     out = np.einsum("jl,...l->...j", system.noise.additive.eta, dW)
     tr = system.noise.transport
     if tr.zeta.shape[0]:
@@ -185,15 +174,18 @@ def _philox(seed: int, level: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.array([seed, level], dtype=np.uint64)))
 
 
+def _level0(seed: int, dt: float, n_steps: int, n_brownian: int) -> np.ndarray:
+    """Level-0 increments of one seed: n_steps x K normals of variance dt."""
+    return _philox(seed, 0).normal(0.0, math.sqrt(dt), size=(n_steps, n_brownian))
+
+
 @dataclass(frozen=True)
 class BrownianPath:
     """Counter-based Brownian increments on a uniform grid.
 
     Reproducible from (seed, base_dt, level, n_steps, K) alone: level 0 draws
-    n0 x K normals with variance base_dt from Philox(seed, 0); each further
-    level splits every parent increment at the midpoint using an independent
-    bridge normal from Philox(seed, level).  `refine()` therefore returns a
-    path whose pairwise sums recover the parent increments.
+    n0 x K normals with variance base_dt from Philox(seed, 0), and each
+    further level is one `refine()` of the level below.
     """
 
     seed: int
@@ -212,39 +204,39 @@ class BrownianPath:
         n_base = n_steps >> level
         if n_base << level != n_steps:
             raise SdeError("n_steps must be divisible by 2**level")
-        inc = _philox(seed, 0).normal(0.0, math.sqrt(base_dt), size=(n_base, n_brownian))
-        cur_dt = base_dt
-        for lvl in range(1, level + 1):
-            cur_dt /= 2.0
-            bridge = _philox(seed, lvl).normal(
-                0.0, math.sqrt(cur_dt / 2.0), size=inc.shape
-            )
-            half = 0.5 * inc
-            out = np.empty((inc.shape[0] * 2, n_brownian))
-            out[0::2] = half + bridge
-            out[1::2] = half - bridge
-            inc = out
-        return cls(seed=seed, dt=dt, n_steps=n_steps, n_brownian=n_brownian,
-                   level=level, increments=inc)
+        path = cls(seed=seed, dt=base_dt, n_steps=n_base, n_brownian=n_brownian,
+                   increments=_level0(seed, base_dt, n_base, n_brownian))
+        for _ in range(level):
+            path = path.refine()
+        return path
 
     @property
     def t_final(self) -> float:
         return self.n_steps * self.dt
 
     def refine(self) -> "BrownianPath":
-        """The same Brownian motion sampled at dt/2."""
-        return BrownianPath.generate(
-            self.seed, self.dt / 2.0, self.n_steps * 2, self.n_brownian,
-            level=self.level + 1,
+        """The same Brownian motion sampled at dt/2.
+
+        Each increment is split at its midpoint by a bridge normal from
+        Philox(seed, level + 1), so consecutive pairs sum to it.
+        """
+        dt = self.dt / 2.0
+        bridge = _philox(self.seed, self.level + 1).normal(
+            0.0, math.sqrt(dt / 2.0), size=self.increments.shape
         )
+        half = 0.5 * self.increments
+        inc = np.empty((2 * self.n_steps, self.n_brownian))
+        inc[0::2] = half + bridge
+        inc[1::2] = half - bridge
+        return replace(self, dt=dt, n_steps=2 * self.n_steps, level=self.level + 1,
+                       increments=inc)
 
 
 def batch_increments(seeds: np.ndarray, dt: float, n_steps: int, n_brownian: int) -> np.ndarray:
-    """Level-0 increments for many members, shape (M, n_steps, K)."""
+    """Level-0 paths of many seeds as one (M, n_steps, K) array."""
     out = np.empty((len(seeds), n_steps, n_brownian))
-    scale = math.sqrt(dt)
     for m, seed in enumerate(seeds):
-        out[m] = _philox(int(seed), 0).normal(0.0, scale, size=(n_steps, n_brownian))
+        out[m] = _level0(int(seed), dt, n_steps, n_brownian)
     return out
 
 

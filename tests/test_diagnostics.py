@@ -325,6 +325,22 @@ def test_weak_residual_deterministic(viscous_system, rng):
     assert abs(out["residual"]) <= 1e-13
 
 
+def test_weak_residual_independent_of_store_every(viscous_system, rng):
+    # the residual sums over every integration step, whatever the saved grid
+    a0 = rng.normal(size=viscous_system.n_modes) * 0.3
+    phi = rng.normal(size=viscous_system.n_modes) * 0.5
+    outs = []
+    for store_every in (1, 2, 10):
+        ens = run_ensemble(viscous_system, a0, 1, base_seed=4, dt=1e-3, n_steps=100,
+                           store_every=store_every)
+        outs.append(dissipative_weak_residual(ens, phi, 0.1)["residual"])
+        assert abs(outs[-1]) <= 1e-13, store_every
+    assert all(oracles.bit_equal(out, outs[0]) for out in outs), outs
+    for t in (-0.1, 0.1005, 0.101):
+        with pytest.raises(DiagnosticsError, match="step grid"):
+            dissipative_weak_residual(ens, phi, t)
+
+
 def test_weak_residual_additive_ci(additive_system):
     ens = run_ensemble(additive_system, np.zeros(additive_system.n_modes),
                        2000, base_seed=31, dt=1e-3, n_steps=100)

@@ -5,8 +5,8 @@ from stochflow.noise import build_noise
 from stochflow.sde import (
     BrownianPath,
     SdeError,
+    _diffusion_increment,
     build_system,
-    diffusion,
     drift,
     integrate,
     integrate_batch,
@@ -51,24 +51,30 @@ def test_drift_rejects_nonfinite(viscous_system):
 # -- diffusion ------------------------------------------------------------------
 
 
-def test_diffusion_at_zero_state(additive_system):
-    out = diffusion(additive_system, np.zeros(additive_system.n_modes))
-    assert np.array_equal(out, additive_system.noise.additive.eta)
+def test_diffusion_at_zero_state(additive_system, rng):
+    eta = additive_system.noise.additive.eta
+    dW = rng.normal(size=additive_system.n_brownian)
+    out = _diffusion_increment(additive_system, np.zeros(additive_system.n_modes), dW)
+    # one Brownian mode, so each entry is a single product
+    assert np.array_equal(out, eta @ dW)
 
 
 def test_transport_diffusion_energy_orthogonal(transport_system, rng):
+    unit = np.eye(transport_system.n_brownian)
     for _ in range(50):
         a = rng.normal(size=transport_system.n_modes)
-        cols = diffusion(transport_system, a)
-        assert np.abs(a @ cols).max() <= 1e-13 * np.linalg.norm(a) ** 2
+        for dW in unit:
+            inc = _diffusion_increment(transport_system, a, dW)
+            assert abs(a @ inc) <= 1e-13 * np.linalg.norm(a) ** 2
 
 
 def test_diffusion_matches_dense_oracle(transport_system, rng):
     a = rng.normal(size=transport_system.n_modes)
+    dW = rng.normal(size=transport_system.n_brownian)
     tr = transport_system.noise.transport
     dense = oracles.dense_diffusion(transport_system.noise.additive.eta,
                                     tr.zeta, tr.modes, a)
-    assert np.abs(diffusion(transport_system, a) - dense).max() <= 1e-13
+    assert np.abs(_diffusion_increment(transport_system, a, dW) - dense @ dW).max() <= 1e-13
 
 
 # -- single steps ----------------------------------------------------------------
