@@ -13,6 +13,12 @@ sums along the stored increments, and the L-infinity norm of the negative
 symmetric part of a gradient field is the spectral norm evaluated as a grid
 supremum (reported as the larger of the base quadrature grid and a twice
 refined grid).
+
+In 3-D that supremum's values come from LAPACK `eigvalsh`.  A closed-form
+eigenvalue screen only chooses which gradient samples can reach the maximum
+and go to LAPACK, so the result is bitwise that of LAPACK on every sample.
+Time series are walked in blocks of time rows of a fixed workspace, so the
+memory of `neg_sup_series` is bounded in the series length.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import BasisSpec, TrigField, default_grid, leray_project, solenoidal_field
-from .ensemble import mean_stderr
+from .ensemble import _chunks, _run_members, mean_stderr
 from .noise import hs_norm
 from .sde import BrownianPath, GalerkinSystem, Trajectory, integrate
 
@@ -58,6 +64,75 @@ def _min_sym_eig(mats: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(sym)[..., 0]
 
 
+# margin of the 3 x 3 screen, relative to a sample's largest |entry|: about
+# 60x the worst error of the trigonometric closed form near repeated
+# eigenvalues (~sqrt(eps)); the absolute term covers products that underflow
+_SCREEN_REL = 1e-6
+_SCREEN_ABS = 1e-300
+
+
+def _screened_neg_part(mats: np.ndarray) -> np.ndarray:
+    """max(0, -lambda_min(sym)) per 3 x 3 sample, exact where it can matter.
+
+    LAPACK `eigvalsh` supplies every value that can reach the maximum of its
+    row (the last sample axis); the others hold +0.0.  The classical closed
+    form (O. K. Smith, Comm. ACM 4(4), 1961), on each sample scaled to a
+    largest |entry| of 1, only chooses the samples: those whose upper bound
+    reaches the row's floor, the largest lower bound and at least 0.  A
+    non-finite sample always goes to LAPACK, which raises or returns NaN for
+    it.  So a max over whole rows gives the bits of LAPACK on every sample,
+    signed zeros included: a row with a positive maximum keeps it, and in a
+    row whose maximum is 0 every ruled-out sample is positive definite,
+    where LAPACK's weight is +0.0 too.
+    """
+    pairs = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
+    # the bits of the parent formula's 0.5 * (mats + mats^T), without the copy
+    e = [0.5 * (mats[..., i, j] + mats[..., j, i]) for i, j in pairs]
+    scale = np.abs(e[0])
+    for x in e[1:]:
+        scale = np.maximum(scale, np.abs(x))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
+        b00, b11, b22, b01, b02, b12 = (x / np.where(scale > 0, scale, 1.0) for x in e)
+        q = (b00 + b11 + b22) / 3.0
+        d0, d1, d2 = b00 - q, b11 - q, b22 - q
+        p = np.sqrt((d0 * d0 + d1 * d1 + d2 * d2 + 2.0 * (b01 * b01 + b02 * b02 + b12 * b12))
+                    / 6.0)
+        det = (d0 * (d1 * d2 - b12 * b12) - b01 * (b01 * d2 - b12 * b02)
+               + b02 * (b01 * b12 - d1 * b02))
+        r = np.clip(np.where(p > 0, det / (2.0 * p * p * p), 0.0), -1.0, 1.0)
+        neg = -(q + 2.0 * p * np.cos(np.arccos(r) / 3.0 + 2.0 * np.pi / 3.0))
+        lower = (neg - _SCREEN_REL) * scale - _SCREEN_ABS
+        upper = (neg + _SCREEN_REL) * scale + _SCREEN_ABS
+    # non-finite bounds: a non-finite sample (its scale is inf or NaN) or one
+    # near overflow; both go to LAPACK
+    unsure = ~(np.isfinite(lower) & np.isfinite(upper))
+    lower[unsure] = -np.inf
+    upper[unsure] = np.inf
+    floor = np.maximum(lower.max(axis=-1, keepdims=True), 0.0)
+    pick = np.nonzero(upper >= floor)
+    sym = np.empty((pick[0].size, 3, 3))
+    for (i, j), x in zip(pairs, e):
+        sym[:, i, j] = sym[:, j, i] = x[pick]
+    w = np.zeros(mats.shape[:-2])
+    w[pick] = np.maximum(0.0, -np.linalg.eigvalsh(sym)[..., 0])
+    return w
+
+
+def _neg_part_max(mats: np.ndarray, axis: int | None = -1) -> np.ndarray:
+    """max over the sample axis of max(0, -lambda_min(sym part)).
+
+    `mats` is (..., S, d, d) and the result (...).  With axis=None the max
+    runs over every axis from +0.0, so an empty stack gives 0.0.  Bitwise
+    `np.maximum(0.0, -_min_sym_eig(mats))` reduced the same way, which runs
+    LAPACK on every sample unless d = 2.
+    """
+    if mats.shape[-1] == 3 and mats.ndim > 2 and mats.size:
+        w = _screened_neg_part(mats)
+    else:
+        w = np.maximum(0.0, -_min_sym_eig(mats))
+    return w.max(initial=0.0) if axis is None else w.max(axis=axis)
+
+
 def neg_part_spectral_sup(gradient_samples: np.ndarray) -> float:
     """sup over samples of the spectral norm of the negative symmetric part.
 
@@ -67,8 +142,11 @@ def neg_part_spectral_sup(gradient_samples: np.ndarray) -> float:
     mats = np.asarray(gradient_samples, dtype=np.float64)
     if mats.ndim < 2 or mats.shape[-1] != mats.shape[-2]:
         raise DiagnosticsError("expected samples of square matrices")
-    lam = _min_sym_eig(mats)
-    return float(np.maximum(0.0, -lam).max(initial=0.0))
+    return float(_neg_part_max(mats, axis=None))
+
+
+# doubles of gradient samples that one time-row block of neg_sup_series holds
+_NEG_SUP_WORKSPACE = 1 << 16
 
 
 def neg_sup_series(basis: BasisSpec, coeff_series: np.ndarray, n: int | None = None) -> np.ndarray:
@@ -76,15 +154,21 @@ def neg_sup_series(basis: BasisSpec, coeff_series: np.ndarray, n: int | None = N
 
     Evaluated on the base quadrature grid and on a 2x refined grid, taking
     the pointwise-in-time larger value (the grid sup is a lower bound of the
-    true supremum; refinement tightens it).
+    true supremum; refinement tightens it).  Time rows are walked in blocks
+    of a fixed workspace, so memory does not grow with the series length.
     """
     if n is None:
         n = default_grid(basis.cutoff)
     series = np.asarray(coeff_series, dtype=np.float64)
+    flat = series.reshape(-1, series.shape[-1])
     sups = []
     for grid_n in (n, 2 * n):
-        lam = _min_sym_eig(velocity_gradient(basis, series, grid_n))
-        sups.append(np.maximum(0.0, -lam).max(axis=-1))
+        rows = max(1, _NEG_SUP_WORKSPACE // (grid_n ** basis.dim * basis.dim ** 2))
+        # an empty series still makes one (empty) block
+        sups.append(np.concatenate([
+            _neg_part_max(velocity_gradient(basis, flat[t:t + rows], grid_n))
+            for t in range(0, max(len(flat), 1), rows)
+        ]).reshape(series.shape[:-1]))
     return np.maximum(sups[0], sups[1])
 
 
@@ -495,14 +579,17 @@ def dissipative_weak_residual(ensemble, phi, t: float) -> dict:
         raise DiagnosticsError(f"test field has shape {phi.shape}, expected ({basis.n_modes},)")
     ksq_phi = system.basis.k_sq * phi
     corr_phi = system.corr @ phi
-    # chunked_states regenerates every step, whatever the saved grid
+    # members are regenerated at every step up to t, whatever the saved grid
     dt = ensemble.dt
     j = int(round(t / dt))
     if abs(j * dt - t) > 1e-9 * max(1.0, t) or not 0 <= j <= ensemble.n_steps:
         raise DiagnosticsError(f"time {t} is not on the ensemble's step grid")
     residuals = np.empty(ensemble.n_members)
-    for sl, batch in ensemble.chunked_states():
-        a = batch[: j + 1]                                  # (j+1, M, N)
+    # the chunks of `chunked_states`: the boundary product below is a BLAS
+    # matrix-vector product, whose rounding depends on the chunk's size
+    for sl in _chunks(system, ensemble.n_members, ensemble.n_steps):
+        a = _run_members(system, ensemble.seeds[sl], ensemble.initial_states[sl], dt, j,
+                         ensemble.scheme).states            # (j+1, M, N)
         conv = system.conv.apply(a[:-1], np.broadcast_to(phi, a[:-1].shape))
         quad = np.einsum("tmn,tmn->m", conv, a[:-1])
         quad -= np.einsum("tmn,n->m", a[:-1], system.nu * ksq_phi + corr_phi)

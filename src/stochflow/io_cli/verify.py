@@ -23,7 +23,9 @@ from ..diagnostics import (
     energy_residual,
     energy_variational_gap,
     make_test_processes,
+    neg_sup_series,
     reynolds_defect,
+    velocity_gradient,
 )
 from ..ensemble import run_ensemble
 from ..noise import build_noise, hs_norm
@@ -241,4 +243,21 @@ def run_battery(seed: int = 20240901) -> list[CheckResult]:
                 for phi in battery)
     results.append(_leq("diagnostics.gap.battery", worst, 0.05,
                         note="desk-scale sanity bound; calibrated tolerance in acceptance"))
+
+    # own stream, so the draws of the checks above stay as they were
+    b3 = build_basis(3, 1)
+    series = np.random.default_rng(seed + 2).normal(size=(37, b3.n_modes)) * 0.5
+
+    def lapack_sup(grid_n):
+        grads = velocity_gradient(b3, series, grid_n)
+        sym = 0.5 * (grads + np.swapaxes(grads, -1, -2))
+        return np.maximum(0.0, -np.linalg.eigvalsh(sym)[..., 0]).max(axis=-1)
+
+    n3 = default_grid(b3.cutoff)
+    oracle = np.maximum(lapack_sup(n3), lapack_sup(2 * n3))
+    got = neg_sup_series(b3, series)
+    mismatched = sum(x.tobytes() != y.tobytes() for x, y in zip(got, oracle))
+    results.append(_leq("diagnostics.neg_sup.screen_exact", mismatched, 0.0,
+                        note="time rows of a 3-D series of 37 that differ from "
+                             "LAPACK on every gradient sample"))
     return results

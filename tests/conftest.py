@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from stochflow import basis as basis_mod
 from stochflow.noise import build_noise
 from stochflow.sde import build_system
+
+# `pytest --hypothesis-profile=ci`: the same examples on every run, no deadline
+settings.register_profile("ci", derandomize=True, deadline=None)
 
 
 @pytest.fixture(scope="session")

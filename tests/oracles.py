@@ -102,3 +102,11 @@ def dense_diffusion(eta, zeta_list, zeta_modes, a):
         for jj in range(N):
             out[jj, ell] += float(zeta_list[s][jj] @ a)
     return out
+
+
+def neg_part_max(mats, axis=-1):
+    """max(0, -lambda_min) of the symmetric parts, LAPACK on every sample,
+    reduced by max over the sample axis (axis=None: every axis, from +0.0)."""
+    sym = 0.5 * (mats + np.swapaxes(mats, -1, -2))
+    w = np.maximum(0.0, -np.linalg.eigvalsh(sym)[..., 0])
+    return w.max(initial=0.0) if axis is None else w.max(axis=axis)

@@ -1,11 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from stochflow import ensemble as ensemble_mod
 from stochflow.basis import TrigField, build_basis
 from stochflow.diagnostics import (
     DiagnosticsError,
     TestProcessRep,
+    _neg_part_max,
     calibrate_gap_tolerance,
     dissipative_weak_residual,
     energy_record,
@@ -112,6 +116,113 @@ def test_neg_sup_series_refined_grid(basis2_2, rng):
     out = neg_sup_series(basis2_2, series)
     assert out.shape == (3,)
     assert np.all(out >= 0)
+
+
+SAMPLE_KINDS = ("normal", "repeated", "identity", "zero", "rank_one", "psd", "antisymmetric")
+
+
+def _sample(gen, kind):
+    """One 3 x 3 gradient sample of a kind the eigenvalue screen finds hard."""
+    Q = np.linalg.qr(gen.normal(size=(3, 3)))[0]
+    if kind == "normal":
+        return gen.normal(size=(3, 3))
+    if kind == "repeated":
+        a, b = gen.normal(size=2)
+        return Q @ np.diag([a, a, b]) @ Q.T
+    if kind == "identity":
+        return gen.normal() * np.eye(3)
+    if kind == "zero":
+        return np.zeros((3, 3))
+    if kind == "rank_one":
+        v = gen.normal(size=3)
+        return -np.outer(v, v)
+    A = gen.normal(size=(3, 3))
+    return A @ A.T if kind == "psd" else A - A.T
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       kinds=st.lists(st.lists(st.sampled_from(SAMPLE_KINDS), min_size=1, max_size=24),
+                      min_size=1, max_size=3),
+       exponent=st.integers(-150, 150),
+       ties=st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_neg_part_max_matches_lapack_bitwise(seed, kinds, exponent, ties):
+    # rows of mixed kinds and scales 1e-153..1e153; with `ties`, each row also
+    # holds an exact copy and 1-ulp neighbours of its largest-weight sample
+    gen = np.random.default_rng(seed)
+    S = max(map(len, kinds))
+    mats = np.zeros((len(kinds), S, 3, 3))
+    for r, row in enumerate(kinds):
+        for s_, kind in enumerate(row):
+            mats[r, s_] = _sample(gen, kind) * 10.0 ** (exponent + gen.integers(-3, 4))
+    if ties:
+        top = oracles.neg_part_max(mats[:, :, None], axis=-1).argmax(axis=-1)
+        best = mats[np.arange(len(kinds)), top]
+        near = [best, np.nextafter(best, np.inf), np.nextafter(best, -np.inf)]
+        mats = np.concatenate([mats, np.stack(near, axis=1)], axis=1)
+    assert oracles.bit_equal(_neg_part_max(mats), oracles.neg_part_max(mats))
+    assert oracles.bit_equal(np.float64(neg_part_spectral_sup(mats)),
+                             oracles.neg_part_max(mats, axis=None))
+
+
+@pytest.mark.parametrize("exponent", [-300, -150, -108, 0, 108, 150, 300])
+def test_neg_part_max_across_scales(exponent):
+    # near 1e-108 the closed form's p^3 is subnormal: the screen is only right
+    # because it works on samples scaled to a largest |entry| of 1
+    gen = np.random.default_rng(exponent + 1000)
+    for _ in range(8):
+        mats = gen.normal(size=(8, 50, 3, 3)) * 10.0 ** exponent
+        assert oracles.bit_equal(_neg_part_max(mats), oracles.neg_part_max(mats))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_neg_part_max_non_finite_as_lapack(rng, bad):
+    # every non-finite sample reaches LAPACK, which raises for NaN off the
+    # diagonal and returns NaN for some others; the screen must not drop it
+    def outcome(f, mats):
+        try:
+            return np.asarray(f(mats)).tobytes()
+        except np.linalg.LinAlgError:
+            return "LinAlgError"
+
+    for i, j in np.ndindex(3, 3):
+        mats = rng.normal(size=(2, 9, 3, 3))
+        mats[1, 4, i, j] = bad
+        expect = outcome(oracles.neg_part_max, mats)
+        assert outcome(_neg_part_max, mats) == expect, (i, j)
+        if np.isnan(bad) and i != j:
+            assert expect == "LinAlgError"
+            with pytest.raises(np.linalg.LinAlgError):
+                neg_part_spectral_sup(mats)
+
+
+def test_neg_part_spectral_sup_empty_stack():
+    for d in (2, 3):
+        value = neg_part_spectral_sup(np.zeros((0, d, d)))
+        assert type(value) is float and value.hex() == "0x0.0p+0"
+
+
+@pytest.mark.parametrize("dim,cutoff,T", [(2, 4, 50), (3, 1, 40)])
+def test_neg_sup_series_row_by_row(dim, cutoff, T):
+    # the series is walked in blocks of time rows; every row matches its own call
+    b = build_basis(dim, cutoff)
+    series = np.random.default_rng(7).normal(size=(T, b.n_modes)) * 0.5 / (1.0 + b.k_sq)
+    rows = np.concatenate([neg_sup_series(b, series[t:t + 1]) for t in range(T)])
+    assert oracles.bit_equal(neg_sup_series(b, series), rows)
+    assert neg_sup_series(b, series[:0]).shape == (0,)
+
+
+def test_neg_sup_series_memory_bounded_in_length():
+    b = build_basis(3, 1)
+    series = np.random.default_rng(8).normal(size=(2000, b.n_modes)) * 0.3
+    neg_sup_series(b, series[:1])  # fills the basis's grid caches
+    tracemalloc.start()
+    try:
+        neg_sup_series(b, series)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20, peak
 
 
 # -- test processes -------------------------------------------------------------
@@ -339,6 +450,17 @@ def test_weak_residual_independent_of_store_every(viscous_system, rng):
     for t in (-0.1, 0.1005, 0.101):
         with pytest.raises(DiagnosticsError, match="step grid"):
             dissipative_weak_residual(ens, phi, t)
+
+
+def test_weak_residual_integrates_only_up_to_t(viscous_system, rng, monkeypatch):
+    a0 = rng.normal(size=viscous_system.n_modes) * 0.3
+    ens = run_ensemble(viscous_system, a0, 3, base_seed=4, dt=1e-3, n_steps=100)
+    steps = []
+    draw = ensemble_mod.batch_increments
+    monkeypatch.setattr(ensemble_mod, "batch_increments",
+                        lambda seeds, dt, n, K: steps.append(n) or draw(seeds, dt, n, K))
+    dissipative_weak_residual(ens, rng.normal(size=viscous_system.n_modes), 0.01)
+    assert steps == [10]
 
 
 def test_weak_residual_additive_ci(additive_system):
