@@ -86,7 +86,7 @@ def _screened_neg_part(mats: np.ndarray) -> np.ndarray:
     where LAPACK's weight is +0.0 too.
     """
     pairs = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
-    # the bits of the parent formula's 0.5 * (mats + mats^T), without the copy
+    # the bits of `_min_sym_eig`'s sym = 0.5 * (mats + mats^T), without the copy
     e = [0.5 * (mats[..., i, j] + mats[..., j, i]) for i, j in pairs]
     scale = np.abs(e[0])
     for x in e[1:]:
