@@ -9,6 +9,8 @@ output entry must be summed over the same tensor entries in the same order.
 
 import functools
 import hashlib
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -20,8 +22,10 @@ import oracles
 SIZES = ((2, 2), (2, 4), (3, 1))
 ROWS = (1, 5, 1024)
 # leading shape (t, M) of the time-series case for each row count
-SERIES = {1: (1, 1), 5: (5, 1), 1024: (8, 128)}
-CASES = ("aa", "ac", "series")
+SERIES = {1: (1, 1), 5: (5, 1), 32: (4, 8), 64: (8, 8), 1024: (8, 128)}
+CASES = ("aa", "ac", "series", "gap")
+# the time rows of the gap battery's (T, N) states and test-process series
+GAP_ROWS = 500
 
 
 @functools.cache
@@ -47,6 +51,12 @@ def kernel_case(dim, cutoff, rows, case):
         a = gen.normal(size=SERIES[rows] + (n,))
         phi = gen.normal(size=n)
         return conv.apply(a, np.broadcast_to(phi, a.shape))
+    if case == "gap":
+        # as energy_variational_gap calls it: states (T, N) against a test
+        # process phi0 + int A dt sampled on the same grid
+        a = gen.normal(size=(rows, n))
+        phi = gen.normal(size=n) + np.cumsum(gen.normal(scale=0.05, size=(rows, n)), axis=0)
+        return conv.apply(a, phi)
     shape = (n,) if rows == 1 else (rows, n)
     a = gen.normal(size=shape)
     if case == "aa":
@@ -83,6 +93,22 @@ KERNEL = {
     (3, 1, 1024, "aa"): "dd8c7a1e90eb113bcfa2e3ea3e66dac3673692f94eba8d45cbc60c47ff077539",
     (3, 1, 1024, "ac"): "cda9bba511516bc26a7f6c2f302232196c3f6fc61229f28f379a55c8fe20241f",
     (3, 1, 1024, "series"): "fd84e71f86c861269f33c79cdeb30db01ba0c4558f4efbcc88152a19056d0abd",
+    # the batch widths the benchmark workloads run (at 32 rows the 3-D c=1
+    # kernel splits into two row blocks) and the gap battery's (T, N) shape
+    (2, 4, 32, "aa"): "5a4cb4d48dc1656ad5235eeccb849f09ff750b58b7fcf17a29dbb633995fd6b1",
+    (2, 4, 32, "ac"): "2ab8f0f1233c81acf123ef52446475dbe4ca70e3560f05fcab5a262000ead5e9",
+    (2, 4, 32, "series"): "247a33f27d1cb71da123f6a0c54e7e08db90d0f3cd3569dfea9e65ee8c4ccdea",
+    (2, 4, 64, "aa"): "db9b1cfc4687291471d8fba7a3681f3c5171e43445afc3c9e33c70cf61d5fc54",
+    (2, 4, 64, "ac"): "5ed3ea32bcaed4018cfabf8f5bc0c1b6a4b7d321948a0f86e05eca6599c813d4",
+    (2, 4, 64, "series"): "2db67e59914c31c03e90f4b59bd189476c14a924791cd2771e07aae4ee447258",
+    (2, 4, 500, "gap"): "f54a3917def978d4ef52c25756d3e3c61086566df26cb9bd84e05dadc790dae2",
+    (3, 1, 32, "aa"): "5c9c724f3c4ce4ac28a9c4b6e155abd6ff114cc4e22587b3863963ca8fed7919",
+    (3, 1, 32, "ac"): "d7b36b66e65e4b4eff67abd6e598f70a1790039c9078d9a4eb0bfbb24ce60f66",
+    (3, 1, 32, "series"): "da5b6b6075c1e7bf32738dd0fbf3fd5dfb2f6c446c36a55bb2bd88058771fdb6",
+    (3, 1, 64, "aa"): "b5bc39f2e1662a8d8ea9d0e3f45b61060c5af5edb6708be7fa231c8467e80893",
+    (3, 1, 64, "ac"): "373880b3f3c5230ee26278a0688ce58e516f0d993337ab4381b8ebed101d165b",
+    (3, 1, 64, "series"): "4bbc29aae347a81c82153b8ada088d5033b06045b0ec8ffb3dff23cbd6271049",
+    (3, 1, 500, "gap"): "3eb5f4af9cbc8a291c5bae2d9e4310730295fbc83b5feb91ce83f7ed42bd0754",
 }
 
 
@@ -107,3 +133,36 @@ def test_apply_batch_invariant(dim, cutoff):
                               (conv.apply(a, c), lambda r: conv.apply(a[r], c[r]))):
             for r in range(rows):
                 assert oracles.bit_equal(batch[r], single(r)), (rows, r)
+
+
+# threads share one tensor, including its first-use partition cache; more
+# threads than cores and a short switch interval interleave their blocks
+@pytest.mark.parametrize("dim,cutoff", [(2, 4), (3, 1)])
+def test_apply_shared_across_threads(dim, cutoff):
+    conv = convection_tensor(build_basis(dim, cutoff))
+    gen = np.random.default_rng(11)
+    n_threads = 4
+    inputs = [[gen.normal(size=(rows, conv.n_modes)) for rows in (32, 1024, 32, 1024)]
+              for _ in range(n_threads)]
+    serial = [[conv_of(dim, cutoff).apply(a) for a in seq] for seq in inputs]
+    results = [None] * n_threads
+    start = threading.Barrier(n_threads)
+
+    def work(t):
+        start.wait(timeout=60)
+        results[t] = [conv.apply(a) for a in inputs[t]]
+
+    threads = [threading.Thread(target=work, args=(t,)) for t in range(n_threads)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    for t in range(n_threads):
+        for got, want in zip(results[t], serial[t]):
+            assert oracles.bit_equal(got, want)
