@@ -511,7 +511,16 @@ class ConvectionTensor:
     the same entries in the same order, as the single sparse product over the
     full (nnz, R) product, so the bits do not depend on R or on the blocking,
     and a batch matches its members applied one by one.  The partitions are
-    built on first use, one per power of two of R, and cached on the tensor.
+    built on first use, one per power of two of R, and cached on the tensor
+    with their widest block.
+
+    Each call allocates one (2, widest block, R) workspace and every block
+    gathers into it, so a call makes one allocation instead of two fresh
+    gathers per block, which the allocator returned to the system and faulted
+    in again block after block.  The workspace belongs to the call, so threads
+    may share a tensor.  The gathers use `mode="clip"`: with `out=`, numpy's
+    default `mode="raise"` gathers into a hidden temporary and copies it over,
+    and every index is in range by construction, so clipping never acts.
     """
 
     n_modes: int
@@ -533,12 +542,13 @@ class ConvectionTensor:
     def scatter(self) -> sparse.csr_matrix:
         return self._scatter
 
-    def _row_blocks(self, rows: int) -> list:
-        # keyed by rows rounded up to a power of two; building a partition is
-        # deterministic, so threads that race to fill an entry store equal lists
+    def _row_blocks(self, rows: int) -> tuple[int, list]:
+        # (widest block, blocks), keyed by rows rounded up to a power of two;
+        # building a partition is deterministic, so threads that race to fill
+        # an entry store equal values
         key = 1 << max(rows - 1, 0).bit_length()
-        blocks = self._blocks.get(key)
-        if blocks is None:
+        part = self._blocks.get(key)
+        if part is None:
             cap = max(1, _APPLY_WORKSPACE // key)
             indptr = self._scatter.indptr
             blocks, j0 = [], 0
@@ -551,8 +561,9 @@ class ConvectionTensor:
                     shape=(j1 - j0, hi - lo))
                 blocks.append((j0, j1, self.i_idx[lo:hi], self.k_idx[lo:hi], sub))
                 j0 = j1
-            self._blocks[key] = blocks
-        return blocks
+            part = max(b[2].size for b in blocks), blocks
+            self._blocks[key] = part
+        return part
 
     def apply(self, a: np.ndarray, c: np.ndarray | None = None) -> np.ndarray:
         """B(a, c) with c defaulting to a; supports arbitrary leading batch axes."""
@@ -566,9 +577,13 @@ class ConvectionTensor:
         aT = np.ascontiguousarray(flat.T)
         cT = aT if c is None else np.ascontiguousarray(c.reshape(rows, self.n_modes).T)
         out = np.empty((self.n_modes, rows))
-        for j0, j1, i_idx, k_idx, sub in self._row_blocks(rows):
-            prod = np.take(aT, i_idx, axis=0)
-            prod *= np.take(cT, k_idx, axis=0)
+        width, blocks = self._row_blocks(rows)
+        work = np.empty((2, width, rows))
+        for j0, j1, i_idx, k_idx, sub in blocks:
+            prod, other = work[0, :i_idx.size], work[1, :i_idx.size]
+            np.take(aT, i_idx, axis=0, out=prod, mode="clip")
+            np.take(cT, k_idx, axis=0, out=other, mode="clip")
+            np.multiply(prod, other, out=prod)
             out[j0:j1] = sub @ prod
         return out.T.reshape(a.shape)
 

@@ -382,7 +382,10 @@ def energy_variational_gap(
     # weight term 2 |(grad phi)_sym,-| (1/2|u|^2 - E)
     slack = 0.5 * np.einsum("tn,tn->t", a_l, a_l) - E[sl]
     if np.any(slack):
-        w = neg_sup_series(system.basis, phi_l)
+        # every row of a static phi (A = B = None) is phi0, and rows of
+        # neg_sup_series are independent bit for bit: one row serves all
+        static = phi.A is None and phi.B is None
+        w = neg_sup_series(system.basis, phi_l[:1] if static else phi_l)
         gap += float(2.0 * np.sum(w * slack)) * dt_s
     # int A . u
     if phi.A is not None:
@@ -585,8 +588,9 @@ def dissipative_weak_residual(ensemble, phi, t: float) -> dict:
     if abs(j * dt - t) > 1e-9 * max(1.0, t) or not 0 <= j <= ensemble.n_steps:
         raise DiagnosticsError(f"time {t} is not on the ensemble's step grid")
     residuals = np.empty(ensemble.n_members)
-    # the chunks of `chunked_states`: the boundary product below is a BLAS
-    # matrix-vector product, whose rounding depends on the chunk's size
+    # chunks of _chunks(system, M, n_steps), not of j steps: the boundary
+    # product below is a BLAS matrix-vector product, whose rounding depends on
+    # the chunk's size
     for sl in _chunks(system, ensemble.n_members, ensemble.n_steps):
         a = _run_members(system, ensemble.seeds[sl], ensemble.initial_states[sl], dt, j,
                          ensemble.scheme).states            # (j+1, M, N)

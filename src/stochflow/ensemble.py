@@ -4,11 +4,12 @@ An ensemble is a pure function of (system, base seed, member count, path
 configuration): member m integrates along the level-0 Brownian path with
 seed base_seed XOR m, so any member can be regenerated instead of stored.
 One member runner over one chunk partition serves `run_ensemble`,
-`chunked_states` and `member_trajectory`, and integration is invariant to
-batch size (see `stochflow.sde`), so a regenerated member matches its
-ensemble bit for bit, whatever the chunking and thread count.  Summary
-series (energy, pathwise integrals) are kept for every member; full states
-are retained at probe times only, with opt-in retention of everything else.
+`member_trajectory` and `diagnostics.dissipative_weak_residual`, and
+integration is invariant to batch size (see `stochflow.sde`), so a
+regenerated member matches its ensemble bit for bit, whatever the chunking
+and thread count.  Summary series (energy, pathwise integrals) are kept for
+every member; full states are retained at probe times only, with opt-in
+retention of everything else.
 
 The empirical Young measure is the collection of member field samples at the
 probe points; its pairings <mu, f> are ensemble-probe averages, reported with
@@ -19,12 +20,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
 from .basis import BasisSpec, default_grid
-from .sde import BatchResult, GalerkinSystem, Trajectory, batch_increments, integrate_batch
+from .sde import (BatchResult, GalerkinSystem, Trajectory, _philox_streams, batch_increments,
+                  integrate_batch)
 
 
 class EnsembleError(ValueError):
@@ -54,10 +56,7 @@ def gaussian_initial(scale: float, max_ksq: float = 2.0, decay: float = 1.0) -> 
         mask = basis.k_sq <= max_ksq
         sig = scale / (1.0 + basis.k_sq) ** decay * mask
         out = np.empty((len(seeds), basis.n_modes))
-        for m, seed in enumerate(seeds):
-            gen = np.random.Generator(
-                np.random.Philox(key=np.array([int(seed), 0x1717], dtype=np.uint64))
-            )
+        for m, gen in enumerate(_philox_streams(seeds, 0x1717)):
             out[m] = gen.normal(size=basis.n_modes) * sig
         return out
 
@@ -131,22 +130,11 @@ class Ensemble:
     def t_final(self) -> float:
         return self.n_steps * self.dt
 
-    def _rerun(self, sl: slice) -> BatchResult:
-        return _run_members(self.system, self.seeds[sl], self.initial_states[sl],
-                            self.dt, self.n_steps, self.scheme)
-
     def member_trajectory(self, m: int) -> Trajectory:
         """Regenerate member m at full resolution (bitwise reproducible)."""
-        return self._rerun(slice(m, m + 1)).member(0, int(self.seeds[m]))
-
-    def chunked_states(self) -> Iterator[tuple[slice, np.ndarray]]:
-        """Regenerate full-resolution state series chunk by chunk.
-
-        Yields (member slice, states (n_steps + 1, chunk, N)); deterministic
-        order, independent of chunking.
-        """
-        for sl in _chunks(self.system, self.n_members, self.n_steps):
-            yield sl, self._rerun(sl).states
+        sl = slice(m, m + 1)
+        return _run_members(self.system, self.seeds[sl], self.initial_states[sl],
+                            self.dt, self.n_steps, self.scheme).member(0, int(self.seeds[m]))
 
     def states_at(self, t: float) -> np.ndarray:
         """Member states (M, N) at a probe time."""

@@ -37,6 +37,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field, replace
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -174,9 +175,30 @@ def _philox(seed: int, level: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.array([seed, level], dtype=np.uint64)))
 
 
-def _level0(seed: int, dt: float, n_steps: int, n_brownian: int) -> np.ndarray:
-    """Level-0 increments of one seed: n_steps x K normals of variance dt."""
-    return _philox(seed, 0).normal(0.0, math.sqrt(dt), size=(n_steps, n_brownian))
+def _philox_streams(seeds: Iterable, word: int) -> Iterator[np.random.Generator]:
+    """The stream of Philox(key=[seed, word]) for each seed in turn.
+
+    One generator serves the whole call: it is re-keyed for every seed to the
+    state a fresh `Generator(Philox(key))` starts in (zero counter, empty
+    buffer), which costs far less than building one.  A caller finishes with
+    each stream before it asks for the next.  The generator is local to the
+    call, so threads never share it.
+    """
+    bitgen = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
+    gen = np.random.Generator(bitgen)
+    zero = np.zeros(4, dtype=np.uint64)
+    for seed in seeds:
+        bitgen.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": zero, "key": np.array([int(seed), word], dtype=np.uint64)},
+            "buffer": zero, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+        }
+        yield gen
+
+
+def _level0(gen: np.random.Generator, dt: float, n_steps: int, n_brownian: int) -> np.ndarray:
+    """Level-0 increments from a seed's stream (word 0): n_steps x K normals of variance dt."""
+    return gen.normal(0.0, math.sqrt(dt), size=(n_steps, n_brownian))
 
 
 @dataclass(frozen=True)
@@ -205,7 +227,7 @@ class BrownianPath:
         if n_base << level != n_steps:
             raise SdeError("n_steps must be divisible by 2**level")
         path = cls(seed=seed, dt=base_dt, n_steps=n_base, n_brownian=n_brownian,
-                   increments=_level0(seed, base_dt, n_base, n_brownian))
+                   increments=_level0(_philox(seed, 0), base_dt, n_base, n_brownian))
         for _ in range(level):
             path = path.refine()
         return path
@@ -235,8 +257,8 @@ class BrownianPath:
 def batch_increments(seeds: np.ndarray, dt: float, n_steps: int, n_brownian: int) -> np.ndarray:
     """Level-0 paths of many seeds as one (M, n_steps, K) array."""
     out = np.empty((len(seeds), n_steps, n_brownian))
-    for m, seed in enumerate(seeds):
-        out[m] = _level0(int(seed), dt, n_steps, n_brownian)
+    for m, gen in enumerate(_philox_streams(seeds, 0)):
+        out[m] = _level0(gen, dt, n_steps, n_brownian)
     return out
 
 
