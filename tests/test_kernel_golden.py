@@ -24,8 +24,6 @@ ROWS = (1, 5, 1024)
 # leading shape (t, M) of the time-series case for each row count
 SERIES = {1: (1, 1), 5: (5, 1), 32: (4, 8), 64: (8, 8), 1024: (8, 128)}
 CASES = ("aa", "ac", "series", "gap")
-# the time rows of the gap battery's (T, N) states and test-process series
-GAP_ROWS = 500
 
 
 @functools.cache
