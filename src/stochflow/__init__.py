@@ -47,10 +47,8 @@ from .sde import (
 from .diagnostics import (
     DefectField,
     DiagnosticsError,
-    EnergyRecord,
     TestProcessRep,
     dissipative_weak_residual,
-    energy_record,
     energy_residual,
     energy_variational_gap,
     make_test_processes,

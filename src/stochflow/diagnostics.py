@@ -30,7 +30,8 @@ import numpy as np
 from .basis import BasisSpec, TrigField, default_grid, leray_project, solenoidal_field
 from .ensemble import _chunks, _run_members, mean_stderr
 from .noise import hs_norm
-from .sde import BrownianPath, GalerkinSystem, Trajectory, integrate
+from .sde import (BrownianPath, GalerkinSystem, Trajectory, _grid_index, _philox_streams,
+                  integrate)
 
 
 class DiagnosticsError(ValueError):
@@ -149,7 +150,7 @@ def neg_part_spectral_sup(gradient_samples: np.ndarray) -> float:
 _NEG_SUP_WORKSPACE = 1 << 16
 
 
-def neg_sup_series(basis: BasisSpec, coeff_series: np.ndarray, n: int | None = None) -> np.ndarray:
+def neg_sup_series(basis: BasisSpec, coeff_series: np.ndarray) -> np.ndarray:
     """Per-time grid supremum of |(grad phi)_sym,-| in the spectral norm.
 
     Evaluated on the base quadrature grid and on a 2x refined grid, taking
@@ -157,8 +158,7 @@ def neg_sup_series(basis: BasisSpec, coeff_series: np.ndarray, n: int | None = N
     true supremum; refinement tightens it).  Time rows are walked in blocks
     of a fixed workspace, so memory does not grow with the series length.
     """
-    if n is None:
-        n = default_grid(basis.cutoff)
+    n = default_grid(basis.cutoff)
     series = np.asarray(coeff_series, dtype=np.float64)
     flat = series.reshape(-1, series.shape[-1])
     sups = []
@@ -172,31 +172,7 @@ def neg_sup_series(basis: BasisSpec, coeff_series: np.ndarray, n: int | None = N
     return np.maximum(sups[0], sups[1])
 
 
-# -- energy records and residuals ---------------------------------------------
-
-
-@dataclass
-class EnergyRecord:
-    """Per-time ingredients of the energy identity along one trajectory."""
-
-    times: np.ndarray
-    energy: np.ndarray        # auxiliary energy variable E(t)
-    kinetic: np.ndarray       # 1/2 |u|^2; equals `energy` for Galerkin data
-    viscous_int: np.ndarray   # nu * integral_0^t |grad u|^2
-    stoch_int: np.ndarray     # integral_0^t <u, sigma1 dW>, left-point sum
-    hs_int: np.ndarray        # 1/2 t |sigma1|_HS^2
-
-
-def energy_record(traj: Trajectory, system: GalerkinSystem) -> EnergyRecord:
-    hs2 = hs_norm(system.noise.additive)
-    return EnergyRecord(
-        times=traj.times,
-        energy=traj.energy,
-        kinetic=traj.energy,
-        viscous_int=system.nu * traj.grad_int,
-        stoch_int=traj.stoch_int,
-        hs_int=0.5 * hs2 * traj.times,
-    )
+# -- the energy residual -------------------------------------------------------
 
 
 def energy_residual(
@@ -286,7 +262,7 @@ def make_test_processes(
     and martingale-type processes with constant B supported on the additive
     Brownian modes.
     """
-    rng = np.random.default_rng(np.random.Philox(key=np.array([seed, 0x7E57], dtype=np.uint64)))
+    rng = next(_philox_streams([seed], 0x7E57))
     N = system.n_modes
     K = system.n_brownian
     low = system.basis.k_sq <= max(2.0, float(np.median(system.basis.k_sq)))
@@ -357,7 +333,7 @@ def energy_variational_gap(
     if phi.is_zero() and energy_series is None:
         return gap
 
-    dt_s = float(traj.times[1] - traj.times[0]) if traj.times.size > 1 else traj.dt
+    dt_s = traj.dt * traj.store_every
     inc = traj.increments
     phi_series = phi.series(inc, dt_s)
     a = traj.states
@@ -488,7 +464,7 @@ def relative_energy(
     re = E - cross + 0.5 * np.einsum("tn,tn->t", a_f, a_f)
 
     rate = 2.0 * neg_sup_series(fine_basis, a_f)
-    dt_s = float(coarse.times[1] - coarse.times[0]) if coarse.times.size > 1 else coarse.dt
+    dt_s = coarse.dt * coarse.store_every
     # left-point integral of the rate, then the Gronwall envelope
     cum = np.concatenate([[0.0], np.cumsum(rate[:-1]) * dt_s])
     bound = re[0] * np.exp(cum)
@@ -518,7 +494,7 @@ class DefectField:
         return float(_min_sym_eig(self.r_hat).min())
 
 
-def reynolds_defect(states: np.ndarray, basis: BasisSpec, grid_n: int | None = None) -> DefectField:
+def reynolds_defect(states: np.ndarray, basis: BasisSpec) -> DefectField:
     """R(x) = mean[u (x) u] - u-bar (x) u-bar over ensemble member states.
 
     `states` is the (members, modes) coefficient array at one time.  The
@@ -532,8 +508,7 @@ def reynolds_defect(states: np.ndarray, basis: BasisSpec, grid_n: int | None = N
     M = states.shape[0]
     if M < 2:
         raise DiagnosticsError("defect fields need at least two ensemble members")
-    if grid_n is None:
-        grid_n = default_grid(basis.cutoff)
+    grid_n = default_grid(basis.cutoff)
     vals = basis.mode_values(grid_n)                      # (N, d, G)
     fields = np.einsum("mn,ndg->mgd", states, vals)       # (M, G, d)
     mean_field = fields.mean(axis=0)
@@ -584,9 +559,8 @@ def dissipative_weak_residual(ensemble, phi, t: float) -> dict:
     corr_phi = system.corr @ phi
     # members are regenerated at every step up to t, whatever the saved grid
     dt = ensemble.dt
-    j = int(round(t / dt))
-    if abs(j * dt - t) > 1e-9 * max(1.0, t) or not 0 <= j <= ensemble.n_steps:
-        raise DiagnosticsError(f"time {t} is not on the ensemble's step grid")
+    j = _grid_index(t, dt, ensemble.n_steps,
+                    DiagnosticsError(f"time {t} is not on the ensemble's step grid"))
     residuals = np.empty(ensemble.n_members)
     # chunks of _chunks(system, M, n_steps), not of j steps: the boundary
     # product below is a BLAS matrix-vector product, whose rounding depends on

@@ -25,8 +25,8 @@ from typing import Callable
 import numpy as np
 
 from .basis import BasisSpec, default_grid
-from .sde import (BatchResult, GalerkinSystem, Trajectory, _philox_streams, batch_increments,
-                  integrate_batch)
+from .sde import (BatchResult, GalerkinSystem, Trajectory, _grid_index, _philox_streams,
+                  batch_increments, integrate_batch)
 
 
 class EnsembleError(ValueError):
@@ -137,11 +137,14 @@ class Ensemble:
                             self.dt, self.n_steps, self.scheme).member(0, int(self.seeds[m]))
 
     def states_at(self, t: float) -> np.ndarray:
-        """Member states (M, N) at a probe time."""
-        idx = np.nonzero(np.isclose(self.probe_times, t, rtol=0.0, atol=1e-12))[0]
-        if idx.size == 0:
-            raise EnsembleError(f"time {t} is not in the probe schedule {self.probe_times}")
-        return self.probe_states[idx[0]]
+        """Member states (M, N) at the probe time that names the same saved index as t."""
+        error = EnsembleError(f"time {t} is not in the probe schedule {self.probe_times}")
+        spacing, last = self.dt * self.store_every, self.times.size - 1
+        j = _grid_index(t, spacing, last, error)
+        for p, probe in enumerate(self.probe_times):
+            if _grid_index(probe, spacing, last, error) == j:
+                return self.probe_states[p]
+        raise error
 
 
 def run_ensemble(
@@ -174,15 +177,11 @@ def run_ensemble(
     if probe_times is None:
         probe_times = (0.0, n_steps * dt)
     probe_times = np.asarray(sorted(set(float(t) for t in probe_times)))
-    saved_dt = dt * store_every
-    probe_idx = []
-    for t in probe_times:
-        j = int(round(t / saved_dt)) if saved_dt else 0
-        if abs(j * saved_dt - t) > 1e-9 * max(1.0, abs(t)) or j > n_steps // max(store_every, 1):
-            raise EnsembleError(f"probe time {t} is not on the saved grid")
-        probe_idx.append(j)
-
     n_save = n_steps // store_every if n_steps else 0
+    saved_dt = dt * store_every
+    probe_idx = [_grid_index(t, saved_dt, n_save,
+                             EnsembleError(f"probe time {t} is not on the saved grid"))
+                 for t in probe_times]
     times = np.arange(n_save + 1) * saved_dt
     energy = np.empty((n_save + 1, n_members))
     grad_energy = np.empty_like(energy)
@@ -246,10 +245,9 @@ class EmpiricalYoungMeasure:
         return self.samples.mean(axis=1)
 
 
-def empirical_measure(ensemble: Ensemble, grid_n: int | None = None) -> EmpiricalYoungMeasure:
+def empirical_measure(ensemble: Ensemble) -> EmpiricalYoungMeasure:
     basis = ensemble.system.basis
-    if grid_n is None:
-        grid_n = default_grid(basis.cutoff)
+    grid_n = default_grid(basis.cutoff)
     vals = basis.mode_values(grid_n)
     samples = np.einsum("pmn,ndg->pmgd", ensemble.probe_states, vals)
     return EmpiricalYoungMeasure(

@@ -7,8 +7,8 @@ as a Cauchy surrogate for the limit, while moments and the weighted viscous
 functional are tracked for uniformity and decay.
 
 The order study measures strong convergence rates by dyadic refinement of a
-single family of Brownian paths against a finer reference run: each member's
-path is refined level by level, never regenerated.
+single family of Brownian paths against a finer reference run: the members'
+paths are refined together level by level, never regenerated.
 """
 
 from __future__ import annotations
@@ -21,7 +21,8 @@ import numpy as np
 from .diagnostics import energy_variational_gap, make_test_processes
 from .ensemble import Ensemble, mean_stderr, member_seeds, moment_report, run_ensemble
 from .noise import hs_norm
-from .sde import BrownianPath, GalerkinSystem, build_system, integrate_batch
+from .sde import (GalerkinSystem, _grid_index, _refine, batch_increments, build_system,
+                  integrate_batch)
 
 
 class ExperimentError(ValueError):
@@ -175,23 +176,22 @@ def order_study(
     for a, b in zip(dt_values, dt_values[1:]):
         if not math.isclose(b, a / 2.0, rel_tol=1e-12):
             raise ExperimentError("dt axis must halve between consecutive points")
-    n0 = int(round(t_final / dt_values[0]))
-    if not math.isclose(n0 * dt_values[0], t_final, rel_tol=1e-9):
-        raise ExperimentError("t_final must be a multiple of the coarsest dt")
+    dt = dt_values[0]
+    n0 = _grid_index(t_final, dt, math.inf,
+                     ExperimentError("t_final must be a multiple of the coarsest dt"))
 
-    paths = [BrownianPath.generate(int(seed), dt_values[0], n0, system.n_brownian)
-             for seed in member_seeds(base_seed, n_members)]
+    seeds = member_seeds(base_seed, n_members)
+    inc = batch_increments(seeds, dt, n0, system.n_brownian)
     levels = len(dt_values) + ref_levels
     finals = []
     a0 = np.tile(np.asarray(initial, dtype=np.float64), (n_members, 1))
     for lvl in range(levels):
         if lvl:
-            paths = [path.refine() for path in paths]
+            inc = _refine(seeds, inc, dt, lvl - 1)
+            dt = dt / 2.0
         if not (lvl < len(dt_values) or lvl == levels - 1):
             continue
-        inc = np.stack([path.increments for path in paths])
-        out = integrate_batch(system, a0, inc, paths[0].dt, scheme,
-                              store_every=max(paths[0].n_steps, 1))
+        out = integrate_batch(system, a0, inc, dt, scheme, store_every=max(inc.shape[1], 1))
         finals.append(out.states[-1])
     ref = finals.pop()
     errors = [float(np.linalg.norm(f - ref, axis=1).mean()) for f in finals]

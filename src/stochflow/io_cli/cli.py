@@ -24,7 +24,7 @@ from ..diagnostics import (
     reynolds_defect,
 )
 from ..ensemble import moment_report, run_ensemble
-from ..experiments import SweepPlan, viscosity_sweep
+from ..experiments import viscosity_sweep
 from ..sde import BrownianPath, integrate
 from .config import ConfigError, DEFAULTS, RunConfig, emit_config, parse_config
 from .storage import HashMismatchError, StorageError, load_trajectory, save_ensemble, save_trajectory
@@ -49,20 +49,14 @@ def _emit(record: dict):
 
 
 def _load_config(args) -> RunConfig:
-    if args.config:
-        text = Path(args.config).read_text()
-    else:
-        text = json.dumps(DEFAULTS | {"sweep": None})
+    """The config with the seed and output overrides applied, validated with them."""
+    text = Path(args.config).read_text() if args.config else json.dumps(DEFAULTS)
     cfg = parse_config(text, strict=args.strict)
     if args.seed is not None:
         cfg.data["ensemble"]["base_seed"] = args.seed
-    elif ENV_SEED in os.environ:
-        cfg.data["ensemble"]["base_seed"] = int(os.environ[ENV_SEED])
     if args.out is not None:
         cfg.data["output_dir"] = args.out
-    elif ENV_OUT in os.environ:
-        cfg.data["output_dir"] = os.environ[ENV_OUT]
-    return cfg
+    return parse_config(cfg.canonical(), strict=args.strict)
 
 
 def _outdir(cfg: RunConfig) -> Path:
@@ -123,20 +117,18 @@ def cmd_diagnose(args) -> int:
     system = cfg.build_system()
     failures = 0
     t_final = float(traj.times[-1])
+    tol = 10.0 * np.sqrt(traj.dt)
     for check in cfg["diagnostics"]:
         if check == "energy_residual":
             value = energy_residual(traj, system, 0.0, t_final)
-            tol = 10.0 * np.sqrt(traj.dt)
             ok = abs(value) <= tol
             _emit({"check": check, "interval": [0.0, t_final], "value": value,
                    "tolerance": tol, "pass": ok})
             failures += not ok
         elif check == "gap_battery":
             battery = make_test_processes(system, traj.times.size - 1,
-                                          float(traj.times[1] - traj.times[0])
-                                          if traj.times.size > 1 else traj.dt,
+                                          traj.dt * traj.store_every,
                                           seed=cfg["ensemble"]["base_seed"])
-            tol = 10.0 * np.sqrt(traj.dt)
             for phi in battery:
                 value = energy_variational_gap(traj, system, phi, 0.0, t_final)
                 ok = value <= tol
@@ -150,46 +142,27 @@ def cmd_diagnose(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = _load_config(args)
-    sweep_cfg = cfg["sweep"]
-    if sweep_cfg is None:
+    if cfg["sweep"] is None:
         _emit({"error": "config has no sweep section"})
         return 1
     system = cfg.build_system()
-    plan = SweepPlan(
-        nus=tuple(sweep_cfg["nus"]),
-        n_members=sweep_cfg.get("members", 64),
-        base_seed=cfg["ensemble"]["base_seed"],
-        dt=sweep_cfg.get("dt", cfg["dt"]),
-        n_steps=int(round(sweep_cfg.get("t_final", cfg["t_final"])
-                          / sweep_cfg.get("dt", cfg["dt"]))),
-        scheme=sweep_cfg.get("scheme", cfg["scheme"]),
-        store_every=sweep_cfg.get("store_every", 10),
-        coupled_paths=sweep_cfg.get("coupled_paths", True),
-        moment_p=sweep_cfg.get("moment_p", 4.0),
-    )
-    sampler = cfg.initial_sampler(system.basis)
-    report = viscosity_sweep(plan, system, sampler)
-    outdir = _outdir(cfg)
+    report = viscosity_sweep(cfg.sweep_plan(), system, cfg.initial_sampler(system.basis))
     rows = []
     for point in report["points"]:
-        rec = {"config_hash": cfg.hash(), **{k: v for k, v in point.items() if k != "moment"},
-               "sup_moment": point["moment"]["sup_moment"],
-               "sup_moment_stderr": point["moment"]["sup_moment_stderr"]}
-        _emit(rec)
-        rows.extend([
-            (point["nu"], "sup_moment", point["moment"]["sup_moment"],
-             point["moment"]["sup_moment_stderr"]),
-            (point["nu"], "viscous_functional", point["viscous_functional"], 0.0),
-            (point["nu"], "weighted_viscous", point["weighted_viscous"], 0.0),
-            (point["nu"], "residual_mean", point["residual_mean"],
-             point["residual_stderr"]),
-        ])
+        mom = point["moment"]
+        _emit({"config_hash": cfg.hash(), **{k: v for k, v in point.items() if k != "moment"},
+               "sup_moment": mom["sup_moment"], "sup_moment_stderr": mom["sup_moment_stderr"]})
+        rows += [(point["nu"], stat, value, se) for stat, value, se in (
+            ("sup_moment", mom["sup_moment"], mom["sup_moment_stderr"]),
+            ("viscous_functional", point["viscous_functional"], 0.0),
+            ("weighted_viscous", point["weighted_viscous"], 0.0),
+            ("residual_mean", point["residual_mean"], point["residual_stderr"]))]
     _emit({"config_hash": cfg.hash(),
            "weighted_exponent": report["weighted_exponent"],
            "sup_moment_uniformity": report["sup_moment_uniformity"],
            "cauchy_differences": report["cauchy_differences"],
            "euler_gaps_smallest_nu": report["euler_gaps_smallest_nu"]})
-    with open(outdir / "sweep.csv", "w", newline="") as fh:
+    with open(_outdir(cfg) / "sweep.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["parameter", "statistic", "value", "stderr"])
         writer.writerows(rows)
@@ -219,9 +192,9 @@ def build_parser() -> argparse.ArgumentParser:
                     "Navier-Stokes/Euler with additive and transport noise",
     )
     parser.add_argument("--config", help="path to a JSON run configuration")
-    parser.add_argument("--seed", type=int, default=None,
+    parser.add_argument("--seed", type=int, default=os.environ.get(ENV_SEED),
                         help=f"override the base seed (or set {ENV_SEED})")
-    parser.add_argument("--out", default=None,
+    parser.add_argument("--out", default=os.environ.get(ENV_OUT),
                         help=f"override the output directory (or set {ENV_OUT})")
     parser.add_argument("--threads", type=int, default=0,
                         help="worker threads for ensemble chunks, 0 = auto")

@@ -12,14 +12,16 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..basis import BasisSpec, build_basis
 from ..noise import NoiseSpec, build_noise
-from ..sde import SCHEMES, GalerkinSystem, build_system
+from ..sde import SCHEMES, GalerkinSystem, _grid_index, build_system
 from ..ensemble import constant_initial, gaussian_initial
+from ..experiments import SweepPlan
 
 
 class ConfigError(ValueError):
@@ -70,7 +72,7 @@ class RunConfig:
 
     @property
     def n_steps(self) -> int:
-        return int(round(self.data["t_final"] / self.data["dt"])) if self.data["dt"] else 0
+        return _n_steps(self.data["dt"], self.data["t_final"], "")
 
     # -- model assembly ------------------------------------------------------
 
@@ -97,6 +99,35 @@ class RunConfig:
             return constant_initial(a0)
         return gaussian_initial(init["scale"], init.get("max_ksq", 2.0),
                                 init.get("decay", 1.0))
+
+    def sweep_plan(self) -> SweepPlan:
+        """The sweep's plan; unset keys take the run's dt, t_final and scheme, or SweepPlan's."""
+        sweep = {key: self.data[key] for key in ("dt", "t_final", "scheme")} | self.data["sweep"]
+        return SweepPlan(
+            nus=tuple(sweep["nus"]), base_seed=self.data["ensemble"]["base_seed"],
+            dt=sweep["dt"], n_steps=_n_steps(sweep["dt"], sweep["t_final"], "sweep."),
+            scheme=sweep["scheme"],
+            **{field: sweep[key] for key, (field, _, _) in _SWEEP_KEYS.items()
+               if field and key in sweep},
+        )
+
+
+def _n_steps(dt: float, t_final: float, where: str) -> int:
+    """Steps of dt up to t_final, by the solver's one time-grid rule."""
+    return _grid_index(t_final, dt, math.inf, ConfigError(
+        [f"{where}t_final={t_final} is not a multiple of {where}dt={dt}"]))
+
+
+# optional sweep keys: the SweepPlan field each sets, if any, and the values it admits
+_SWEEP_KEYS = {
+    "members": ("n_members", lambda v: isinstance(v, int) and v >= 1, "a positive integer"),
+    "store_every": ("store_every", lambda v: isinstance(v, int) and v >= 1, "a positive integer"),
+    "coupled_paths": ("coupled_paths", lambda v: isinstance(v, bool), "true or false"),
+    "moment_p": ("moment_p", lambda v: isinstance(v, (int, float)) and v >= 2, "a number >= 2"),
+    "dt": (None, lambda v: isinstance(v, (int, float)) and v > 0, "positive"),
+    "t_final": (None, lambda v: isinstance(v, (int, float)) and v >= 0, "nonnegative"),
+    "scheme": (None, lambda v: v in SCHEMES, f"one of {SCHEMES}"),
+}
 
 
 def _noise_terms(basis: BasisSpec, noise_cfg: dict):
@@ -167,10 +198,6 @@ def parse_config(text: str, strict: bool = True) -> RunConfig:
         errors.append(f"dt must be positive, got {cfg['dt']}")
     if not isinstance(cfg["t_final"], (int, float)) or cfg["t_final"] < 0:
         errors.append(f"t_final must be nonnegative, got {cfg['t_final']}")
-    if isinstance(cfg["dt"], (int, float)) and cfg["dt"] > 0 and cfg["t_final"] >= 0:
-        steps = cfg["t_final"] / cfg["dt"]
-        if abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
-            errors.append(f"t_final={cfg['t_final']} is not a multiple of dt={cfg['dt']}")
 
     noise_cfg = cfg["noise"]
     _check_keys(noise_cfg, {"additive", "transport"}, "noise", errors, strict)
@@ -218,10 +245,14 @@ def parse_config(text: str, strict: bool = True) -> RunConfig:
                 "ensemble", errors, strict)
     if not isinstance(ens.get("members"), int) or ens["members"] < 1:
         errors.append(f"ensemble.members must be a positive integer, got {ens.get('members')}")
-    if not isinstance(ens.get("base_seed"), int) or ens["base_seed"] < 0:
-        errors.append("ensemble.base_seed must be a nonnegative integer")
+    if not isinstance(ens.get("base_seed"), int) or not 0 <= ens["base_seed"] < 2 ** 64:
+        errors.append("ensemble.base_seed must be a nonnegative integer below 2**64")
     if not isinstance(ens.get("store_every"), int) or ens["store_every"] < 1:
         errors.append("ensemble.store_every must be a positive integer")
+    probes = ens.get("probe_times")
+    if probes is not None and not (isinstance(probes, list)
+                                   and all(isinstance(t, (int, float)) for t in probes)):
+        errors.append(f"ensemble.probe_times must be null or a list of numbers, got {probes!r}")
 
     for diag in cfg["diagnostics"]:
         if diag not in _KNOWN_DIAGNOSTICS:
@@ -229,17 +260,22 @@ def parse_config(text: str, strict: bool = True) -> RunConfig:
                           f"(known: {', '.join(_KNOWN_DIAGNOSTICS)})")
 
     sweep = cfg["sweep"]
-    if sweep is not None:
-        _check_keys(sweep, {"nus", "members", "dt", "t_final", "store_every",
-                            "scheme", "coupled_paths", "moment_p"}, "sweep",
-                    errors, strict)
+    if sweep is not None and not isinstance(sweep, dict):
+        errors.append("sweep must be an object or null")
+    elif sweep is not None:
+        _check_keys(sweep, {"nus", *_SWEEP_KEYS}, "sweep", errors, strict)
         nus = sweep.get("nus")
-        if not isinstance(nus, list) or len(nus) < 1:
-            errors.append("sweep.nus must be a nonempty list")
+        if not (isinstance(nus, list) and nus
+                and all(isinstance(nu, (int, float)) and nu > 0 for nu in nus)):
+            errors.append(f"sweep.nus must be a nonempty list of positive numbers, got {nus!r}")
         elif any(a <= b for a, b in zip(nus, nus[1:])):
             errors.append("sweep.nus must be strictly decreasing")
+        for key, (_, admits, what) in _SWEEP_KEYS.items():
+            if key in sweep and not admits(sweep[key]):
+                errors.append(f"sweep.{key} must be {what}, got {sweep[key]!r}")
 
-    # basis-dependent checks only make sense on otherwise valid configs
+    # basis-dependent and time-grid checks only make sense on otherwise valid
+    # configs; the grids are read by the solver's one rule
     if not errors:
         try:
             basis = build_basis(basis_cfg["dim"], basis_cfg["cutoff"])
@@ -247,6 +283,18 @@ def parse_config(text: str, strict: bool = True) -> RunConfig:
             if kind == "coeffs":
                 for label in init.get("coeffs", {}):
                     basis.index_of(label)
+            run, every = RunConfig(data=cfg), ens["store_every"]
+            if run.n_steps % every:
+                errors.append(f"ensemble.store_every={every} does not divide the "
+                              f"{run.n_steps} steps")
+            if sweep is not None and (plan := run.sweep_plan()).n_steps % plan.store_every:
+                errors.append(f"sweep.store_every={plan.store_every} does not divide the "
+                              f"{plan.n_steps} steps")
+            for t in probes or ():
+                _grid_index(t, cfg["dt"] * every, run.n_steps // every,
+                            ConfigError([f"ensemble.probe_times: {t} is not a saved time"]))
+        except ConfigError as exc:
+            errors.extend(exc.errors)
         except Exception as exc:  # label/cutoff errors surface here
             errors.append(str(exc))
 

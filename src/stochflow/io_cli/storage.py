@@ -168,7 +168,7 @@ def load_container(path, expect_kind: str | None = None, expect_hash: str | None
 # -- trajectories -------------------------------------------------------------
 
 
-def save_trajectory(path, traj: Trajectory, config_hash: str, sidecar: bool = True):
+def save_trajectory(path, traj: Trajectory, config_hash: str):
     """Binary container plus an NDJSON sidecar of per-time summaries."""
     save_container(
         path,
@@ -192,12 +192,11 @@ def save_trajectory(path, traj: Trajectory, config_hash: str, sidecar: bool = Tr
             "increments": traj.increments,
         },
     )
-    if sidecar:
-        lines = [
-            json.dumps({"t": float(t), "energy": float(e), "grad_energy": float(g)})
-            for t, e, g in zip(traj.times, traj.energy, traj.grad_energy)
-        ]
-        Path(str(path) + ".ndjson").write_text("\n".join(lines) + "\n")
+    lines = [
+        json.dumps({"t": float(t), "energy": float(e), "grad_energy": float(g)})
+        for t, e, g in zip(traj.times, traj.energy, traj.grad_energy)
+    ]
+    Path(str(path) + ".ndjson").write_text("\n".join(lines) + "\n")
 
 
 def load_trajectory(path, expect_hash: str | None = None) -> tuple[Trajectory, str]:

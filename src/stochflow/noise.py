@@ -145,9 +145,8 @@ def build_noise(
     sigma1_modes: list[tuple[int, np.ndarray]] | None = None,
     transport_fields: list[tuple[int, np.ndarray]] | None = None,
     assembly_basis: BasisSpec | None = None,
-    require_orthogonal: bool = True,
 ) -> NoiseSpec:
-    """Assemble a NoiseSpec; the Brownian dimension covers both supports."""
+    """Assemble a NoiseSpec; the Brownian dimension covers both supports, which must be disjoint."""
     sigma1_modes = sigma1_modes or []
     transport_fields = transport_fields or []
     top = max(
@@ -158,13 +157,12 @@ def build_noise(
     additive = assemble_eta(basis, sigma1_modes, n_brownian=K)
     transport = assemble_zeta(basis, transport_fields, assembly_basis)
     spec = NoiseSpec(additive=additive, transport=transport, n_brownian=K)
-    if require_orthogonal:
-        ok, overlap = check_orthogonality(spec)
-        if not ok:
-            raise NoiseError(
-                "additive and transport noise share brownian modes "
-                f"{sorted(overlap)}; supports must be disjoint"
-            )
+    ok, overlap = check_orthogonality(spec)
+    if not ok:
+        raise NoiseError(
+            "additive and transport noise share brownian modes "
+            f"{sorted(overlap)}; supports must be disjoint"
+        )
     return spec
 
 

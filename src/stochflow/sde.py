@@ -16,9 +16,16 @@ diffusion).  Both converge to the same law as dt -> 0.
 Brownian increments are counter-based: a path is a pure function of
 (seed, base_dt, level, n_steps, K) through the Philox generator, keyed by
 (seed, level).  One level-0 draw serves `BrownianPath.generate` and
-`batch_increments`; `BrownianPath.refine`, the one midpoint-bridge split,
-halves dt so that the refined path sums pairwise to its parent, which is
-what coupled strong-order studies need.  Nothing has to be stored.
+`batch_increments`; one midpoint-bridge split, `_refine`, serves one member
+(`BrownianPath.refine`) or many (`experiments.order_study`).  It halves dt
+so that the refined path sums pairwise to its parent, which is what coupled
+strong-order studies need.  Nothing has to be stored.
+
+Every layer maps a time to a grid index by one rule, `_grid_index`: on a
+grid of spacing h, time t names index j = round(t / h), accepted when
+0 <= j <= last and |j h - t| <= 1e-9 * max(1, |t|).  Saved times are
+`j * (dt * store_every)`, so the saved spacing is `dt * store_every`, bit for
+bit.
 
 `integrate_batch` runs the time loop for M members at once and returns a
 `BatchResult`.  Its `member` method is the one place that turns a batch
@@ -171,10 +178,6 @@ _STEPPERS = {
 # -- Brownian paths ----------------------------------------------------------
 
 
-def _philox(seed: int, level: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=np.array([seed, level], dtype=np.uint64)))
-
-
 def _philox_streams(seeds: Iterable, word: int) -> Iterator[np.random.Generator]:
     """The stream of Philox(key=[seed, word]) for each seed in turn.
 
@@ -226,32 +229,31 @@ class BrownianPath:
         n_base = n_steps >> level
         if n_base << level != n_steps:
             raise SdeError("n_steps must be divisible by 2**level")
+        gen = next(_philox_streams([seed], 0))
         path = cls(seed=seed, dt=base_dt, n_steps=n_base, n_brownian=n_brownian,
-                   increments=_level0(_philox(seed, 0), base_dt, n_base, n_brownian))
+                   increments=_level0(gen, base_dt, n_base, n_brownian))
         for _ in range(level):
             path = path.refine()
         return path
 
-    @property
-    def t_final(self) -> float:
-        return self.n_steps * self.dt
-
     def refine(self) -> "BrownianPath":
-        """The same Brownian motion sampled at dt/2.
+        """The same Brownian motion sampled at dt/2 (`_refine` of one member)."""
+        inc = _refine([self.seed], self.increments[None], self.dt, self.level)[0]
+        return replace(self, dt=self.dt / 2.0, n_steps=2 * self.n_steps,
+                       level=self.level + 1, increments=inc)
 
-        Each increment is split at its midpoint by a bridge normal from
-        Philox(seed, level + 1), so consecutive pairs sum to it.
-        """
-        dt = self.dt / 2.0
-        bridge = _philox(self.seed, self.level + 1).normal(
-            0.0, math.sqrt(dt / 2.0), size=self.increments.shape
-        )
-        half = 0.5 * self.increments
-        inc = np.empty((2 * self.n_steps, self.n_brownian))
-        inc[0::2] = half + bridge
-        inc[1::2] = half - bridge
-        return replace(self, dt=dt, n_steps=2 * self.n_steps, level=self.level + 1,
-                       increments=inc)
+
+def _refine(seeds, inc: np.ndarray, dt: float, level: int) -> np.ndarray:
+    """Level-`level` increments (M, n, K) of step dt, refined to (M, 2n, K) at dt/2.
+
+    Each increment of member m is split at its midpoint by a bridge normal
+    from Philox(seeds[m], level + 1), so consecutive pairs sum to it.
+    """
+    bridge = np.stack([gen.normal(0.0, math.sqrt(dt / 2.0 / 2.0), size=inc.shape[1:])
+                       for gen in _philox_streams(seeds, level + 1)])
+    half = 0.5 * inc
+    M, n, K = inc.shape
+    return np.stack((half + bridge, half - bridge), axis=2).reshape(M, 2 * n, K)
 
 
 def batch_increments(seeds: np.ndarray, dt: float, n_steps: int, n_brownian: int) -> np.ndarray:
@@ -260,6 +262,19 @@ def batch_increments(seeds: np.ndarray, dt: float, n_steps: int, n_brownian: int
     for m, gen in enumerate(_philox_streams(seeds, 0)):
         out[m] = _level0(gen, dt, n_steps, n_brownian)
     return out
+
+
+# -- the time grid -----------------------------------------------------------
+
+
+def _grid_index(t: float, spacing: float, last: float, error: Exception) -> int:
+    """The index in 0..last (math.inf: open-ended) that t names on the grid, else raise."""
+    q = t / spacing if spacing else 0.0
+    if math.isfinite(q):
+        j = int(round(q))
+        if 0 <= j <= last and abs(j * spacing - t) <= 1e-9 * max(1.0, abs(t)):
+            return j
+    raise error
 
 
 # -- trajectories ------------------------------------------------------------
@@ -290,15 +305,9 @@ class Trajectory:
     nu: float
     blowup_time: float | None = None
 
-    @property
-    def n_saved(self) -> int:
-        return self.times.size
-
     def index_of_time(self, t: float) -> int:
-        idx = int(np.searchsorted(self.times, t - 1e-12))
-        if idx >= self.times.size or abs(self.times[idx] - t) > 1e-9 * max(1.0, abs(t)):
-            raise SdeError(f"time {t} is not on the saved grid")
-        return idx
+        return _grid_index(t, self.dt * self.store_every, self.times.size - 1,
+                           SdeError(f"time {t} is not on the saved grid"))
 
 
 def _check_scheme(scheme: str):

@@ -12,7 +12,6 @@ from stochflow.diagnostics import (
     _neg_part_max,
     calibrate_gap_tolerance,
     dissipative_weak_residual,
-    energy_record,
     energy_residual,
     energy_variational_gap,
     make_test_processes,
@@ -67,15 +66,6 @@ def test_residual_additive_mean_small_ensemble(additive_system):
         - 0.5 * 0.2 * hs2
     se = resid.std(ddof=1) / np.sqrt(ens.n_members)
     assert abs(resid.mean()) <= 3 * se
-
-
-def test_energy_record_invariant(additive_system, rng):
-    a0 = rng.normal(size=additive_system.n_modes) * 0.3
-    path = BrownianPath.generate(5, 1e-3, 200, additive_system.n_brownian)
-    traj = integrate(additive_system, a0, path)
-    rec = energy_record(traj, additive_system)
-    assert np.all(rec.energy >= rec.kinetic - 1e-15)
-    assert np.array_equal(rec.energy, rec.kinetic)
 
 
 # -- spectral negative part ---------------------------------------------------

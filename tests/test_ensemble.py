@@ -220,3 +220,15 @@ def test_probe_off_grid_rejected(additive_system):
     with pytest.raises(EnsembleError):
         run_ensemble(additive_system, np.zeros(additive_system.n_modes), 2,
                      base_seed=0, dt=1e-3, n_steps=10, probe_times=(0.0055,))
+
+
+def test_states_at_reads_the_time_grid(additive_system):
+    # a time names the probe on the same saved index, by the solver's one rule
+    ens = run_ensemble(additive_system, np.zeros(additive_system.n_modes), 2, base_seed=0,
+                       dt=1e-3, n_steps=20, store_every=4, probe_times=(0.0, 0.008, 0.02))
+    assert not oracles.bit_equal(ens.probe_states[1], ens.probe_states[2])
+    for t in (0.008, 0.008 + 5e-10):
+        assert oracles.bit_equal(ens.states_at(t), ens.probe_states[1])
+    for t in (0.004, 0.0081, 0.024, -0.004):  # saved but no probe, off grid, past the end
+        with pytest.raises(EnsembleError, match="probe schedule"):
+            ens.states_at(t)

@@ -15,7 +15,7 @@ import pytest
 
 from stochflow.ensemble import gaussian_initial, member_seeds, run_ensemble
 from stochflow.experiments import SweepPlan, order_study, viscosity_sweep
-from stochflow.sde import SCHEMES, BrownianPath, batch_increments
+from stochflow.sde import SCHEMES, BrownianPath, batch_increments, integrate
 
 import oracles
 
@@ -141,3 +141,23 @@ def test_viscosity_sweep_bitwise(mixed_system):
     assert _digest(np.array(out["cauchy_differences"])) == \
         GOLDEN[("viscosity_sweep", "cauchy_differences")]
     assert _digest(np.array(residuals)) == GOLDEN[("viscosity_sweep", "residual_mean")]
+
+
+def test_saved_spacing_is_dt_times_store_every(mixed_system, mixed_system_c4):
+    # the diagnostics take the saved spacing as dt * store_every; on the golden
+    # grids it is bit for bit the spacing of the saved times
+    grids = []
+    for scheme in SCHEMES:
+        ens = ensemble_case(mixed_system_c4, scheme)
+        grids.append(ens)
+        grids.append(ens.member_trajectory(7))
+    a0 = gaussian_initial(0.5)(member_seeds(1, 1), mixed_system.basis)[0]
+    for level in range(4):
+        path = BrownianPath.generate(PATH_SEED, 0.02 / 2 ** level, 16 * 2 ** level,
+                                     mixed_system.n_brownian, level=level)
+        grids.append(integrate(mixed_system, a0, path, store_every=4))
+    grids.append(run_ensemble(mixed_system, gaussian_initial(0.5), 2, base_seed=4, dt=1e-2,
+                              n_steps=20, store_every=4))
+    for grid in grids:
+        spacing = grid.times[1] - grid.times[0]
+        assert (grid.dt * grid.store_every).hex() == float(spacing).hex(), grid.dt

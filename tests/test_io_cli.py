@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from stochflow.ensemble import run_ensemble
+from stochflow.experiments import SweepPlan
 from stochflow.io_cli.cli import main
 from stochflow.io_cli.config import ConfigError, emit_config, parse_config
 from stochflow.io_cli.storage import (
@@ -83,6 +84,82 @@ def test_config_builds_system():
     system = cfg.build_system()
     assert system.n_brownian == 2
     assert system.noise.transport.modes == (1,)
+
+
+def test_canonical_hash_pinned():
+    # the canonical text, and so the hash every artifact carries, of valid
+    # configs with and without a sweep section
+    sweep = dict(MINIMAL, sweep={"nus": [0.1, 0.05], "members": 4, "store_every": 5})
+    assert parse_config(json.dumps(MINIMAL)).hash() == \
+        "a462eaee43b2fa17e9b5fd3d60d08ff0933024a7fe1696ea22bf4616b2bd3d9d"
+    assert parse_config(json.dumps(sweep)).hash() == \
+        "222079a6e0c260be75315f3c9f4645c9a24999736584167309272d33decec6bf"
+
+
+# configs that parse at face value but cannot run: each is one error
+UNRUNNABLE = {
+    "store_every does not divide the steps":
+        dict(MINIMAL, t_final=0.025, ensemble={"store_every": 10}),
+    "probe off the saved grid":
+        dict(MINIMAL, t_final=0.02, ensemble={"store_every": 10, "probe_times": [0.005]}),
+    "probe past the end":
+        dict(MINIMAL, ensemble={"probe_times": [0.0, 0.011]}),
+    "negative probe":
+        dict(MINIMAL, ensemble={"probe_times": [-0.001]}),
+    "probe not a number":
+        dict(MINIMAL, ensemble={"probe_times": ["0.01"]}),
+    "sweep t_final off its dt":
+        dict(MINIMAL, sweep={"nus": [0.1], "dt": 0.003, "t_final": 0.01}),
+    "sweep store_every does not divide its steps":
+        dict(MINIMAL, sweep={"nus": [0.1], "store_every": 3}),
+    "sweep scheme":
+        dict(MINIMAL, sweep={"nus": [0.1], "scheme": "rk4", "store_every": 1}),
+    "sweep members":
+        dict(MINIMAL, sweep={"nus": [0.1], "members": 0, "store_every": 1}),
+    "sweep dt":
+        dict(MINIMAL, sweep={"nus": [0.1], "dt": -1, "store_every": 1}),
+    "sweep nus positive":
+        dict(MINIMAL, sweep={"nus": [0.1, -0.2], "store_every": 1}),
+    "sweep moment exponent":
+        dict(MINIMAL, sweep={"nus": [0.1], "moment_p": 1.0, "store_every": 1}),
+    "base seed beyond 64 bits":
+        dict(MINIMAL, ensemble={"base_seed": 2 ** 64}),
+}
+
+
+def test_unrunnable_configs_rejected():
+    for case, doc in UNRUNNABLE.items():
+        with pytest.raises(ConfigError) as err:
+            parse_config(json.dumps(doc))
+        assert len(err.value.errors) == 1, (case, err.value.errors)
+
+
+def test_unrunnable_configs_exit_1(tmp_path, capsys):
+    # each used to die with a traceback (ensemble) or to run a shorter sweep
+    for case, cmd in (("store_every does not divide the steps", "ensemble"),
+                      ("probe off the saved grid", "ensemble"),
+                      ("sweep t_final off its dt", "sweep")):
+        p = tmp_path / "config.json"
+        p.write_text(json.dumps(dict(UNRUNNABLE[case], output_dir=str(tmp_path / "out"))))
+        assert main(["--config", str(p), cmd]) == 1, case
+        records = [json.loads(l) for l in capsys.readouterr().out.strip().splitlines()]
+        assert records and all("config_error" in r for r in records), (case, records)
+
+
+def test_sweep_plan_defaults():
+    doc = dict(MINIMAL, scheme="heun", ensemble={"base_seed": 9},
+               sweep={"nus": [0.1, 0.05], "store_every": 5})
+    plan = parse_config(json.dumps(doc)).sweep_plan()
+    assert plan == SweepPlan(nus=(0.1, 0.05), n_members=64, base_seed=9, dt=0.001,
+                             n_steps=10, scheme="heun", store_every=5,
+                             coupled_paths=True, moment_p=4.0)
+    doc["sweep"] = {"nus": [0.2], "members": 3, "dt": 0.002, "t_final": 0.02,
+                    "store_every": 2, "scheme": "euler_maruyama",
+                    "coupled_paths": False, "moment_p": 6.0}
+    plan = parse_config(json.dumps(doc)).sweep_plan()
+    assert plan == SweepPlan(nus=(0.2,), n_members=3, base_seed=9, dt=0.002, n_steps=10,
+                             scheme="euler_maruyama", store_every=2, coupled_paths=False,
+                             moment_p=6.0)
 
 
 def test_bad_mode_label_reported():
@@ -278,3 +355,32 @@ def test_cli_seed_override_changes_output(tmp_path, capsys):
     # the seed is part of the canonical config, so the hash moves with it
     cfg_plain = parse_config((tmp_path / "config.json").read_text())
     assert h != cfg_plain.hash()
+
+
+def test_cli_seed_override_validated(tmp_path, capsys, monkeypatch):
+    cfg = _write_config(tmp_path, output_dir=str(tmp_path / "out"))
+    assert main(["--config", str(cfg), "--seed", "-1", "ensemble"]) == 1
+    records = [json.loads(l) for l in capsys.readouterr().out.strip().splitlines()]
+    assert records and all("base_seed" in r["config_error"] for r in records)
+    monkeypatch.setenv("STOCHFLOW_SEED", "-1")
+    assert main(["--config", str(cfg), "ensemble"]) == 1
+    assert "base_seed" in capsys.readouterr().out
+    # a seed that is not an integer is a usage error, as on the command line
+    monkeypatch.setenv("STOCHFLOW_SEED", "seven")
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", str(cfg), "ensemble"])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+
+
+def test_cli_sweep_writes_csv(tmp_path, capsys):
+    cfg = _write_config(
+        tmp_path, output_dir=str(tmp_path / "out"),
+        noise={"additive": [{"mode": 0, "coeffs": {"0,1:cos": 0.4}}], "transport": []},
+        sweep={"nus": [0.1, 0.05], "members": 4, "store_every": 5},
+    )
+    assert main(["--config", str(cfg), "sweep"]) == 0
+    records = [json.loads(l) for l in capsys.readouterr().out.strip().splitlines()]
+    assert [r["nu"] for r in records[:2]] == [0.1, 0.05]
+    rows = (tmp_path / "out" / "sweep.csv").read_text().strip().splitlines()
+    assert len(rows) == 1 + 2 * 4

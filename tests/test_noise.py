@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from stochflow.basis import build_basis
 from stochflow.noise import (
     NoiseError,
+    NoiseSpec,
     assemble_eta,
     assemble_zeta,
     build_noise,
@@ -159,10 +160,13 @@ def test_correction_quadratic_identity(basis2_2, rng):
 
 
 def _spec(basis, add_modes, trans_modes, rng):
+    # assembled directly: build_noise rejects overlapping supports
     sig1 = [(l, rng.normal(size=basis.n_modes)) for l in add_modes]
     low = basis.k_sq <= 2
     sig2 = [(l, rng.normal(size=basis.n_modes) * low) for l in trans_modes]
-    return build_noise(basis, sig1, sig2, require_orthogonal=False)
+    K = max((*add_modes, *trans_modes), default=-1) + 1
+    return NoiseSpec(additive=assemble_eta(basis, sig1, n_brownian=K),
+                     transport=assemble_zeta(basis, sig2), n_brownian=K)
 
 
 def test_orthogonality_disjoint(basis2_2, rng):

@@ -1,10 +1,16 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from stochflow.io_cli.storage import load_trajectory, save_trajectory
 from stochflow.noise import build_noise
 from stochflow.sde import (
     BrownianPath,
     SdeError,
+    Trajectory,
     _diffusion_increment,
     build_system,
     drift,
@@ -259,3 +265,33 @@ def test_store_every_thins_grid(additive_system, rng):
     # pathwise accumulators keep full resolution
     assert thin.stoch_int[-1] == full.stoch_int[-1]
     assert np.abs(thin.increments[0] - full.increments[:10].sum(axis=0)).max() <= 1e-15
+
+
+# -- the time grid ------------------------------------------------------------------
+
+
+@given(dt=st.floats(1e-5, 0.1), store_every=st.integers(1, 20), n_save=st.integers(0, 200))
+@settings(max_examples=40, deadline=None)
+def test_time_grid_rule(dt, store_every, n_save):
+    # a saved time names its own index, in memory and after a container
+    # round trip; a time up to 1e-9 * max(1, |t|) above it names it too
+    spacing = dt * store_every
+    times = np.arange(n_save + 1) * spacing
+    traj = Trajectory(
+        times=times, states=np.zeros((n_save + 1, 1)), energy=np.zeros(n_save + 1),
+        grad_energy=np.zeros(n_save + 1), stoch_int=np.zeros(n_save + 1),
+        grad_int=np.zeros(n_save + 1), increments=np.zeros((n_save, 0)), seed=0,
+        dt=dt, store_every=store_every, scheme="euler_maruyama", nu=0.0)
+    with tempfile.TemporaryDirectory() as tmp:
+        save_trajectory(Path(tmp) / "t.bin", traj, "ab" * 32)
+        loaded, _ = load_trajectory(Path(tmp) / "t.bin")
+    for j, t in enumerate(times):
+        assert traj.index_of_time(t) == j
+        assert loaded.index_of_time(t) == j
+        assert traj.index_of_time(t + 0.5e-9 * max(1.0, t)) == j
+    off_grid = [(j + 0.5) * spacing for j in range(n_save)]
+    off_grid += [times[-1] + spacing, -spacing]
+    for t in off_grid:
+        for tr in (traj, loaded):
+            with pytest.raises(SdeError, match="saved grid"):
+                tr.index_of_time(t)
