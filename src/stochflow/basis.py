@@ -487,7 +487,7 @@ def _triads(
     return tuple(np.concatenate(p) for p in zip(*parts))
 
 
-# doubles in the gathered (entries, rows) product of one row block of
+# doubles in the gathered (pairs, rows) product table of one row block of
 # ConvectionTensor.apply: small enough to stay in a core's cache (2^15 to
 # 2^17 timed alike at N = 80 to 288 on a 2-CPU x86-64 host, 2^18 slower)
 _APPLY_WORKSPACE = 1 << 16
@@ -504,15 +504,25 @@ class ConvectionTensor:
     `apply` computes member-minor: the R states of a batch become the columns
     of a contiguous (N, R) array, so gathering a_i for one entry copies a
     whole row of R members.  Output modes are walked in row blocks, runs of
-    whole scatter rows [j0, j1) whose entries [lo, hi) fill at most a fixed
-    workspace of (hi - lo) * R doubles (one row may exceed it).  Each block
-    gathers its (hi - lo, R) product and sums it with the block's slice of the
-    scatter matrix.  Every output entry is thus the same sequential sum, over
-    the same entries in the same order, as the single sparse product over the
-    full (nnz, R) product, so the bits do not depend on R or on the blocking,
-    and a batch matches its members applied one by one.  The partitions are
-    built on first use, one per power of two of R, and cached on the tensor
-    with their widest block.
+    whole scatter rows [j0, j1).  A block gathers a product table, one row
+    fl(a_i c_k) of R members per distinct pair in the block, and sums it with
+    a per-block CSR matrix whose column indices point into that table.  For
+    B(a, c) the pairs are the ordered (i, k); for B(a, a) they are the
+    unordered {i, k}, since the stored entries (i, k, j) and (k, i, j)
+    multiply the same product and IEEE multiplication commutes,
+    fl(a_i a_k) = fl(a_k a_i).  At 2-D cutoff 4 and R = 1024 that gathers
+    3310 rows per call instead of nnz = 6176.  A block grows row by row while
+    its distinct pairs fill at most a fixed workspace of R doubles per pair
+    (one row may exceed it).  The entries of each scatter row keep their
+    order, so every output entry is the same sequential sum, over the same
+    terms v_e * fl(a_i c_k) in the same order, as the single sparse product
+    over the full (nnz, R) product: the bits do not depend on R, on the
+    blocking or on the pair tables, and a batch matches its members applied
+    one by one.  Only NaN payloads may differ between B(a, a) and B(a, a')
+    with a' a copy of a: a product of two NaNs keeps one operand's payload,
+    and the table may hold the operands in the other order.  The partitions
+    are built on first use, one per power of two of R and pair kind, and
+    cached on the tensor with their widest block.
 
     Each call allocates one (2, widest block, R) workspace and every block
     gathers into it, so a call makes one allocation instead of two fresh
@@ -542,27 +552,38 @@ class ConvectionTensor:
     def scatter(self) -> sparse.csr_matrix:
         return self._scatter
 
-    def _row_blocks(self, rows: int) -> tuple[int, list]:
-        # (widest block, blocks), keyed by rows rounded up to a power of two;
-        # building a partition is deterministic, so threads that race to fill
-        # an entry store equal values
+    def _row_blocks(self, rows: int, symmetric: bool) -> tuple[int, list]:
+        # (widest block, blocks), keyed by rows rounded up to a power of two
+        # and the pair key; building a partition is deterministic, so threads
+        # that race to fill an entry store equal values
         key = 1 << max(rows - 1, 0).bit_length()
-        part = self._blocks.get(key)
+        part = self._blocks.get((key, symmetric))
         if part is None:
             cap = max(1, _APPLY_WORKSPACE // key)
-            indptr = self._scatter.indptr
+            n, indptr = self.n_modes, self._scatter.indptr
+            if symmetric:
+                pair = np.minimum(self.i_idx, self.k_idx) * n + np.maximum(self.i_idx, self.k_idx)
+            else:
+                pair = self.i_idx * n + self.k_idx
             blocks, j0 = [], 0
-            while j0 < self.n_modes:
-                lo = indptr[j0]
-                j1 = max(j0 + 1, int(np.searchsorted(indptr, lo + cap, side="right")) - 1)
-                hi = indptr[j1]
+            while j0 < n:
+                # grow the block row by row while its distinct pairs fit
+                seen, j1 = set(), j0
+                while j1 < n:
+                    new = set(pair[indptr[j1]:indptr[j1 + 1]].tolist()) - seen
+                    if j1 > j0 and len(seen) + len(new) > cap:
+                        break
+                    seen |= new
+                    j1 += 1
+                lo, hi = indptr[j0], indptr[j1]
+                table, col = np.unique(pair[lo:hi], return_inverse=True)
                 sub = sparse.csr_matrix(
-                    (self.values[lo:hi], np.arange(hi - lo), indptr[j0:j1 + 1] - lo),
-                    shape=(j1 - j0, hi - lo))
-                blocks.append((j0, j1, self.i_idx[lo:hi], self.k_idx[lo:hi], sub))
+                    (self.values[lo:hi], col, indptr[j0:j1 + 1] - lo),
+                    shape=(j1 - j0, table.size))
+                blocks.append((j0, j1, table // n, table % n, sub))
                 j0 = j1
             part = max(b[2].size for b in blocks), blocks
-            self._blocks[key] = part
+            self._blocks[(key, symmetric)] = part
         return part
 
     def apply(self, a: np.ndarray, c: np.ndarray | None = None) -> np.ndarray:
@@ -577,7 +598,7 @@ class ConvectionTensor:
         aT = np.ascontiguousarray(flat.T)
         cT = aT if c is None else np.ascontiguousarray(c.reshape(rows, self.n_modes).T)
         out = np.empty((self.n_modes, rows))
-        width, blocks = self._row_blocks(rows)
+        width, blocks = self._row_blocks(rows, c is None)
         work = np.empty((2, width, rows))
         for j0, j1, i_idx, k_idx, sub in blocks:
             prod, other = work[0, :i_idx.size], work[1, :i_idx.size]

@@ -41,14 +41,18 @@ class DiagnosticsError(ValueError):
 # -- gradient fields and the spectral negative-part weight -------------------
 
 
-def velocity_gradient(basis: BasisSpec, coeffs: np.ndarray, n: int) -> np.ndarray:
+def velocity_gradient(
+    basis: BasisSpec, coeffs: np.ndarray, n: int, out: np.ndarray | None = None
+) -> np.ndarray:
     """Gradient tensor of the reconstructed field on the grid.
 
     Returns shape (..., n^d, d, d) for coefficient input (..., N); entry
-    [..., g, m, c] is d(component c)/d(x_m) at grid point g.
+    [..., g, m, c] is d(component c)/d(x_m) at grid point g.  As in numpy,
+    `out` is an array of that shape to write the result into.
     """
     grads = basis.mode_gradients(n)  # (N, d, d, G)
-    return np.einsum("...n,nmcg->...gmc", np.asarray(coeffs, dtype=np.float64), grads)
+    return np.einsum("...n,nmcg->...gmc", np.asarray(coeffs, dtype=np.float64), grads,
+                     out=out)
 
 
 def _min_sym_eig(mats: np.ndarray) -> np.ndarray:
@@ -156,19 +160,31 @@ def neg_sup_series(basis: BasisSpec, coeff_series: np.ndarray) -> np.ndarray:
     Evaluated on the base quadrature grid and on a 2x refined grid, taking
     the pointwise-in-time larger value (the grid sup is a lower bound of the
     true supremum; refinement tightens it).  Time rows are walked in blocks
-    of a fixed workspace, so memory does not grow with the series length.
+    of a fixed workspace, so memory does not grow with the series length;
+    the gradients of every block on both grids are written into one
+    workspace per call.
     """
     n = default_grid(basis.cutoff)
     series = np.asarray(coeff_series, dtype=np.float64)
     flat = series.reshape(-1, series.shape[-1])
-    sups = []
+    # (grid, doubles per time row, rows per block) on each grid
+    plan = []
     for grid_n in (n, 2 * n):
-        rows = max(1, _NEG_SUP_WORKSPACE // (grid_n ** basis.dim * basis.dim ** 2))
+        per_row = grid_n ** basis.dim * basis.dim ** 2
+        plan.append((grid_n, per_row, max(1, _NEG_SUP_WORKSPACE // per_row)))
+    # every block of both grids is written into this one workspace
+    work = np.empty(max(per_row * min(rows, len(flat)) for _, per_row, rows in plan))
+    sups = []
+    for grid_n, per_row, rows in plan:
+        blocks = []
         # an empty series still makes one (empty) block
-        sups.append(np.concatenate([
-            _neg_part_max(velocity_gradient(basis, flat[t:t + rows], grid_n))
-            for t in range(0, max(len(flat), 1), rows)
-        ]).reshape(series.shape[:-1]))
+        for t in range(0, max(len(flat), 1), rows):
+            block = flat[t:t + rows]
+            # grid points innermost, the memory order of the einsum's own output
+            grads = work[:per_row * len(block)].reshape(
+                (len(block), basis.dim, basis.dim, grid_n ** basis.dim)).transpose(0, 3, 1, 2)
+            blocks.append(_neg_part_max(velocity_gradient(basis, block, grid_n, out=grads)))
+        sups.append(np.concatenate(blocks).reshape(series.shape[:-1]))
     return np.maximum(sups[0], sups[1])
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -34,18 +35,22 @@ ENV_SEED = "STOCHFLOW_SEED"
 ENV_OUT = "STOCHFLOW_OUT"
 
 
-def _json_default(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj)}")
+def _plain(obj):
+    # numpy values as Python ones, and non-finite floats as None, which strict
+    # JSON has no token for
+    if isinstance(obj, dict):
+        return {key: _plain(val) for key, val in obj.items()}
+    if isinstance(obj, (list, tuple, np.ndarray)):
+        return [_plain(val) for val in obj]
+    if isinstance(obj, np.generic):
+        obj = obj.item()
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
+    return obj
 
 
 def _emit(record: dict):
-    sys.stdout.write(json.dumps(record, default=_json_default) + "\n")
+    sys.stdout.write(json.dumps(_plain(record), allow_nan=False) + "\n")
 
 
 def _load_config(args) -> RunConfig:

@@ -146,6 +146,23 @@ def test_unrunnable_configs_exit_1(tmp_path, capsys):
         assert records and all("config_error" in r for r in records), (case, records)
 
 
+# sections of the wrong type: each used to die with a TypeError or AttributeError
+WRONG_TYPE = {"basis": [], "noise": 3, "initial": 3, "ensemble": 5, "diagnostics": 5}
+
+
+def test_wrong_type_sections_rejected(tmp_path, capsys):
+    for section, value in WRONG_TYPE.items():
+        doc = dict(MINIMAL, output_dir=str(tmp_path / "out"), **{section: value})
+        with pytest.raises(ConfigError) as err:
+            parse_config(json.dumps(doc))
+        assert len(err.value.errors) == 1 and section in err.value.errors[0], err.value.errors
+        p = tmp_path / "config.json"
+        p.write_text(json.dumps(doc))
+        assert main(["--config", str(p), "simulate"]) == 1, section
+        records = [json.loads(l) for l in capsys.readouterr().out.strip().splitlines()]
+        assert len(records) == 1 and "config_error" in records[0], (section, records)
+
+
 def test_sweep_plan_defaults():
     doc = dict(MINIMAL, scheme="heun", ensemble={"base_seed": 9},
                sweep={"nus": [0.1, 0.05], "store_every": 5})
@@ -384,3 +401,21 @@ def test_cli_sweep_writes_csv(tmp_path, capsys):
     assert [r["nu"] for r in records[:2]] == [0.1, 0.05]
     rows = (tmp_path / "out" / "sweep.csv").read_text().strip().splitlines()
     assert len(rows) == 1 + 2 * 4
+
+
+def _refuse_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_cli_output_is_strict_json(tmp_path, capsys):
+    # a one-nu sweep has no exponent to fit: NaN, which strict JSON writes as null
+    cfg = _write_config(
+        tmp_path, output_dir=str(tmp_path / "out"),
+        noise={"additive": [{"mode": 0, "coeffs": {"0,1:cos": 0.4}}], "transport": []},
+        sweep={"nus": [0.1], "members": 4, "store_every": 5},
+    )
+    assert main(["--config", str(cfg), "sweep"]) == 0
+    records = [json.loads(l, parse_constant=_refuse_constant)
+               for l in capsys.readouterr().out.strip().splitlines()]
+    assert records[0]["nu"] == 0.1
+    assert records[-1]["weighted_exponent"] is None

@@ -14,8 +14,9 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from stochflow.basis import build_basis, convection_tensor
+from stochflow.basis import _APPLY_WORKSPACE, build_basis, convection_tensor
 
 import oracles
 
@@ -164,3 +165,62 @@ def test_apply_shared_across_threads(dim, cutoff):
     for t in range(n_threads):
         for got, want in zip(results[t], serial[t]):
             assert oracles.bit_equal(got, want)
+
+
+# B(a, a) gathers one product per unordered pair {i, k}, B(a, c) one per
+# ordered pair; fl(a_i a_k) = fl(a_k a_i), so the two partitions agree bitwise
+@given(size=st.sampled_from(SIZES), rows=st.integers(1, 2100), seed=st.integers(0, 2 ** 32))
+@settings(max_examples=30, deadline=None)
+def test_symmetric_pairs_match_general_partition(size, rows, seed):
+    conv = conv_of(*size)
+    a = np.random.default_rng(seed).normal(size=(rows, conv.n_modes))
+    assert oracles.bit_equal(conv.apply(a), conv.apply(a, a.copy()))
+
+
+@pytest.mark.parametrize("dim,cutoff", SIZES)
+@pytest.mark.parametrize("rows", [1, 32, 64, 1024])
+def test_symmetric_partition_gathers_distinct_pairs(dim, cutoff, rows):
+    conv = conv_of(dim, cutoff)
+    n = conv.n_modes
+    width, blocks = conv._row_blocks(rows, True)
+    cap = max(1, _APPLY_WORKSPACE // (1 << (rows - 1).bit_length()))
+    assert [b[0] for b in blocks] == [0] + [b[1] for b in blocks[:-1]]
+    assert blocks[-1][1] == n
+
+    def pairs(j0, j1):
+        inside = (conv.j_idx >= j0) & (conv.j_idx < j1)
+        lo, hi = np.minimum(conv.i_idx, conv.k_idx), np.maximum(conv.i_idx, conv.k_idx)
+        return set(zip(lo[inside].tolist(), hi[inside].tolist()))
+
+    gathered = 0
+    for j0, j1, i_idx, k_idx, _ in blocks:
+        want = pairs(j0, j1)
+        assert set(zip(i_idx.tolist(), k_idx.tolist())) == want
+        assert i_idx.size == len(want) <= width
+        # a block fills the workspace unless it is one row, and stops only
+        # where the next row would overflow it
+        assert len(want) <= cap or j1 - j0 == 1
+        assert j1 == n or len(pairs(j0, j1 + 1)) > cap
+        gathered += i_idx.size
+    assert width == max(b[2].size for b in blocks)
+    if (dim, cutoff, rows) == (2, 4, 1024):
+        assert (gathered, len(blocks)) == (3310, 68)
+
+
+# with non-finite input the NaNs sit where the general path puts them; only
+# their payloads may differ, since a product of two NaNs keeps one operand's
+@pytest.mark.parametrize("dim,cutoff", SIZES)
+def test_symmetric_pairs_non_finite(dim, cutoff):
+    conv = conv_of(dim, cutoff)
+    gen = np.random.default_rng(5)
+    a = gen.normal(size=(64, conv.n_modes))
+    a.flat[gen.choice(a.size, size=40, replace=False)] = np.nan
+    a.flat[gen.choice(a.size, size=20, replace=False)] = np.inf
+    a.flat[gen.choice(a.size, size=20, replace=False)] = -np.inf
+    a.flat[gen.choice(a.size, size=20, replace=False)] = 0.0
+    with np.errstate(invalid="ignore"):
+        sym, gen_path = conv.apply(a), conv.apply(a, a.copy())
+    nan = np.isnan(sym)
+    assert nan.any() and (~nan).any()
+    assert oracles.bit_equal(nan, np.isnan(gen_path))
+    assert oracles.bit_equal(sym[~nan], gen_path[~nan])
