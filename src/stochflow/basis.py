@@ -554,8 +554,9 @@ class ConvectionTensor:
 
     def _row_blocks(self, rows: int, symmetric: bool) -> tuple[int, list]:
         # (widest block, blocks), keyed by rows rounded up to a power of two
-        # and the pair key; building a partition is deterministic, so threads
-        # that race to fill an entry store equal values
+        # and by whether pairs are unordered; building a partition is
+        # deterministic, so threads that race to fill an entry store equal
+        # values
         key = 1 << max(rows - 1, 0).bit_length()
         part = self._blocks.get((key, symmetric))
         if part is None:

@@ -38,9 +38,11 @@ ENV_OUT = "STOCHFLOW_OUT"
 def _plain(obj):
     # numpy values as Python ones, and non-finite floats as None, which strict
     # JSON has no token for
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
     if isinstance(obj, dict):
         return {key: _plain(val) for key, val in obj.items()}
-    if isinstance(obj, (list, tuple, np.ndarray)):
+    if isinstance(obj, (list, tuple)):
         return [_plain(val) for val in obj]
     if isinstance(obj, np.generic):
         obj = obj.item()

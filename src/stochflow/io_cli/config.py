@@ -242,8 +242,13 @@ def parse_config(text: str, strict: bool = True) -> RunConfig:
     kind = init.get("kind")
     if kind not in ("zero", "coeffs", "gaussian"):
         errors.append(f"initial.kind must be zero|coeffs|gaussian, got {kind!r}")
-    elif kind == "coeffs" and not isinstance(init.get("coeffs"), dict):
+    elif kind == "coeffs" and not (
+            isinstance(init.get("coeffs"), dict)
+            and all(isinstance(v, (int, float)) for v in init["coeffs"].values())):
         errors.append("initial.coeffs must be an object of mode-label coefficients")
+    elif kind == "gaussian" and not all(isinstance(init.get(key, 1.0), (int, float))
+                                        for key in ("max_ksq", "decay")):
+        errors.append("initial.max_ksq and initial.decay must be numbers")
     elif kind == "gaussian" and not isinstance(init.get("scale"), (int, float)):
         errors.append("initial.scale must be a number")
 

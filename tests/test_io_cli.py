@@ -146,21 +146,29 @@ def test_unrunnable_configs_exit_1(tmp_path, capsys):
         assert records and all("config_error" in r for r in records), (case, records)
 
 
-# sections of the wrong type: each used to die with a TypeError or AttributeError
-WRONG_TYPE = {"basis": [], "noise": 3, "initial": 3, "ensemble": 5, "diagnostics": 5}
+# sections and values of the wrong type: each used to die with a traceback
+WRONG_TYPE = {
+    "basis": {"basis": []},
+    "noise": {"noise": 3},
+    "initial": {"initial": 3},
+    "ensemble": {"ensemble": 5},
+    "diagnostics": {"diagnostics": 5},
+    "initial.max_ksq": {"initial": {"kind": "gaussian", "scale": 1.0, "max_ksq": "2"}},
+    "initial.coeffs": {"initial": {"kind": "coeffs", "coeffs": {"0,1:cos": "0.5"}}},
+}
 
 
 def test_wrong_type_sections_rejected(tmp_path, capsys):
-    for section, value in WRONG_TYPE.items():
-        doc = dict(MINIMAL, output_dir=str(tmp_path / "out"), **{section: value})
+    for case, override in WRONG_TYPE.items():
+        doc = dict(MINIMAL, output_dir=str(tmp_path / "out"), **override)
         with pytest.raises(ConfigError) as err:
             parse_config(json.dumps(doc))
-        assert len(err.value.errors) == 1 and section in err.value.errors[0], err.value.errors
+        assert len(err.value.errors) == 1 and case in err.value.errors[0], err.value.errors
         p = tmp_path / "config.json"
         p.write_text(json.dumps(doc))
-        assert main(["--config", str(p), "simulate"]) == 1, section
+        assert main(["--config", str(p), "simulate"]) == 1, case
         records = [json.loads(l) for l in capsys.readouterr().out.strip().splitlines()]
-        assert len(records) == 1 and "config_error" in records[0], (section, records)
+        assert len(records) == 1 and "config_error" in records[0], (case, records)
 
 
 def test_sweep_plan_defaults():
