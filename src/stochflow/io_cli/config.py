@@ -182,10 +182,10 @@ def parse_config(text: str, strict: bool = True) -> RunConfig:
 
     _check_keys(raw, set(DEFAULTS), "top level", errors, strict)
     cfg = _merge_defaults(raw)
-    for section, kind in (("basis", dict), ("noise", dict), ("initial", dict),
-                          ("ensemble", dict), ("diagnostics", list)):
-        if not isinstance(cfg[section], kind):
-            errors.append(f"{section} must be {'an object' if kind is dict else 'a list'}, "
+    for section, expected in (("basis", dict), ("noise", dict), ("initial", dict),
+                              ("ensemble", dict), ("diagnostics", list)):
+        if not isinstance(cfg[section], expected):
+            errors.append(f"{section} must be {'an object' if expected is dict else 'a list'}, "
                           f"got {cfg[section]!r}")
             # validate the rest against the default section: one error per section
             cfg[section] = json.loads(json.dumps(DEFAULTS[section]))
