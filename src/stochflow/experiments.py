@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diagnostics import energy_variational_gap, make_test_processes
-from .ensemble import Ensemble, mean_stderr, member_seeds, moment_report, run_ensemble
+from .ensemble import mean_stderr, member_seeds, moment_report, run_ensemble
 from .noise import hs_norm
 from .sde import (GalerkinSystem, _grid_index, _refine, batch_increments, build_system,
                   integrate_batch)
@@ -85,7 +85,6 @@ def viscosity_sweep(
 
     points = []
     finals = []
-    ensembles: list[Ensemble] = []
     for idx, nu in enumerate(plan.nus):
         system = build_system(base_system.basis, base_system.noise, nu=nu,
                               conv=base_system.conv)
@@ -94,7 +93,6 @@ def viscosity_sweep(
             system, initial, plan.n_members, seed, plan.dt, plan.n_steps,
             scheme=plan.scheme, store_every=plan.store_every,
         )
-        ensembles.append(ens)
         finals.append(ens.final_states)
         mom = moment_report(ens, plan.moment_p)
         resid = (
@@ -132,8 +130,8 @@ def viscosity_sweep(
     else:
         exponent = math.nan
 
-    # inviscid-form gap battery on the smallest-nu endpoint
-    smallest = ensembles[-1]
+    # inviscid-form gap battery on the smallest-nu endpoint, the last run
+    smallest = ens
     traj = smallest.member_trajectory(0)
     battery = make_test_processes(smallest.system, traj.times.size - 1, traj.dt,
                                   seed=plan.base_seed, count=plan.gap_battery)

@@ -142,8 +142,9 @@ def cmd_diagnose(args) -> int:
                 _emit({"check": f"gap[{phi.label}]", "value": value,
                        "tolerance": tol, "pass": ok})
                 failures += not ok
-        else:
-            _emit({"check": check, "skipped": "needs ensemble data"})
+        else:  # a requested check that did not run has not passed
+            _emit({"check": check, "skipped": "needs ensemble data", "pass": False})
+            failures += 1
     return 0 if failures == 0 else 2
 
 

@@ -8,19 +8,21 @@ Layout (all integers little-endian):
     hash      64 bytes  ascii hex sha256 of the producing config
     n_meta    u32       scalar metadata: per item u16 name length, name utf8,
                         f64 value
-    n_text    u32       text metadata: per item u16+name, u16+utf8 value
+    n_text    u32       text metadata: per item u16+name, u16+utf8 value (seeds
+                        in decimal: a double rounds integers past 2**53)
     n_arrays  u32       per array: u16+name, u8 dtype (0 = <f8, 1 = <i8),
                         u8 ndim, ndim x u64 shape, raw data
 
 Arrays are written C-order, so time series are time-major as integrated.
 Loading validates structure strictly: wrong magic, unknown version, config
 hash mismatch, and truncation are separate error types so callers can tell
-an incompatible file from a corrupt one.
+an incompatible file from a corrupt one; any other damage raises StorageError.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import struct
 from pathlib import Path
 
@@ -122,6 +124,17 @@ class _Reader:
     def unpack(self, fmt: str):
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
+    def text(self, n: int) -> str:
+        data = self.take(n)
+        try:
+            return data.decode()
+        except UnicodeDecodeError as exc:
+            raise StorageError(f"text at byte {self.pos - n} is not UTF-8: {exc.reason}") from None
+
+    def string(self) -> str:
+        """A u16-length-prefixed UTF-8 string."""
+        return self.text(*self.unpack("<H"))
+
 
 def load_container(path, expect_kind: str | None = None, expect_hash: str | None = None) -> dict:
     raw = Path(path).read_bytes()
@@ -131,34 +144,35 @@ def load_container(path, expect_kind: str | None = None, expect_hash: str | None
     (version,) = r.unpack("<I")
     if version != VERSION:
         raise VersionError(version, VERSION)
-    kind = r.take(16).rstrip(b"\x00").decode()
+    kind = r.text(16).rstrip("\x00")
     if expect_kind is not None and kind != expect_kind:
         raise StorageError(f"container holds {kind!r}, expected {expect_kind!r}")
-    config_hash = r.take(64).decode()
+    config_hash = r.text(64)
     if expect_hash is not None and config_hash != expect_hash:
         raise HashMismatchError(config_hash, expect_hash)
     meta, text, arrays = {}, {}, {}
     (n_meta,) = r.unpack("<I")
     for _ in range(n_meta):
-        (ln,) = r.unpack("<H")
-        name = r.take(ln).decode()
+        name = r.string()
         (meta[name],) = r.unpack("<d")
     (n_text,) = r.unpack("<I")
     for _ in range(n_text):
-        (ln,) = r.unpack("<H")
-        name = r.take(ln).decode()
-        (vn,) = r.unpack("<H")
-        text[name] = r.take(vn).decode()
+        name = r.string()
+        text[name] = r.string()
     (n_arrays,) = r.unpack("<I")
     for _ in range(n_arrays):
-        (ln,) = r.unpack("<H")
-        name = r.take(ln).decode()
+        name = r.string()
         code, ndim = r.unpack("<BB")
-        shape = r.unpack(f"<{ndim}Q") if ndim else ()
+        shape = r.unpack(f"<{ndim}Q")
+        if code not in _DTYPES:
+            raise StorageError(f"array {name!r} has unknown dtype code {code}")
         dtype = _DTYPES[code]
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        data = r.take(count * dtype.itemsize)
-        arrays[name] = np.frombuffer(data, dtype=dtype).reshape(shape).copy()
+        # in Python ints: a fixed-width product of a huge shape can wrap
+        data = r.take(math.prod(shape) * dtype.itemsize)
+        try:  # numpy refuses some shapes, e.g. past 64 dimensions
+            arrays[name] = np.frombuffer(data, dtype=dtype).reshape(shape).copy()
+        except ValueError as exc:
+            raise StorageError(f"array {name!r} of shape {shape}: {exc}") from None
     if r.pos != len(raw):
         raise StorageError(f"{len(raw) - r.pos} trailing bytes after container payload")
     return {"kind": kind, "config_hash": config_hash, "meta": meta,
@@ -181,7 +195,7 @@ def save_trajectory(path, traj: Trajectory, config_hash: str):
             "nu": traj.nu,
             "blowup_time": -1.0 if traj.blowup_time is None else traj.blowup_time,
         },
-        text={"scheme": traj.scheme},
+        text={"scheme": traj.scheme, "seed": str(traj.seed)},
         arrays={
             "times": traj.times,
             "states": traj.states,
@@ -202,22 +216,25 @@ def save_trajectory(path, traj: Trajectory, config_hash: str):
 def load_trajectory(path, expect_hash: str | None = None) -> tuple[Trajectory, str]:
     box = load_container(path, expect_kind="trajectory", expect_hash=expect_hash)
     meta, arrays = box["meta"], box["arrays"]
-    blow = meta["blowup_time"]
-    traj = Trajectory(
-        times=arrays["times"],
-        states=arrays["states"],
-        energy=arrays["energy"],
-        grad_energy=arrays["grad_energy"],
-        stoch_int=arrays["stoch_int"],
-        grad_int=arrays["grad_int"],
-        increments=arrays["increments"],
-        seed=int(meta["seed"]),
-        dt=meta["dt"],
-        store_every=int(meta["store_every"]),
-        scheme=box["text"]["scheme"],
-        nu=meta["nu"],
-        blowup_time=None if blow < 0 else blow,
-    )
+    try:
+        blow = meta["blowup_time"]
+        traj = Trajectory(
+            times=arrays["times"],
+            states=arrays["states"],
+            energy=arrays["energy"],
+            grad_energy=arrays["grad_energy"],
+            stoch_int=arrays["stoch_int"],
+            grad_int=arrays["grad_int"],
+            increments=arrays["increments"],
+            seed=int(box["text"].get("seed", meta["seed"])),
+            dt=meta["dt"],
+            store_every=int(meta["store_every"]),
+            scheme=box["text"]["scheme"],
+            nu=meta["nu"],
+            blowup_time=None if blow < 0 else blow,
+        )
+    except (KeyError, ValueError, OverflowError) as exc:
+        raise StorageError(f"incomplete trajectory container: {exc!r}") from None
     return traj, box["config_hash"]
 
 
@@ -242,7 +259,7 @@ def save_ensemble(path_prefix, ens, config_hash: str):
             "members": ens.n_members,
             "nu": ens.system.nu,
         },
-        text={"scheme": ens.scheme},
+        text={"scheme": ens.scheme, "base_seed": str(ens.base_seed)},
         arrays={
             "times": ens.times,
             "energy": ens.energy,

@@ -1,7 +1,9 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from stochflow.ensemble import run_ensemble
 from stochflow.experiments import SweepPlan
@@ -10,11 +12,13 @@ from stochflow.io_cli.config import ConfigError, emit_config, parse_config
 from stochflow.io_cli.storage import (
     HashMismatchError,
     MagicError,
+    StorageError,
     TruncatedFileError,
     VersionError,
     load_container,
     load_trajectory,
     save_container,
+    save_ensemble,
     save_trajectory,
 )
 from stochflow.sde import BrownianPath, integrate
@@ -124,6 +128,20 @@ UNRUNNABLE = {
         dict(MINIMAL, sweep={"nus": [0.1], "moment_p": 1.0, "store_every": 1}),
     "base seed beyond 64 bits":
         dict(MINIMAL, ensemble={"base_seed": 2 ** 64}),
+    "sweep nus empty":
+        dict(MINIMAL, sweep={"nus": [], "store_every": 1}),
+    "sweep nus increasing":
+        dict(MINIMAL, sweep={"nus": [0.05, 0.1], "store_every": 1}),
+    "sweep nus not finite":
+        dict(MINIMAL, sweep={"nus": [float("inf"), 0.1], "store_every": 1}),
+    "initial scale missing":
+        dict(MINIMAL, initial={"kind": "gaussian"}),
+    "noise coefficient not finite":
+        dict(MINIMAL, noise={"additive": [{"mode": 0, "coeffs": {"0,1:cos": float("nan")}}]}),
+    "probe not finite":
+        dict(MINIMAL, ensemble={"probe_times": [float("-inf")]}),
+    "unknown key set to NaN":
+        dict(MINIMAL, typo_key=float("nan")),
 }
 
 
@@ -155,6 +173,22 @@ WRONG_TYPE = {
     "diagnostics": {"diagnostics": 5},
     "initial.max_ksq": {"initial": {"kind": "gaussian", "scale": 1.0, "max_ksq": "2"}},
     "initial.coeffs": {"initial": {"kind": "coeffs", "coeffs": {"0,1:cos": "0.5"}}},
+    # JSON true is not the integer 1, and NaN and Infinity are not numbers
+    "basis.cutoff": {"basis": {"dim": 2, "cutoff": True}},
+    "ensemble.members": {"ensemble": {"members": True}},
+    "ensemble.base_seed": {"ensemble": {"base_seed": True}},
+    "ensemble.store_every": {"ensemble": {"store_every": True}},
+    "dt": {"dt": True, "t_final": 1.0},
+    "viscosity": {"viscosity": True},
+    "sweep.members": {"sweep": {"nus": [0.1], "members": True}},
+    "noise.additive[0].mode":
+        {"noise": {"additive": [{"mode": True, "coeffs": {"0,1:cos": 0.4}}]}},
+    "noise.transport[0].cutoff":
+        {"noise": {"transport": [{"mode": 1, "coeffs": {"1,0:cos": 0.4}, "cutoff": True}]}},
+    "initial.scale": {"initial": {"kind": "gaussian", "scale": True}},
+    "viscosity must be a nonnegative number, got NaN": {"viscosity": float("nan")},
+    "viscosity must be a nonnegative number, got Infinity": {"viscosity": float("inf")},
+    "sweep.nus": {"sweep": {"nus": [True]}},
 }
 
 
@@ -169,6 +203,43 @@ def test_wrong_type_sections_rejected(tmp_path, capsys):
         assert main(["--config", str(p), "simulate"]) == 1, case
         records = [json.loads(l) for l in capsys.readouterr().out.strip().splitlines()]
         assert len(records) == 1 and "config_error" in records[0], (case, records)
+
+
+@settings(max_examples=300)
+@example(path=("initial", "scale"), value=math.nan, strict=True)
+@example(path=("viscosity",), value=math.inf, strict=True)
+@example(path=("typo_key",), value=[-math.inf], strict=False)
+@given(path=st.sampled_from([
+           ("viscosity",), ("dt",), ("t_final",), ("scheme",), ("output_dir",), ("sweep",),
+           ("basis", "dim"), ("basis", "cutoff"), ("initial", "scale"),
+           ("initial", "max_ksq"), ("ensemble", "members"), ("ensemble", "base_seed"),
+           ("ensemble", "store_every"), ("ensemble", "probe_times"), ("sweep", "nus"),
+           ("sweep", "moment_p"), ("sweep", "coupled_paths"), ("typo_key",)]),
+       value=st.recursive(
+           st.sampled_from([None, True, False, math.nan, math.inf, -math.inf, "heun"])
+           | st.integers(-3, 5) | st.floats(),
+           lambda inner: st.lists(inner, max_size=3)
+           | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+           max_leaves=6),
+       strict=st.booleans())
+def test_accepted_canonical_text_is_strict_json(path, value, strict):
+    # whatever a document sets, what parses has a canonical text without NaN
+    # or Infinity, so every artifact's config hash names strict JSON; integers
+    # stay small, as a large basis.cutoff builds a large basis
+    doc = dict(MINIMAL, initial={"kind": "gaussian", "scale": 1.0},
+               sweep={"nus": [0.1], "store_every": 1})
+    doc = json.loads(json.dumps(doc))
+    *head, key = path
+    section = doc
+    for name in head:
+        section = section.setdefault(name, {})
+    section[key] = value
+    try:
+        cfg = parse_config(json.dumps(doc), strict=strict)
+    except ConfigError:
+        return
+    again = json.loads(cfg.canonical(), parse_constant=_refuse_constant)
+    assert parse_config(json.dumps(again), strict=strict).hash() == cfg.hash()
 
 
 def test_sweep_plan_defaults():
@@ -225,6 +296,19 @@ def test_trajectory_round_trip_bitwise(tmp_path, additive_system):
         assert rec["t"] == 0.0 and rec["energy"] == traj.energy[0]
 
 
+def test_seed_round_trip_exact(tmp_path, additive_system):
+    # seeds past 2**53 name other Brownian paths once rounded to a double
+    traj = _traj(additive_system, n_steps=5)
+    for seed in (2 ** 60 + 1, 2 ** 64 - 1):
+        traj.seed = seed
+        save_trajectory(tmp_path / "t.bin", traj, "ab" * 32)
+        assert load_trajectory(tmp_path / "t.bin")[0].seed == seed
+        ens = run_ensemble(additive_system, np.zeros(additive_system.n_modes), 2,
+                           base_seed=seed, dt=1e-3, n_steps=2)
+        summary = save_ensemble(tmp_path / "e", ens, "ab" * 32)["summary"]
+        assert int(load_container(summary)["text"]["base_seed"]) == seed
+
+
 def test_hash_mismatch_distinct_error(tmp_path, additive_system):
     f = tmp_path / "t.bin"
     save_trajectory(f, _traj(additive_system), "ab" * 32)
@@ -268,6 +352,32 @@ def test_container_trailing_bytes_detected(tmp_path):
     f.write_bytes(f.read_bytes() + b"xx")
     with pytest.raises(Exception, match="trailing"):
         load_container(f)
+
+
+def test_malformed_container_storage_error(tmp_path):
+    # each used to raise KeyError, UnicodeDecodeError or ValueError
+    f = tmp_path / "x.bin"
+    save_container(f, "trajectory", "0" * 64, arrays={"aa": np.zeros((2, 4))})
+    data = f.read_bytes()
+    name = data.index(b"aa")
+    for at, patch, error in (
+            (name + 2, b"\x07", StorageError),                    # dtype code 7
+            (12, b"\xff", StorageError),                          # in the kind
+            (name, b"\xff", StorageError),                        # in the array's name
+            (name + 4, (2 ** 62).to_bytes(8, "little"), TruncatedFileError)):  # (2**62, 4)
+        f.write_bytes(data[:at] + patch + data[at + len(patch):])
+        with pytest.raises(error):
+            load_container(f)
+
+
+def test_damaged_seed_text_storage_error(tmp_path, additive_system):
+    f = tmp_path / "t.bin"
+    save_trajectory(f, _traj(additive_system, n_steps=5), "ab" * 32)
+    data = f.read_bytes()
+    digit = data.rindex(b"seed") + 6  # the text value's first digit, after its u16 length
+    f.write_bytes(data[:digit] + b"x" + data[digit + 1:])
+    with pytest.raises(StorageError):
+        load_trajectory(f)
 
 
 # -- CLI --------------------------------------------------------------------
@@ -318,6 +428,31 @@ def test_cli_diagnose_hash_mismatch(tmp_path, capsys):
     assert rec["error"] == "config hash mismatch"
     assert rec["file_hash"] != rec["config_hash"]
     assert len(rec["file_hash"]) == 64 and len(rec["config_hash"]) == 64
+
+
+def test_cli_diagnose_damaged_container(tmp_path, capsys):
+    cfg = _write_config(tmp_path, output_dir=str(tmp_path / "out"))
+    assert main(["--config", str(cfg), "simulate"]) == 0
+    out = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    data = open(out["written"], "rb").read()
+    # the "times" array's dtype byte
+    name = data.index(b"times")
+    open(out["written"], "wb").write(data[:name + 5] + b"\x07" + data[name + 6:])
+    assert main(["--config", str(cfg), "diagnose", "--data", out["written"]]) == 2
+    records = [json.loads(l) for l in capsys.readouterr().out.strip().splitlines()]
+    assert len(records) == 1 and "dtype" in records[0]["error"], records
+
+
+def test_cli_diagnose_skipped_check_fails(tmp_path, capsys):
+    # a requested check that cannot run on one trajectory is not a pass
+    cfg = _write_config(tmp_path, output_dir=str(tmp_path / "out"),
+                        diagnostics=["energy_residual", "weak_residual"])
+    assert main(["--config", str(cfg), "simulate"]) == 0
+    out = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert main(["--config", str(cfg), "diagnose", "--data", out["written"]]) == 2
+    records = [json.loads(l) for l in capsys.readouterr().out.strip().splitlines()]
+    assert [(r["check"], r["pass"]) for r in records] == \
+        [("energy_residual", True), ("weak_residual", False)]
 
 
 def test_cli_ensemble_writes_manifest(tmp_path, capsys):
