@@ -33,6 +33,13 @@ the unnormalized polarizations, so an entry is zero exactly when it should be
 and every nonzero value is the same few correctly rounded operations in a
 fixed order: the result does not depend on how the triads are enumerated.
 
+Modes are named by labels such as "1,0:cos" (2-D) or "0,0,1:p0:sin" (3-D):
+the wavevector, in 3-D the polarization, and the phase.  `parse_label` is
+the one grammar for them and needs no basis, so a run config's labels are
+checked without building one.  The grid transforms `evaluate_field`,
+`project_field` and `velocity_gradient` also live here, over any batch axes;
+they are the only readers of the per-grid mode caches.
+
 The convection tensor is stored in coordinate format sorted by the output
 index j.  Skew-symmetry in the last two slots, the discrete engine of energy
 conservation of the convection term, is enforced exactly by antisymmetrizing
@@ -65,6 +72,38 @@ def _is_canonical(k: np.ndarray) -> bool:
         if comp != 0:
             return comp > 0
     return False
+
+
+def _format_label(k, pol: int, phase: int) -> str:
+    # "k1,k2:phase" in 2-D, "k1,k2,k3:p<pol>:phase" in 3-D
+    head = ",".join(str(int(c)) for c in k)
+    if len(k) == 3:
+        return f"{head}:p{int(pol)}:{_PHASE_NAMES[phase]}"
+    return f"{head}:{_PHASE_NAMES[phase]}"
+
+
+def parse_label(label: str, dim: int, cutoff: int) -> tuple[tuple[int, ...], int, int]:
+    """(wavevector, polarization, phase) of the mode `label` names.
+
+    The one label grammar: `label` must be exactly the `mode_label` of a mode
+    of build_basis(dim, cutoff), i.e. a canonical nonzero k with
+    |k|_inf <= cutoff, a polarization below dim - 1 and a phase cos or sin,
+    written as the formatter writes it (no sign, padding or spaces).  Raises
+    BasisError otherwise.  Costs no basis, so it is free of the cutoff.
+    """
+    fields = label.split(":")
+    if len(fields) == dim:
+        try:
+            k = tuple(int(c) for c in fields[0].split(","))
+            pol = int(fields[1].removeprefix("p")) if dim == 3 else 0
+            phase = _PHASE_NAMES.index(fields[-1])
+        except ValueError:
+            pass
+        else:
+            if (len(k) == dim and _is_canonical(k) and max(map(abs, k)) <= cutoff
+                    and 0 <= pol < dim - 1 and _format_label(k, pol, phase) == label):
+                return k, pol, phase
+    raise BasisError(f"unknown mode label {label!r}")
 
 
 def canonicalize(k: np.ndarray) -> tuple[np.ndarray, int]:
@@ -135,7 +174,6 @@ class BasisSpec:
     mode_wave: np.ndarray          # (N,) index into wavevectors
     mode_pol: np.ndarray           # (N,) polarization index
     mode_phase: np.ndarray         # (N,) COS or SIN
-    ordering_version: int = 1
     _cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
@@ -189,22 +227,16 @@ class BasisSpec:
         return self.pol_int[self.mode_wave[i], self.mode_pol[i]]
 
     def mode_label(self, i: int) -> str:
-        k = ",".join(str(int(c)) for c in self.mode_k(i))
-        phase = _PHASE_NAMES[self.mode_phase[i]]
-        if self.dim == 3:
-            return f"{k}:p{self.mode_pol[i]}:{phase}"
-        return f"{k}:{phase}"
+        return _format_label(self.mode_k(i), self.mode_pol[i], self.mode_phase[i])
 
     def index_of(self, label: str) -> int:
         """Inverse of mode_label; raises BasisError for unknown labels."""
-        table = self._cache.get("labels")
-        if table is None:
-            table = {self.mode_label(i): i for i in range(self.n_modes)}
-            self._cache["labels"] = table
-        try:
-            return table[label]
-        except KeyError:
-            raise BasisError(f"unknown mode label {label!r}") from None
+        k, pol, phase = parse_label(label, self.dim, self.cutoff)
+        return self._mode_index(self.wave_index(k), pol, phase)
+
+    def _mode_index(self, wave, pol, phase):
+        # the wavevector-major mode order of build_basis; works on arrays too
+        return (wave * self.pol_int.shape[1] + pol) * 2 + phase
 
     def wave_index(self, k: np.ndarray) -> int:
         table = self._cache.get("waves")
@@ -261,10 +293,8 @@ class BasisSpec:
         """Index map such that mode i of self equals mode emb[i] of `finer`."""
         if finer.dim != self.dim or finer.cutoff < self.cutoff:
             raise BasisError("embedding requires same dimension and a finer cutoff")
-        emb = np.empty(self.n_modes, dtype=np.int64)
-        for i in range(self.n_modes):
-            emb[i] = finer.index_of(self.mode_label(i))
-        return emb
+        waves = np.array([finer.wave_index(k) for k in self.wavevectors], dtype=np.int64)
+        return finer._mode_index(waves[self.mode_wave], self.mode_pol, self.mode_phase)
 
 
 def build_basis(dim: int, cutoff: int) -> BasisSpec:
@@ -372,12 +402,16 @@ def gradient_field(basis: BasisSpec, potential: dict[tuple, float]) -> TrigField
     return out
 
 
+# -- grid transforms: the only readers of the mode caches ------------------------
+
+
 def project_field(basis: BasisSpec, samples: np.ndarray, n: int) -> np.ndarray:
     """L2 projection of grid samples onto the basis, a_i = <field, v_i>.
 
-    `samples` has shape (n^d, d) in the C-order layout of BasisSpec.grid(n).
-    The grid must resolve products of the field and any mode exactly, which
-    for fields within the cutoff requires n >= 2*cutoff + 2.
+    `samples` has shape (..., n^d, d) in the C-order layout of
+    BasisSpec.grid(n); the result has shape (..., N).  The grid must resolve
+    products of the field and any mode exactly, which for fields within the
+    cutoff requires n >= 2*cutoff + 2.
     """
     if n < default_grid(basis.cutoff):
         raise BasisError(
@@ -386,16 +420,31 @@ def project_field(basis: BasisSpec, samples: np.ndarray, n: int) -> np.ndarray:
         )
     samples = np.asarray(samples, dtype=np.float64)
     expected = (n ** basis.dim, basis.dim)
-    if samples.shape != expected:
-        raise BasisError(f"samples have shape {samples.shape}, expected {expected}")
+    if samples.shape[-2:] != expected:
+        raise BasisError(f"samples have shape {samples.shape}, expected (..., {expected[0]}, "
+                         f"{expected[1]})")
     vals = basis.mode_values(n)            # (N, d, G)
-    return basis.quad_weight(n) * np.einsum("ndg,gd->n", vals, samples)
+    return basis.quad_weight(n) * np.einsum("ndg,...gd->...n", vals, samples)
 
 
 def evaluate_field(basis: BasisSpec, a: np.ndarray, n: int) -> np.ndarray:
-    """Reconstruct the velocity field on the grid, shape (n^d, d)."""
+    """Reconstruct the velocity field on the grid: (..., N) -> (..., n^d, d)."""
     vals = basis.mode_values(n)
-    return np.einsum("n,ndg->gd", np.asarray(a, dtype=np.float64), vals)
+    return np.einsum("...n,ndg->...gd", np.asarray(a, dtype=np.float64), vals)
+
+
+def velocity_gradient(
+    basis: BasisSpec, coeffs: np.ndarray, n: int, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Gradient tensor of the reconstructed field on the grid.
+
+    Returns shape (..., n^d, d, d) for coefficient input (..., N); entry
+    [..., g, m, c] is d(component c)/d(x_m) at grid point g.  As in numpy,
+    `out` is an array of that shape to write the result into.
+    """
+    grads = basis.mode_gradients(n)  # (N, d, d, G)
+    return np.einsum("...n,nmcg->...gmc", np.asarray(coeffs, dtype=np.float64), grads,
+                     out=out)
 
 
 # -- the triad kernel -----------------------------------------------------------

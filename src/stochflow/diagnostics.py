@@ -27,7 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import BasisSpec, TrigField, default_grid, leray_project, solenoidal_field
+from .basis import (BasisSpec, TrigField, default_grid, evaluate_field, leray_project,
+                    solenoidal_field, velocity_gradient)
 from .ensemble import _chunks, _run_members, mean_stderr
 from .noise import hs_norm
 from .sde import (BrownianPath, GalerkinSystem, Trajectory, _grid_index, _philox_streams,
@@ -38,21 +39,7 @@ class DiagnosticsError(ValueError):
     """Inconsistent diagnostic inputs."""
 
 
-# -- gradient fields and the spectral negative-part weight -------------------
-
-
-def velocity_gradient(
-    basis: BasisSpec, coeffs: np.ndarray, n: int, out: np.ndarray | None = None
-) -> np.ndarray:
-    """Gradient tensor of the reconstructed field on the grid.
-
-    Returns shape (..., n^d, d, d) for coefficient input (..., N); entry
-    [..., g, m, c] is d(component c)/d(x_m) at grid point g.  As in numpy,
-    `out` is an array of that shape to write the result into.
-    """
-    grads = basis.mode_gradients(n)  # (N, d, d, G)
-    return np.einsum("...n,nmcg->...gmc", np.asarray(coeffs, dtype=np.float64), grads,
-                     out=out)
+# -- the spectral negative-part weight ------------------------------------------
 
 
 def _min_sym_eig(mats: np.ndarray) -> np.ndarray:
@@ -525,8 +512,7 @@ def reynolds_defect(states: np.ndarray, basis: BasisSpec) -> DefectField:
     if M < 2:
         raise DiagnosticsError("defect fields need at least two ensemble members")
     grid_n = default_grid(basis.cutoff)
-    vals = basis.mode_values(grid_n)                      # (N, d, G)
-    fields = np.einsum("mn,ndg->mgd", states, vals)       # (M, G, d)
+    fields = evaluate_field(basis, states, grid_n)        # (M, G, d)
     mean_field = fields.mean(axis=0)
     second = np.einsum("mgd,mge->gde", fields, fields) / M
     r_hat = second - np.einsum("gd,ge->gde", mean_field, mean_field)

@@ -8,8 +8,9 @@ One member runner over one chunk partition serves `run_ensemble`,
 integration is invariant to batch size (see `stochflow.sde`), so a
 regenerated member matches its ensemble bit for bit, whatever the chunking
 and thread count.  Summary series (energy, pathwise integrals) are kept for
-every member; full states are retained at probe times only, with opt-in
-retention of everything else.
+every member; full states are kept only at the start, at the probe times and
+at the end.  Any other state is not stored: `member_trajectory` regenerates
+a member at full resolution.
 
 The empirical Young measure is the collection of member field samples at the
 probe points; its pairings <mu, f> are ensemble-probe averages, reported with
@@ -24,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .basis import BasisSpec, default_grid
+from .basis import BasisSpec, default_grid, evaluate_field
 from .sde import (BatchResult, GalerkinSystem, Trajectory, _grid_index, _philox_streams,
                   batch_increments, integrate_batch)
 
@@ -248,8 +249,7 @@ class EmpiricalYoungMeasure:
 def empirical_measure(ensemble: Ensemble) -> EmpiricalYoungMeasure:
     basis = ensemble.system.basis
     grid_n = default_grid(basis.cutoff)
-    vals = basis.mode_values(grid_n)
-    samples = np.einsum("pmn,ndg->pmgd", ensemble.probe_states, vals)
+    samples = evaluate_field(basis, ensemble.probe_states, grid_n)
     return EmpiricalYoungMeasure(
         probe_times=ensemble.probe_times,
         grid_n=grid_n,

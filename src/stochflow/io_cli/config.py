@@ -6,10 +6,11 @@ unknown key (fatal by default: every experiment depends on the exact noise
 structure), wrong value and missing required key as `<where>.<key> must be
 <what>, got <value>`.  An integer is `type(v) is int`, so JSON `true` is not
 1; a number is an integer or a finite float, so `NaN` and `Infinity` are
-refused.  Rules across keys run after a clean walk; the viscosity axis is
-`SweepPlan.validate`'s.  The canonical form is strict JSON with defaults
-filled in and keys sorted, and the run hash is its SHA-256, so every artifact
-names the configuration that produced it.
+refused.  Rules across keys run after a clean walk; mode labels are read by
+`basis.parse_label` and the viscosity axis is `SweepPlan.validate`'s.  The
+canonical form is strict JSON with defaults filled in and keys sorted, and
+the run hash is its SHA-256, so every artifact names the configuration that
+produced it.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from ..basis import BasisSpec, build_basis
+from ..basis import BasisError, BasisSpec, build_basis, parse_label
 from ..noise import NoiseSpec, build_noise
 from ..sde import SCHEMES, GalerkinSystem, _grid_index, build_system
 from ..ensemble import constant_initial, gaussian_initial
@@ -126,8 +127,13 @@ def _coeff_vector(basis: BasisSpec, coeffs: dict) -> np.ndarray:
     return vec
 
 
+def _assembly_cutoff(cutoff: int, noise_cfg: dict) -> int:
+    """Cutoff of the basis the transport fields are assembled and labelled in."""
+    return max([cutoff] + [e.get("cutoff", cutoff) for e in noise_cfg["transport"]])
+
+
 def _noise_terms(basis: BasisSpec, noise_cfg: dict):
-    cutoff = max([basis.cutoff] + [e.get("cutoff", basis.cutoff) for e in noise_cfg["transport"]])
+    cutoff = _assembly_cutoff(basis.cutoff, noise_cfg)
     assembly = basis if cutoff == basis.cutoff else build_basis(basis.dim, cutoff)
     return ([(e["mode"], _coeff_vector(basis, e["coeffs"])) for e in noise_cfg["additive"]],
             [(e["mode"], _coeff_vector(assembly, e["coeffs"])) for e in noise_cfg["transport"]],
@@ -242,7 +248,10 @@ def _walk(obj: dict, schema: dict, where: str, strict: bool, errors: list):
 def parse_config(text: str, strict: bool = True) -> RunConfig:
     """Parse and fully validate a JSON configuration document.
 
-    Raises ConfigError carrying the complete list of validation failures.
+    Mode labels are checked by the basis's label grammar (`parse_label`)
+    against the cutoff they are read in, so parsing builds no basis, noise
+    or sampler and its cost does not depend on the cutoff.  Raises
+    ConfigError carrying the complete list of validation failures.
     """
     try:
         raw = json.loads(text)
@@ -258,22 +267,32 @@ def parse_config(text: str, strict: bool = True) -> RunConfig:
     if errors:
         raise ConfigError(errors)
 
-    # rules across keys, on a document whose every key passed; the grids are
-    # read by the solver's one rule
+    # rules across keys, on a document whose every key passed; labels are
+    # read by the basis's one grammar and the grids by the solver's one rule
     noise, init, every = cfg["noise"], cfg["initial"], cfg["ensemble"]["store_every"]
     additive, transport = ({e["mode"] for e in noise[name]} for name in ("additive", "transport"))
     for mode in sorted(additive & transport):
         errors.append(f"noise: brownian mode {mode} is used by both sigma1 and sigma2; "
                       "the additive and transport supports must be disjoint")
     needs = {"coeffs": "coeffs", "gaussian": "scale"}.get(init["kind"])
+    if needs and needs not in init:
+        errors.append(f"initial.{needs} must be {_INITIAL[needs].what} for kind "
+                      f"{json.dumps(init['kind'])}, got nothing")
+    dim, cutoff = cfg["basis"]["dim"], cfg["basis"]["cutoff"]
+    labelled = [("initial.coeffs", init.get("coeffs", {}) if init["kind"] == "coeffs" else {},
+                 cutoff)]
+    labelled += [(f"noise.{name}[{pos}].coeffs", e["coeffs"], bound)
+                 for name, bound in (("additive", cutoff),
+                                     ("transport", _assembly_cutoff(cutoff, noise)))
+                 for pos, e in enumerate(noise[name])]
+    for where, coeffs, bound in labelled:
+        for label in coeffs:
+            try:
+                parse_label(label, dim, bound)
+            except BasisError as exc:
+                errors.append(f"{where}: {exc}")
     run = RunConfig(data=cfg)
     try:
-        if needs and needs not in init:
-            raise ConfigError([f"initial.{needs} must be {_INITIAL[needs].what} for kind "
-                               f"{json.dumps(init['kind'])}, got nothing"])
-        basis = run.build_basis()
-        _noise_terms(basis, noise)
-        run.initial_sampler(basis)
         if run.n_steps % every:
             errors.append(f"ensemble.store_every={every} does not divide the "
                           f"{run.n_steps} steps")
@@ -289,8 +308,6 @@ def parse_config(text: str, strict: bool = True) -> RunConfig:
         errors.extend(exc.errors)
     except ExperimentError as exc:
         errors.append(f"sweep.nus: {exc}")
-    except Exception as exc:  # label/cutoff errors surface here
-        errors.append(str(exc))
 
     if errors:
         raise ConfigError(errors)

@@ -10,8 +10,8 @@ Layout (all integers little-endian):
                         f64 value
     n_text    u32       text metadata: per item u16+name, u16+utf8 value (seeds
                         in decimal: a double rounds integers past 2**53)
-    n_arrays  u32       per array: u16+name, u8 dtype (0 = <f8, 1 = <i8),
-                        u8 ndim, ndim x u64 shape, raw data
+    n_arrays  u32       per array: u16+name, u8 dtype (0 = <f8, 1 = <i8,
+                        2 = <u8), u8 ndim, ndim x u64 shape, raw data
 
 Arrays are written C-order, so time series are time-major as integrated.
 Loading validates structure strictly: wrong magic, unknown version, config
@@ -33,8 +33,8 @@ from ..sde import Trajectory
 MAGIC = b"SGNSBIN\x00"
 VERSION = 1
 
-_DTYPES = {0: np.dtype("<f8"), 1: np.dtype("<i8")}
-_DTYPE_CODES = {np.dtype("<f8"): 0, np.dtype("<i8"): 1}
+_DTYPES = {0: np.dtype("<f8"), 1: np.dtype("<i8"), 2: np.dtype("<u8")}
+_DTYPE_CODES = {dtype: code for code, dtype in _DTYPES.items()}
 
 
 class StorageError(IOError):
@@ -95,7 +95,9 @@ def save_container(
         arr = np.ascontiguousarray(arr)
         if arr.dtype.kind == "f":
             arr = arr.astype("<f8", copy=False)
-        elif arr.dtype.kind in "iub":
+        elif arr.dtype.kind == "u":
+            arr = arr.astype("<u8", copy=False)
+        elif arr.dtype.kind in "ib":
             arr = arr.astype("<i8")
         else:
             raise StorageError(f"array {name!r} has unsupported dtype {arr.dtype}")
@@ -269,7 +271,7 @@ def save_ensemble(path_prefix, ens, config_hash: str):
             "sup_energy": ens.sup_energy,
             "final_states": ens.final_states,
             "blowup_step": ens.blowup_step,
-            "seeds": ens.seeds.astype(np.int64),
+            "seeds": ens.seeds,
             "initial_states": ens.initial_states,
         },
     )

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import basis as basis_mod
-from ..basis import TrigField, build_basis, convection_tensor, default_grid, leray_project
+from ..basis import (TrigField, build_basis, convection_tensor, default_grid, evaluate_field,
+                     leray_project, project_field, velocity_gradient)
 from ..diagnostics import (
     TestProcessRep,
     energy_residual,
@@ -25,7 +26,6 @@ from ..diagnostics import (
     make_test_processes,
     neg_sup_series,
     reynolds_defect,
-    velocity_gradient,
 )
 from ..ensemble import run_ensemble
 from ..noise import build_noise, hs_norm
@@ -92,9 +92,9 @@ def run_battery(seed: int = 20240901) -> list[CheckResult]:
         for cutoff in cutoffs:
             b = build_basis(dim, cutoff)
             n = default_grid(cutoff)
-            vals = b.mode_values(n)
-            gram = b.quad_weight(n) * np.einsum("idg,jdg->ij", vals, vals)
-            worst = max(worst, float(np.abs(gram - np.eye(b.n_modes)).max()))
+            eye = np.eye(b.n_modes)
+            gram = project_field(b, evaluate_field(b, eye, n), n)
+            worst = max(worst, float(np.abs(gram - eye).max()))
         results.append(_leq(f"basis.gram.{dim}d", worst, 1e-12))
 
     b = build_basis(2, 2)

@@ -269,11 +269,14 @@ def batch_increments(seeds: np.ndarray, dt: float, n_steps: int, n_brownian: int
 
 def _grid_index(t: float, spacing: float, last: float, error: Exception) -> int:
     """The index in 0..last (math.inf: open-ended) that t names on the grid, else raise."""
-    q = t / spacing if spacing else 0.0
-    if math.isfinite(q):
-        j = int(round(q))
-        if 0 <= j <= last and abs(j * spacing - t) <= 1e-9 * max(1.0, abs(t)):
-            return j
+    try:
+        q = t / spacing if spacing else 0.0
+        if math.isfinite(q):
+            j = int(round(q))
+            if 0 <= j <= last and abs(j * spacing - t) <= 1e-9 * max(1.0, abs(t)):
+                return j
+    except OverflowError:  # an integer past the float range names no grid point
+        pass
     raise error
 
 

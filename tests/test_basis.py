@@ -14,8 +14,10 @@ from stochflow.basis import (
     evaluate_field,
     gradient_field,
     leray_project,
+    parse_label,
     project_field,
     solenoidal_field,
+    velocity_gradient,
 )
 
 import oracles
@@ -237,6 +239,24 @@ def test_project_field_round_trip(basis2_2, rng):
     assert np.abs(out - a).max() <= 1e-12
 
 
+def test_grid_transforms_take_batch_axes(rng):
+    # a batch maps as its rows one by one, bit for bit
+    for basis in (build_basis(2, 2), build_basis(3, 1)):
+        n = default_grid(basis.cutoff)
+        a = rng.normal(size=(2, 3, basis.n_modes))
+        fields = evaluate_field(basis, a, n)
+        grads = velocity_gradient(basis, a, n)
+        coeffs = project_field(basis, fields, n)
+        assert fields.shape == (2, 3, n ** basis.dim, basis.dim)
+        assert grads.shape == (2, 3, n ** basis.dim, basis.dim, basis.dim)
+        assert coeffs.shape == a.shape
+        for idx in np.ndindex(2, 3):
+            assert oracles.bit_equal(fields[idx], evaluate_field(basis, a[idx], n))
+            assert oracles.bit_equal(grads[idx], velocity_gradient(basis, a[idx], n))
+            assert oracles.bit_equal(coeffs[idx], project_field(basis, fields[idx], n))
+        assert np.abs(coeffs - a).max() <= 1e-12
+
+
 def test_project_field_rejects_underresolved(basis2_2):
     n = default_grid(basis2_2.cutoff) - 1
     with pytest.raises(BasisError):
@@ -246,16 +266,58 @@ def test_project_field_rejects_underresolved(basis2_2):
 # -- labels ------------------------------------------------------------------------
 
 
-def test_label_round_trip(basis2_2):
-    for i in (0, 5, basis2_2.n_modes - 1):
-        assert basis2_2.index_of(basis2_2.mode_label(i)) == i
+def _near(label: str) -> set[str]:
+    """Strings one edit away from a mode label: signs, padding, spaces, k, p, phase."""
+    head, *rest = label.split(":")
+    k = head.split(",")
+    out = {"+" + label, " " + label, label + " ", label.upper(), label.replace(",", ", "),
+           label.replace(":", ": "), head, ":".join([head] + rest[:-1]),
+           ":".join([",".join(str(-int(c)) for c in k)] + rest)}
+    for pos, c in enumerate(k):
+        for new in (str(-int(c)), "+" + c, "0" + c, " " + c, c + " ", str(int(c) + 1),
+                    str(int(c) - 1), "1_0", "\u0661"):
+            out.add(":".join([",".join(k[:pos] + [new] + k[pos + 1:])] + rest))
+    out |= {":".join([head] + rest[:-1] + [ph]) for ph in ("sin", "cos", "tan", "Cos", "")}
+    if len(rest) == 2:
+        out |= {":".join([head, p, rest[1]])
+                for p in ("p0", "p1", "p2", "p-1", "p00", "p+1", "P0", "0", "p")}
+    else:
+        out |= {":".join([head, p, rest[0]]) for p in ("p0", "p1")}
+    return out
+
+
+def test_label_round_trip():
+    # parse_label accepts exactly the strings of a label table built with
+    # mode_label, and index_of maps each to its mode
+    for dim, cutoff in ((2, 1), (2, 2), (2, 3), (3, 1), (3, 2)):
+        basis = build_basis(dim, cutoff)
+        table = {basis.mode_label(i): i for i in range(basis.n_modes)}
+        for label, i in table.items():
+            assert basis.index_of(label) == i
+        wider = build_basis(dim, cutoff + 1)
+        other = build_basis(5 - dim, cutoff)
+        candidates = set().union(*map(_near, table))
+        candidates |= {b.mode_label(i) for b in (wider, other) for i in range(b.n_modes)}
+        assert len(candidates - table.keys()) > len(table)
+        for s in candidates:
+            if s in table:
+                i = table[s]
+                assert parse_label(s, dim, cutoff) == (
+                    tuple(basis.mode_k(i)), basis.mode_pol[i], basis.mode_phase[i])
+            else:
+                with pytest.raises(BasisError, match="unknown mode label"):
+                    parse_label(s, dim, cutoff)
     with pytest.raises(BasisError):
-        basis2_2.index_of("9,9:cos")
+        basis.index_of("9,9,9:p0:cos")
 
 
 def test_embedding(basis2_2, basis2_3):
-    emb = basis2_2.embedding_into(basis2_3)
-    for i in (0, 7, basis2_2.n_modes - 1):
-        assert basis2_3.mode_label(emb[i]) == basis2_2.mode_label(i)
+    # the map a label table built with mode_label gives
+    for coarse, fine in ((basis2_2, basis2_3), (build_basis(2, 1), basis2_3),
+                         (build_basis(3, 1), build_basis(3, 2))):
+        table = {fine.mode_label(j): j for j in range(fine.n_modes)}
+        emb = coarse.embedding_into(fine)
+        assert emb.dtype == np.int64
+        assert emb.tolist() == [table[coarse.mode_label(i)] for i in range(coarse.n_modes)]
     with pytest.raises(BasisError):
         basis2_3.embedding_into(basis2_2)

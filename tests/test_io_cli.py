@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from stochflow import basis as basis_mod
 from stochflow.ensemble import run_ensemble
 from stochflow.experiments import SweepPlan
 from stochflow.io_cli.cli import main
+from stochflow.io_cli import config as config_mod
 from stochflow.io_cli.config import ConfigError, emit_config, parse_config
 from stochflow.io_cli.storage import (
     HashMismatchError,
@@ -142,6 +144,13 @@ UNRUNNABLE = {
         dict(MINIMAL, ensemble={"probe_times": [float("-inf")]}),
     "unknown key set to NaN":
         dict(MINIMAL, typo_key=float("nan")),
+    # integers past the float range name no grid point
+    "huge t_final":
+        dict(MINIMAL, t_final=10 ** 400),
+    "huge dt and t_final":
+        dict(MINIMAL, dt=10 ** 399, t_final=10 ** 400),
+    "huge probe":
+        dict(MINIMAL, ensemble={"probe_times": [10 ** 400]}),
 }
 
 
@@ -258,11 +267,69 @@ def test_sweep_plan_defaults():
                              moment_p=6.0)
 
 
-def test_bad_mode_label_reported():
+LABELLED = {
+    "2d": dict(MINIMAL, initial={"kind": "coeffs", "coeffs": {"1,0:cos": 1.0, "2,-1:sin": 0.5}},
+               noise={"additive": [{"mode": 0, "coeffs": {"0,1:cos": 0.4}}],
+                      "transport": [{"mode": 1, "coeffs": {"3,0:cos": 0.2}},
+                                    {"mode": 2, "coeffs": {"1,1:sin": 0.1}, "cutoff": 3}]}),
+    "3d": dict(MINIMAL, basis={"dim": 3, "cutoff": 1},
+               initial={"kind": "coeffs", "coeffs": {"0,1,0:p0:cos": 0.4}},
+               noise={"additive": [{"mode": 0, "coeffs": {"0,0,1:p0:cos": 0.3}}],
+                      "transport": [{"mode": 1, "coeffs": {"1,1,0:p1:sin": 0.2}}]}),
+}
+
+
+@pytest.fixture
+def no_basis(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("parse_config built a basis")
+
+    monkeypatch.setattr(basis_mod, "build_basis", refuse)
+    monkeypatch.setattr(config_mod, "build_basis", refuse)
+
+
+def test_labels_parse_without_a_basis(no_basis):
+    # transport labels are read at the largest transport cutoff, so "3,0:cos"
+    # of entry 0 is a mode of the cutoff-3 assembly basis
+    assert parse_config(json.dumps(LABELLED["2d"])).hash() == \
+        "42068215b78c0869861dcbc8a1242f3cdf23d98e3035876d4b5f86e4e2b7a167"
+    assert parse_config(json.dumps(LABELLED["3d"])).hash() == \
+        "5f204e9dcc659d160bf09b9bbb05a4f71457a12c68915c501028ffc5454ece58"
+    # the cost of parsing does not grow with the cutoff
+    parse_config(json.dumps(dict(MINIMAL, basis={"dim": 3, "cutoff": 10 ** 9})))
+    # gaussian initial data reads no labels
+    parse_config(json.dumps(dict(MINIMAL, initial={"kind": "gaussian", "scale": 1.0,
+                                                   "coeffs": {"9,9:cos": 1.0}})))
+
+
+def test_bad_mode_label_reported(no_basis):
     doc = dict(MINIMAL)
     doc["initial"] = {"kind": "coeffs", "coeffs": {"9,9:cos": 1.0}}
     with pytest.raises(ConfigError, match="9,9"):
         parse_config(json.dumps(doc))
+    # each bad label is one error that names its place
+    doc = json.loads(json.dumps(LABELLED["2d"]))
+    doc["initial"]["coeffs"]["+1,0:cos"] = 1.0
+    doc["noise"]["additive"][0]["coeffs"]["3,0:cos"] = 1.0      # beyond basis.cutoff
+    doc["noise"]["transport"][1]["coeffs"]["4,0:cos"] = 1.0     # beyond the assembly's
+    with pytest.raises(ConfigError) as err:
+        parse_config(json.dumps(doc))
+    assert err.value.errors == [
+        "initial.coeffs: unknown mode label '+1,0:cos'",
+        "noise.additive[0].coeffs: unknown mode label '3,0:cos'",
+        "noise.transport[1].coeffs: unknown mode label '4,0:cos'",
+    ]
+    del doc["noise"]["transport"][1]
+    doc["initial"]["coeffs"] = {"1,0:cos": 1.0}
+    doc["noise"]["additive"][0]["coeffs"] = {"0,1:cos": 0.4}
+    with pytest.raises(ConfigError) as err:
+        parse_config(json.dumps(doc))
+    assert err.value.errors == ["noise.transport[0].coeffs: unknown mode label '3,0:cos'"]
+    doc = json.loads(json.dumps(LABELLED["3d"]))
+    doc["noise"]["transport"][0]["coeffs"]["1,1,0:cos"] = 1.0   # a 2-D-style label
+    with pytest.raises(ConfigError) as err:
+        parse_config(json.dumps(doc))
+    assert err.value.errors == ["noise.transport[0].coeffs: unknown mode label '1,1,0:cos'"]
 
 
 # -- storage ----------------------------------------------------------------
@@ -306,7 +373,12 @@ def test_seed_round_trip_exact(tmp_path, additive_system):
         ens = run_ensemble(additive_system, np.zeros(additive_system.n_modes), 2,
                            base_seed=seed, dt=1e-3, n_steps=2)
         summary = save_ensemble(tmp_path / "e", ens, "ab" * 32)["summary"]
-        assert int(load_container(summary)["text"]["base_seed"]) == seed
+        box = load_container(summary)
+        assert int(box["text"]["base_seed"]) == seed
+        # member seeds past 2**63 are stored unsigned, not wrapped negative
+        assert box["arrays"]["seeds"].dtype == np.uint64
+        assert box["arrays"]["seeds"].tolist() == [seed, seed ^ 1]
+        assert box["arrays"]["blowup_step"].dtype == np.int64
 
 
 def test_hash_mismatch_distinct_error(tmp_path, additive_system):
