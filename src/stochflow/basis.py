@@ -53,6 +53,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse import _sparsetools
 
 TWO_PI = 2.0 * np.pi
 
@@ -550,10 +551,13 @@ class ConvectionTensor:
     per-j scatter matrix realizes the quadratic contraction
     B(a, c)_j = sum over (i, k) of b[i, k, j] a_i c_k.
 
-    `apply` computes member-minor: the R states of a batch become the columns
-    of a contiguous (N, R) array, so gathering a_i for one entry copies a
-    whole row of R members.  Output modes are walked in row blocks, runs of
-    whole scatter rows [j0, j1).  A block gathers a product table, one row
+    The kernel is member-minor: `_apply_members` takes the R states of a
+    batch as the columns of a contiguous (N, R) array and returns B in the
+    same layout, so gathering a_i for one entry copies a whole row of R
+    members.  The integrators keep their state in that layout and call it
+    directly; `apply` is the wrapper for (..., N) states, which transposes in
+    and out of it and so has the same bits.  Output modes are walked in row
+    blocks, runs of whole scatter rows [j0, j1).  A block gathers a product table, one row
     fl(a_i c_k) of R members per distinct pair in the block, and sums it with
     a per-block CSR matrix whose column indices point into that table.  For
     B(a, c) the pairs are the ordered (i, k); for B(a, a) they are the
@@ -641,27 +645,53 @@ class ConvectionTensor:
         a = np.asarray(a, dtype=np.float64)
         if c is not None:
             a, c = np.broadcast_arrays(a, np.asarray(c, dtype=np.float64))
+        rows = a.size // self.n_modes
+        aT = np.ascontiguousarray(a.reshape(rows, self.n_modes).T)
+        cT = None if c is None else np.ascontiguousarray(c.reshape(rows, self.n_modes).T)
+        return self._apply_members(aT, cT).T.reshape(a.shape)
+
+    def _apply_members(self, aT: np.ndarray, cT: np.ndarray | None = None) -> np.ndarray:
+        """B(a, c) member-minor: aT, cT and the result are contiguous (N, R) arrays."""
+        rows = aT.shape[1]
         if self.nnz == 0:
-            return np.zeros_like(a)
-        flat = a.reshape(-1, self.n_modes)
-        rows = flat.shape[0]
-        aT = np.ascontiguousarray(flat.T)
-        cT = aT if c is None else np.ascontiguousarray(c.reshape(rows, self.n_modes).T)
+            return np.zeros_like(aT)
         out = np.empty((self.n_modes, rows))
-        width, blocks = self._row_blocks(rows, c is None)
+        width, blocks = self._row_blocks(rows, cT is None)
+        if cT is None:
+            cT = aT
         work = np.empty((2, width, rows))
         for j0, j1, i_idx, k_idx, sub in blocks:
             prod, other = work[0, :i_idx.size], work[1, :i_idx.size]
             np.take(aT, i_idx, axis=0, out=prod, mode="clip")
             np.take(cT, k_idx, axis=0, out=other, mode="clip")
             np.multiply(prod, other, out=prod)
-            out[j0:j1] = sub @ prod
-        return out.T.reshape(a.shape)
+            out[j0:j1] = _csr_matvecs(sub, prod)
+        return out
 
     def to_dense(self) -> np.ndarray:
         dense = np.zeros((self.n_modes,) * 3)
         dense[self.i_idx, self.k_idx, self.j_idx] = self.values
         return dense
+
+
+def _csr_matvecs(op: sparse.csr_matrix, x: np.ndarray) -> np.ndarray:
+    """op @ x for an (n, R) array x of member columns, through scipy's sparsetools.
+
+    Each output entry is the sequential sum, in stored order, of the entries
+    of its row times x, column by column, so the bits of a column do not
+    depend on R.  At R = 1 scipy's single-vector routine forms the same sums
+    faster, as `op @ x` would pick it; calling the routines directly skips
+    that dispatch, which costs more than the product itself at small R.
+    """
+    n_row, n_col = op.shape
+    out = np.zeros((n_row, x.shape[1]))
+    if x.shape[1] == 1:
+        _sparsetools.csr_matvec(n_row, n_col, op.indptr, op.indices, op.data, x.ravel(),
+                                out.ravel())
+    else:
+        _sparsetools.csr_matvecs(n_row, n_col, x.shape[1], op.indptr, op.indices, op.data,
+                                 x.ravel(), out.ravel())
+    return out
 
 
 def _lookup(keys: np.ndarray, values: np.ndarray, query: np.ndarray) -> np.ndarray:

@@ -563,16 +563,18 @@ def dissipative_weak_residual(ensemble, phi, t: float) -> dict:
     dt = ensemble.dt
     j = _grid_index(t, dt, ensemble.n_steps,
                     DiagnosticsError(f"time {t} is not on the ensemble's step grid"))
+    lin = np.tile(system.nu * ksq_phi + corr_phi, j)
     residuals = np.empty(ensemble.n_members)
-    # chunks of _chunks(system, M, n_steps), not of j steps: the boundary
-    # product below is a BLAS matrix-vector product, whose rounding depends on
-    # the chunk's size
-    for sl in _chunks(system, ensemble.n_members, ensemble.n_steps):
+    # every sum over a member's steps and modes runs along one contiguous
+    # member-major row, so its bits do not depend on the chunk's size
+    for sl in _chunks(system, ensemble.n_members, j):
         a = _run_members(system, ensemble.seeds[sl], ensemble.initial_states[sl], dt, j,
                          ensemble.scheme).states            # (j+1, M, N)
-        conv = system.conv.apply(a[:-1], np.broadcast_to(phi, a[:-1].shape))
-        quad = np.einsum("tmn,tmn->m", conv, a[:-1])
-        quad -= np.einsum("tmn,n->m", a[:-1], system.nu * ksq_phi + corr_phi)
-        residuals[sl] = -(a[j] - a[0]) @ phi + quad * dt
+        u = np.ascontiguousarray(a[:-1].transpose(1, 0, 2))   # (M, j, N)
+        conv = system.conv.apply(u, np.broadcast_to(phi, u.shape))
+        conv = np.ascontiguousarray(conv.reshape(len(u), -1))
+        u = u.reshape(len(u), -1)
+        quad = np.einsum("mk,mk->m", conv, u) - np.einsum("mk,k->m", u, lin)
+        residuals[sl] = -np.einsum("mn,n->m", a[j] - a[0], phi) + quad * dt
     mean, se = mean_stderr(residuals)
     return {"residual": mean, "stderr": se, "n_members": ensemble.n_members, "t": t}

@@ -17,8 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import basis as basis_mod
-from ..basis import (TrigField, build_basis, convection_tensor, default_grid, evaluate_field,
-                     leray_project, project_field, velocity_gradient)
+from ..basis import (TrigField, build_basis, convection_tensor, default_grid,
+                     dissipation_matrix, evaluate_field, leray_project, project_field,
+                     velocity_gradient)
 from ..diagnostics import (
     TestProcessRep,
     energy_residual,
@@ -29,7 +30,8 @@ from ..diagnostics import (
 )
 from ..ensemble import run_ensemble
 from ..noise import build_noise, hs_norm
-from ..sde import BrownianPath, build_system, integrate
+from ..sde import (BrownianPath, build_system, integrate, step_euler_maruyama,
+                   step_heun_stratonovich)
 
 
 @dataclass
@@ -196,6 +198,29 @@ def run_battery(seed: int = 20240901) -> list[CheckResult]:
         col = zeta @ a
         worst = max(worst, abs(a @ col) / np.linalg.norm(a) ** 2)
     results.append(_leq("sde.transport_diffusion_orthogonal", worst, 1e-13))
+
+    # own stream, so the draws of the other checks stay as they were
+    sys_mixed = build_system(b, noise, nu=0.05)
+    draws = np.random.default_rng(seed + 5)
+    states = draws.normal(size=(7, b.n_modes))
+    dWs = draws.normal(scale=math.sqrt(1e-3), size=(7, sys_mixed.n_brownian))
+    mismatched = 0
+    for step in (step_euler_maruyama, step_heun_stratonovich):
+        batch = step(sys_mixed, states, dWs, 1e-3)
+        mismatched += sum(batch[m].tobytes() != step(sys_mixed, states[m], dWs[m], 1e-3).tobytes()
+                          for m in range(len(states)))
+    results.append(_leq("sde.step.batch_invariant", mismatched, 0.0,
+                        note="rows of one EM and one Heun step of 7 members that differ "
+                             "from the member stepped alone"))
+    ops = sys_mixed._step_operators()
+    dense = {"drift": dissipation_matrix(b, sys_mixed.nu, sys_mixed.corr),
+             "eta": noise.additive.eta, "eta_t": noise.additive.eta.T,
+             "zeta": noise.transport.zeta.reshape(-1, b.n_modes)}
+    mismatched = sum(getattr(ops, name).toarray().tobytes() != np.ascontiguousarray(m).tobytes()
+                     for name, m in dense.items())
+    results.append(_leq("sde.step_operators.exact", mismatched, 0.0,
+                        note="cached CSR step operators whose toarray() differs from "
+                             "their dense matrix"))
 
     sys_visc = build_system(b, build_noise(b), nu=0.1)
     a0 = np.zeros(b.n_modes)

@@ -32,11 +32,19 @@ bit.
 column into a single-member `Trajectory`; `integrate` and
 `Ensemble.member_trajectory` are both a batch of one viewed through it.
 
-A member's bits do not depend on the batch it runs in.  Products with the
-coefficient matrices (the dissipation matrix and eta) are `np.einsum`
-contractions, which evaluate every row with the same loop whatever the batch
-size; a BLAS matrix product blocks and vectorizes by batch size, so its rows
-would change in the last bits with the member count.
+A member's bits do not depend on the batch it runs in.  The time loop keeps
+the state member-minor, a contiguous (N, M) array whose columns are the
+members, from the first step to the last.  Every linear operator of a step
+(the Ito drift matrix, eta, its transpose and the stacked zeta_l) is a CSR
+matrix built on first use and cached on the `GalerkinSystem`, and the
+convection kernel ends in CSR products too (`ConvectionTensor._apply_members`).
+scipy's csr_matvecs forms each output entry as the sequential sum over the
+stored entries of its row, member by member, so its bits do not depend on M.
+A BLAS product blocks and vectorizes by batch size, and a dense `np.einsum`
+over the (N, M) layout changes its loop with M, so neither runs in a step.
+The per-member series (energy, |grad u|^2) reduce over member-major rows:
+along axis 0 of the (N, M) state numpy sums pairwise at M = 1 and row by row
+at M > 1.
 """
 
 from __future__ import annotations
@@ -47,8 +55,10 @@ from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator
 
 import numpy as np
+from scipy import sparse
 
-from .basis import BasisSpec, ConvectionTensor, convection_tensor, dissipation_matrix
+from .basis import (BasisSpec, ConvectionTensor, _csr_matvecs, convection_tensor,
+                    dissipation_matrix)
 from .noise import NoiseSpec, build_noise
 
 SCHEMES = ("euler_maruyama", "heun")
@@ -56,6 +66,23 @@ SCHEMES = ("euler_maruyama", "heun")
 
 class SdeError(ValueError):
     """Invalid integration setup or state."""
+
+
+@dataclass(frozen=True)
+class _StepOperators:
+    """The linear operators of one step, as CSR matrices.
+
+    Each is built from its dense matrix, so `toarray()` gives that matrix
+    back bit for bit.  A CSR product with an (n, M) array of member columns
+    sums each output entry over the stored entries of its row in column
+    order, one member at a time, so its bits do not depend on M.
+    """
+
+    drift: sparse.csr_matrix    # (N, N) Ito drift matrix nu*diag(|k|^2) + corr
+    eta: sparse.csr_matrix      # (N, K) additive noise
+    eta_t: sparse.csr_matrix    # (K, N) its transpose, for the stochastic integral
+    zeta: sparse.csr_matrix     # (S*N, N) the transport matrices zeta_s, stacked
+    zeta_norms: tuple           # spectral norm of each zeta_s
 
 
 @dataclass(frozen=True)
@@ -67,7 +94,7 @@ class GalerkinSystem:
     noise: NoiseSpec
     nu: float
     corr: np.ndarray = None          # (N, N) transport Ito correction
-    drift_mat: np.ndarray = None     # (N, N) nu*diag(|k|^2) + corr
+    _ops: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n_modes(self) -> int:
@@ -77,12 +104,32 @@ class GalerkinSystem:
     def n_brownian(self) -> int:
         return self.noise.n_brownian
 
+    def _step_operators(self) -> _StepOperators:
+        """The step's CSR operators, built on first use and cached.
+
+        Building them is deterministic, so threads that race to fill the
+        cache store equal operators.
+        """
+        ops = self._ops.get("step")
+        if ops is None:
+            eta = self.noise.additive.eta
+            zeta = self.noise.transport.zeta
+            ops = _StepOperators(
+                drift=sparse.csr_matrix(dissipation_matrix(self.basis, self.nu, self.corr)),
+                eta=sparse.csr_matrix(eta),
+                eta_t=sparse.csr_matrix(eta.T),
+                zeta=sparse.csr_matrix(zeta.reshape(-1, self.n_modes)),
+                zeta_norms=tuple(float(np.linalg.norm(z, 2)) for z in zeta),
+            )
+            self._ops["step"] = ops
+        return ops
+
     def stability_dt(self, a_norm: float) -> float:
         """Explicit-scheme guardrail dt <= c / (nu |k|^2_max + |a| |b|), c = 1/2."""
         rate = self.nu * float(np.max(self.basis.k_sq, initial=0.0))
         rate += a_norm * self.conv.frobenius
-        for s in range(self.noise.transport.zeta.shape[0]):
-            rate += float(np.linalg.norm(self.noise.transport.zeta[s], 2)) ** 2
+        for norm in self._step_operators().zeta_norms:
+            rate += norm ** 2
         if rate == 0.0:
             return math.inf
         return 0.5 / rate
@@ -101,12 +148,80 @@ def build_system(basis: BasisSpec, noise: NoiseSpec | None = None, nu: float = 0
         raise SdeError("noise and basis dimensions are inconsistent")
     if noise.additive.eta.shape[0] != basis.n_modes:
         raise SdeError("additive noise indexed inconsistently with basis")
-    dmat = dissipation_matrix(basis, nu, corr)
-    return GalerkinSystem(basis=basis, conv=conv, noise=noise, nu=nu,
-                          corr=corr, drift_mat=dmat)
+    return GalerkinSystem(basis=basis, conv=conv, noise=noise, nu=nu, corr=corr)
 
 
-# -- drift and diffusion -----------------------------------------------------
+# -- drift, diffusion and steps ----------------------------------------------
+#
+# The cores work member-minor: a batch of M states is a contiguous (N, M)
+# array aT whose columns are the members, and the increments are (K, M).
+# The public functions take (..., N) states and (..., K) increments and
+# transpose in and out of the cores.
+
+
+def _member_minor(x: np.ndarray, rows: int) -> np.ndarray:
+    """(..., n) with `rows` leading entries as a contiguous (n, rows) array."""
+    return np.ascontiguousarray(x.reshape(rows, x.shape[-1]).T)
+
+
+def _drift(system: GalerkinSystem, aT: np.ndarray, include_correction: bool = True) -> np.ndarray:
+    if not np.all(np.isfinite(aT)):
+        raise SdeError("drift evaluated at non-finite state")
+    out = system.conv._apply_members(aT)
+    np.negative(out, out=out)
+    if include_correction:
+        out -= _csr_matvecs(system._step_operators().drift, aT)
+    else:
+        out -= system.nu * (system.basis.k_sq[:, None] * aT)
+    return out
+
+
+def _diffusion(system: GalerkinSystem, aT: np.ndarray, dWT: np.ndarray,
+               eta_dW: np.ndarray) -> np.ndarray:
+    """eta dW + sum_l (zeta_l a) dW_l, given the state-free part eta dW."""
+    out = eta_dW.copy()
+    modes = system.noise.transport.modes
+    if modes:
+        za = _csr_matvecs(system._step_operators().zeta, aT).reshape(len(modes), *aT.shape)
+        for s, ell in enumerate(modes):
+            out += za[s] * dWT[ell]
+    return out
+
+
+def _euler_maruyama(system: GalerkinSystem, aT: np.ndarray, dWT: np.ndarray,
+                    dt: float) -> np.ndarray:
+    eta_dW = _csr_matvecs(system._step_operators().eta, dWT)
+    return aT + _drift(system, aT) * dt + _diffusion(system, aT, dWT, eta_dW)
+
+
+def _heun(system: GalerkinSystem, aT: np.ndarray, dWT: np.ndarray, dt: float) -> np.ndarray:
+    eta_dW = _csr_matvecs(system._step_operators().eta, dWT)
+    f0 = _drift(system, aT, include_correction=False)
+    g0 = _diffusion(system, aT, dWT, eta_dW)
+    pred = aT + f0 * dt + g0
+    finite = np.all(np.isfinite(pred), axis=0)
+    blown = not np.all(finite)
+    if blown:
+        # stand the finite start state in for the blown-up predictors, so the
+        # batch keeps its shape and every finite member its bits
+        pred = np.where(finite, pred, aT)
+    f1 = _drift(system, pred, include_correction=False)
+    g1 = _diffusion(system, pred, dWT, eta_dW)
+    out = aT + 0.5 * dt * (f0 + f1) + 0.5 * (g0 + g1)
+    if blown:
+        out = np.where(finite, out, np.nan)
+    return out
+
+
+def _batched(core, system: GalerkinSystem, a: np.ndarray, dW: np.ndarray, *args) -> np.ndarray:
+    """Run a member-minor core on (..., N) states and (..., K) increments."""
+    a = np.asarray(a, dtype=np.float64)
+    dW = np.asarray(dW, dtype=np.float64)
+    lead = np.broadcast_shapes(a.shape[:-1], dW.shape[:-1])
+    rows = math.prod(lead)
+    aT = _member_minor(np.broadcast_to(a, lead + a.shape[-1:]), rows)
+    dWT = _member_minor(np.broadcast_to(dW, lead + dW.shape[-1:]), rows)
+    return core(system, aT, dWT, *args).T.reshape(lead + a.shape[-1:])
 
 
 def drift(system: GalerkinSystem, a: np.ndarray, include_correction: bool = True) -> np.ndarray:
@@ -115,31 +230,23 @@ def drift(system: GalerkinSystem, a: np.ndarray, include_correction: bool = True
     Supports a leading batch axis on `a`.
     """
     a = np.asarray(a, dtype=np.float64)
-    if not np.all(np.isfinite(a)):
-        raise SdeError("drift evaluated at non-finite state")
-    out = -system.conv.apply(a)
-    if include_correction:
-        out -= np.einsum("ij,...j->...i", system.drift_mat, a)
-    else:
-        out -= system.nu * (system.basis.k_sq * a)
-    return out
+    rows = a.size // system.n_modes
+    return _drift(system, _member_minor(a, rows), include_correction).T.reshape(a.shape)
 
 
 def _diffusion_increment(system: GalerkinSystem, a: np.ndarray, dW: np.ndarray) -> np.ndarray:
     """Noise term sum_l (eta[:, l] + zeta_l a) dW_l, without the (..., N, K) matrix."""
-    out = np.einsum("jl,...l->...j", system.noise.additive.eta, dW)
-    tr = system.noise.transport
-    if tr.zeta.shape[0]:
-        za = np.einsum("sji,...i->...sj", tr.zeta, a)
-        out += np.einsum("...sj,...s->...j", za, dW[..., list(tr.modes)])
-    return out
+    def core(system, aT, dWT):
+        return _diffusion(system, aT, dWT, _csr_matvecs(system._step_operators().eta, dWT))
+
+    return _batched(core, system, a, dW)
 
 
 def step_euler_maruyama(system: GalerkinSystem, a: np.ndarray, dW: np.ndarray, dt: float) -> np.ndarray:
     """One Ito Euler-Maruyama step; correction matrix lives in the drift."""
     if dt <= 0:
         raise SdeError(f"dt must be positive, got {dt}")
-    return a + drift(system, a) * dt + _diffusion_increment(system, a, dW)
+    return _batched(_euler_maruyama, system, a, dW, dt)
 
 
 def step_heun_stratonovich(system: GalerkinSystem, a: np.ndarray, dW: np.ndarray, dt: float) -> np.ndarray:
@@ -152,26 +259,12 @@ def step_heun_stratonovich(system: GalerkinSystem, a: np.ndarray, dW: np.ndarray
     """
     if dt <= 0:
         raise SdeError(f"dt must be positive, got {dt}")
-    f0 = drift(system, a, include_correction=False)
-    g0 = _diffusion_increment(system, a, dW)
-    pred = a + f0 * dt + g0
-    finite = np.all(np.isfinite(pred), axis=-1, keepdims=True)
-    blown = not np.all(finite)
-    if blown:
-        # stand the finite start state in for the blown-up predictors, so the
-        # batch keeps its shape and every finite member its bits
-        pred = np.where(finite, pred, a)
-    f1 = drift(system, pred, include_correction=False)
-    g1 = _diffusion_increment(system, pred, dW)
-    out = a + 0.5 * dt * (f0 + f1) + 0.5 * (g0 + g1)
-    if blown:
-        out = np.where(finite, out, np.nan)
-    return out
+    return _batched(_heun, system, a, dW, dt)
 
 
 _STEPPERS = {
-    "euler_maruyama": step_euler_maruyama,
-    "heun": step_heun_stratonovich,
+    "euler_maruyama": _euler_maruyama,
+    "heun": _heun,
 }
 
 
@@ -397,7 +490,7 @@ def integrate_batch(
 
     n_save = n_steps // store_every if n_steps else 0
     ksq = system.basis.k_sq
-    eta = system.noise.additive.eta
+    eta_t = system._step_operators().eta_t
 
     times = np.arange(n_save + 1) * (dt * store_every)
     states = np.empty((n_save + 1, M, N))
@@ -407,6 +500,9 @@ def integrate_batch(
     grad_series = np.empty((n_save + 1, M))
     inc_saved = np.zeros((n_save, M, system.n_brownian))
 
+    # the per-member series reduce over the modes of member-major rows: a
+    # reduction along axis 0 of the (N, M) state would sum pairwise at M = 1
+    # and sequentially at M > 1
     def _energy(x):
         return 0.5 * np.einsum("mj,mj->m", x, x)
 
@@ -415,7 +511,7 @@ def integrate_batch(
 
     states[0] = a
     energy[0] = _energy(a)
-    grad_energy[0] = _grad_energy(a)
+    grad_energy[0] = g_now = _grad_energy(a)
     stoch_series[0] = 0.0
     grad_series[0] = 0.0
 
@@ -425,28 +521,34 @@ def integrate_batch(
     blowup_step = np.full(M, -1, dtype=np.int64)
     alive = np.ones(M, dtype=bool)
 
+    aT = np.ascontiguousarray(a.T)          # (N, M), the state the steps see
     for n in range(n_steps):
         dW = increments[:, n, :]
+        dWT = np.ascontiguousarray(dW.T)
         # left-point accumulators along the path
-        stoch_acc += np.einsum("ml,ml->m", np.einsum("mj,jl->ml", a, eta), dW)
-        grad_acc += _grad_energy(a) * dt
-        a_new = step(system, a, dW, dt)
+        sigma_a = _csr_matvecs(eta_t, aT)
+        for ell in range(dWT.shape[0]):
+            stoch_acc += sigma_a[ell] * dWT[ell]
+        grad_acc += g_now * dt
+        aT_new = step(system, aT, dWT, dt)
         if not np.all(alive):
-            a_new[~alive] = a[~alive]  # dead members stay frozen
-        bad = ~np.all(np.isfinite(a_new), axis=1)
+            aT_new[:, ~alive] = aT[:, ~alive]  # dead members stay frozen
+        bad = ~np.all(np.isfinite(aT_new), axis=0)
         if np.any(bad):
             blowup_step[bad & alive] = n + 1
             alive &= ~bad
-            a_new[bad] = a[bad]  # freeze at the last finite state
-        a = a_new
+            aT_new[:, bad] = aT[:, bad]  # freeze at the last finite state
+        aT = aT_new
+        a = np.ascontiguousarray(aT.T)
         e_now = _energy(a)
+        g_now = _grad_energy(a)
         np.maximum(sup_energy, e_now, out=sup_energy)
         save_slot, rem = divmod(n + 1, store_every)
         inc_saved[save_slot - 1 if rem == 0 else save_slot] += dW
         if rem == 0:
             states[save_slot] = a
             energy[save_slot] = e_now
-            grad_energy[save_slot] = _grad_energy(a)
+            grad_energy[save_slot] = g_now
             stoch_series[save_slot] = stoch_acc
             grad_series[save_slot] = grad_acc
 

@@ -453,6 +453,23 @@ def test_weak_residual_integrates_only_up_to_t(viscous_system, rng, monkeypatch)
     assert steps == [10]
 
 
+@pytest.mark.parametrize("t", [0.01, "t_final"])
+def test_weak_residual_independent_of_chunking(mixed_system_c4, monkeypatch, t):
+    # every member's residual is a pure function of its seed, so the chunk
+    # partition the members are regenerated in cannot move a bit
+    ens = run_ensemble(mixed_system_c4, ensemble_mod.gaussian_initial(0.5), 12, base_seed=21,
+                       dt=1e-3, n_steps=40, scheme="euler_maruyama")
+    phi = np.zeros(mixed_system_c4.n_modes)
+    low = np.nonzero(mixed_system_c4.basis.k_sq <= 2.0)[0]
+    phi[low] = 0.5 / np.sqrt(low.size)
+    t = ens.t_final if t == "t_final" else t
+    one = dissipative_weak_residual(ens, phi, t)
+    monkeypatch.setattr(ensemble_mod, "_chunk_size", lambda *args: 5)
+    chunked = dissipative_weak_residual(ens, phi, t)
+    for key in ("residual", "stderr"):
+        assert chunked[key].hex() == one[key].hex(), key
+
+
 def test_weak_residual_additive_ci(additive_system):
     ens = run_ensemble(additive_system, np.zeros(additive_system.n_modes),
                        2000, base_seed=31, dt=1e-3, n_steps=100)

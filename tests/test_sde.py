@@ -1,4 +1,5 @@
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -243,6 +244,44 @@ def test_heun_blowup_leaves_other_members_bitwise(basis2_2, conv2_2, rng):
     assert out.blowup_step[0] == -1 and out.blowup_step[1] > 0
     assert np.array_equal(out.states[:, 0], ref.states[:, 0])
     assert np.all(np.isfinite(out.states))
+
+
+def _two_transport_system(basis, conv):
+    """nu = 0.05, additive noise on Brownian modes 0 and 2 and transport
+    fields on modes 1 and 3 (K = 4)."""
+    gen = np.random.default_rng(23)
+    low = basis.k_sq <= 2
+    sigma1 = [(ell, gen.normal(scale=0.2, size=basis.n_modes)) for ell in (0, 2)]
+    fields = [(ell, gen.normal(scale=0.3, size=basis.n_modes) * low) for ell in (1, 3)]
+    return build_system(basis, build_noise(basis, sigma1, fields), nu=0.05, conv=conv)
+
+
+@pytest.mark.parametrize("n_members", [1, 2, 5, 33])
+@pytest.mark.parametrize("scheme", ["euler_maruyama", "heun"])
+@given(seed=st.integers(0, 2 ** 32 - 1), wild=st.integers(0, 32))
+@settings(max_examples=4, deadline=None)
+def test_integrate_batch_member_invariant(basis2_2, conv2_2, n_members, scheme, seed, wild):
+    # every member, the one forced to blow up included, is a pure function of
+    # its own state and increments: alone it equals its batch column bit for bit
+    system = _two_transport_system(basis2_2, conv2_2)
+    gen = np.random.default_rng(seed)
+    a0 = gen.normal(scale=0.3, size=(n_members, system.n_modes))
+    wild %= n_members
+    a0[wild] *= 1e4
+    dt, n_steps = 1e-2, 12
+    inc = gen.normal(scale=np.sqrt(dt), size=(n_members, n_steps, system.n_brownian))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the guardrail, overflow
+        batch = integrate_batch(system, a0, inc, dt, scheme, store_every=3)
+        alone = [integrate_batch(system, a0[m:m + 1], inc[m:m + 1], dt, scheme, store_every=3)
+                 for m in range(n_members)]
+    assert batch.blowup_step[wild] > 0
+    for m, one in enumerate(alone):
+        for key in ("states", "energy", "grad_energy", "stoch_int", "grad_int", "increments"):
+            col = np.ascontiguousarray(getattr(batch, key)[:, m])
+            assert oracles.bit_equal(col, getattr(one, key)[:, 0]), (m, key)
+        for key in ("sup_energy", "blowup_step"):
+            assert oracles.bit_equal(getattr(batch, key)[m:m + 1], getattr(one, key)), (m, key)
 
 
 def test_energy_series_is_parseval(additive_system, rng):
