@@ -5,7 +5,10 @@ from the code in which `BrownianPath.generate` regenerated every level from
 the level-0 draw, `batch_increments` drew level 0 on its own and the ensemble
 driver ran each chunk through its own copy of the member loop.  The pins hold
 any later arrangement of those paths to the same bits: a member's increments
-and its integration are one pure function of its seed.
+and its integration are one pure function of its seed.  The ensemble, member,
+order-study and sweep pins were re-recorded once, when the time loop came to
+keep its state member-minor and to apply the step's linear operators as CSR
+products; the path pins were not.
 """
 
 import hashlib
@@ -72,22 +75,22 @@ GOLDEN = {
     ("generate", 3): "c66d3a1f271b102c4e28cc616985fa6aa027e9353bb1bab124b37f0c098947b3",
     ("refine",): "d4d1a284c8209c5aa84bd306a935b07267ec54f389b0ef2c33ebabff9ba3d50a",
     ("batch_increments",): "fe0ab1021a8ba83a8dbf5ce2e635f5e8480acc7551d3559bd5e0a27decf0d405",
-    ("run_ensemble", "euler_maruyama", "final_states"): "1efa18e7afb4628b70f62756510eda1020ec2883232541742acf11d5c9b685ad",
-    ("run_ensemble", "euler_maruyama", "energy"): "b4dddb6b2ad09c5548504f6d61677b87f33e2ec3bb7e306eb939e96b8f3560fd",
-    ("run_ensemble", "euler_maruyama", "stoch_int"): "95dda61f307fed046894fed0e9ca2803add9ae8818672cb11cf5100002bef7ee",
-    ("run_ensemble", "euler_maruyama", "grad_int"): "661b54f1c751e46c2ccff1e6aa616c92e8020cc94adf09069500f366e43ef4c9",
-    ("run_ensemble", "euler_maruyama", "probe_states"): "0693717356ff8305e11e8fcfee005765a5d00239976384307a1e85b7e0f02693",
-    ("run_ensemble", "heun", "final_states"): "b989930d870b46b05fc424b582c71dd8a3c4a350c4de1915e18fe7921b3f32df",
-    ("run_ensemble", "heun", "energy"): "6a9b0d9f488b35e2bd408684104ddaf8a62a6e10ff345b5ae0d12fce780aca21",
-    ("run_ensemble", "heun", "stoch_int"): "3e8bb087e16e5f2fb5d54816f446089d0ca98303e543afa2a2ee0074d0c390f4",
-    ("run_ensemble", "heun", "grad_int"): "0e1cc8ab2575c01d47c6587626a1699c885949aa26da28d0f5f4f482ad644015",
-    ("run_ensemble", "heun", "probe_states"): "2165773f07a123437d5c513922ce50c6305a861d12f03a218d08d3fbb620406c",
-    ("member_trajectory", "euler_maruyama"): "0176a8d2f6e592a38df9e46528132f585db77c3e48eb97049747ef425bddd79f",
-    ("member_trajectory", "heun"): "e9f8c30046c578510ad50902ff6429242dfadf3fb8e43245ca686dd2d1514363",
-    ("order_study", "euler_maruyama"): "80cb70ee50fbe029c4d0f3deb8d5ebb65b5adf950f6f0579e4c4fe674921746b",
-    ("order_study", "heun"): "a6f159546ada17af7421b4e35428b14affa506fc1632c0f2f02290834da26b7a",
-    ("viscosity_sweep", "cauchy_differences"): "fee6878b168b4a8dc9b5750721ea7699ad861536b92425a848f5d32ca1eb3d55",
-    ("viscosity_sweep", "residual_mean"): "213451c4b25dd3b3403ee0af6c5ebf64c4752afd70c92193dcd7b37c940c9e4a",
+    ("run_ensemble", "euler_maruyama", "final_states"): "309f610b6e29b7545abc2b207623a6a62d505b3d7e280c51d5fbcd9f078cb51d",
+    ("run_ensemble", "euler_maruyama", "energy"): "7fd9355978acc47700c96bd77b13ad11a3e831ae4bd0dff30f80872b2b99cf80",
+    ("run_ensemble", "euler_maruyama", "stoch_int"): "ad3627a2081e1808779200cbe8cc3cdd69b9cdb4c2946386b0aa941392cf2566",
+    ("run_ensemble", "euler_maruyama", "grad_int"): "1af36fd02c43007a0a778afd6d6ad3f6b9f62c7915e20134fb8e30bdc48156d8",
+    ("run_ensemble", "euler_maruyama", "probe_states"): "717c79d3b11ca23b52d72b59af1ad6f8931ae2598327d032e54ec7df01f47188",
+    ("run_ensemble", "heun", "final_states"): "f0685f2a882801fa0a83078f9c4e29f982cd44243767ca8cdbe6f6efd01c334e",
+    ("run_ensemble", "heun", "energy"): "b86c49ae2dc4afceb73e84d3c376a35b47e233b5f47d21aac529141beabe49f7",
+    ("run_ensemble", "heun", "stoch_int"): "13765d2a0015d93d02926b8df6dfe1c575cbe8850bf98410edd2f5e44aa1d5de",
+    ("run_ensemble", "heun", "grad_int"): "aaf94d30edf91ca7ca9af29fd7a4a022338e3ba58d9c1714a03c5c665c994f33",
+    ("run_ensemble", "heun", "probe_states"): "c2e72d8aa855b5d604f257effaedf5cf6ba51d104c7b9ba7209895799462e7d6",
+    ("member_trajectory", "euler_maruyama"): "53ac2d5b4f92975f42df6238d6154586ca92b554542d02a071b8b1ac0ae708f1",
+    ("member_trajectory", "heun"): "71e66e15d43d4397ad41591eafdddc0b708f9bfd18951a80478ce380ecdf33f0",
+    ("order_study", "euler_maruyama"): "979dcc7e438f556614e2887456eb0a3666c13ad9c3c9ac43ff01b803e45c2453",
+    ("order_study", "heun"): "325b215ac9b6546cc28be3ec8a18fe6de44893e4a2b119b50b90f09efbb2d485",
+    ("viscosity_sweep", "cauchy_differences"): "6352a10fb2ea82e4927b86c37fbe0096c841ed67c8ee4982c29060c351b24897",
+    ("viscosity_sweep", "residual_mean"): "16179c33c2b790f0a7a47a7bf71b38c6c43fe34e5fba6fad2bb15e0072af2c60",
 }
 
 
