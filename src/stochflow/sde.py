@@ -176,13 +176,12 @@ def _drift(system: GalerkinSystem, aT: np.ndarray, include_correction: bool = Tr
     return out
 
 
-def _diffusion(system: GalerkinSystem, aT: np.ndarray, dWT: np.ndarray,
-               eta_dW: np.ndarray) -> np.ndarray:
-    """eta dW + sum_l (zeta_l a) dW_l, given the state-free part eta dW."""
-    out = eta_dW.copy()
+def _diffusion(system: GalerkinSystem, aT: np.ndarray, dWT: np.ndarray) -> np.ndarray:
+    ops = system._step_operators()
+    out = _csr_matvecs(ops.eta, dWT)
     modes = system.noise.transport.modes
     if modes:
-        za = _csr_matvecs(system._step_operators().zeta, aT).reshape(len(modes), *aT.shape)
+        za = _csr_matvecs(ops.zeta, aT).reshape(len(modes), *aT.shape)
         for s, ell in enumerate(modes):
             out += za[s] * dWT[ell]
     return out
@@ -190,14 +189,12 @@ def _diffusion(system: GalerkinSystem, aT: np.ndarray, dWT: np.ndarray,
 
 def _euler_maruyama(system: GalerkinSystem, aT: np.ndarray, dWT: np.ndarray,
                     dt: float) -> np.ndarray:
-    eta_dW = _csr_matvecs(system._step_operators().eta, dWT)
-    return aT + _drift(system, aT) * dt + _diffusion(system, aT, dWT, eta_dW)
+    return aT + _drift(system, aT) * dt + _diffusion(system, aT, dWT)
 
 
 def _heun(system: GalerkinSystem, aT: np.ndarray, dWT: np.ndarray, dt: float) -> np.ndarray:
-    eta_dW = _csr_matvecs(system._step_operators().eta, dWT)
     f0 = _drift(system, aT, include_correction=False)
-    g0 = _diffusion(system, aT, dWT, eta_dW)
+    g0 = _diffusion(system, aT, dWT)
     pred = aT + f0 * dt + g0
     finite = np.all(np.isfinite(pred), axis=0)
     blown = not np.all(finite)
@@ -206,7 +203,7 @@ def _heun(system: GalerkinSystem, aT: np.ndarray, dWT: np.ndarray, dt: float) ->
         # batch keeps its shape and every finite member its bits
         pred = np.where(finite, pred, aT)
     f1 = _drift(system, pred, include_correction=False)
-    g1 = _diffusion(system, pred, dWT, eta_dW)
+    g1 = _diffusion(system, pred, dWT)
     out = aT + 0.5 * dt * (f0 + f1) + 0.5 * (g0 + g1)
     if blown:
         out = np.where(finite, out, np.nan)
@@ -236,10 +233,7 @@ def drift(system: GalerkinSystem, a: np.ndarray, include_correction: bool = True
 
 def _diffusion_increment(system: GalerkinSystem, a: np.ndarray, dW: np.ndarray) -> np.ndarray:
     """Noise term sum_l (eta[:, l] + zeta_l a) dW_l, without the (..., N, K) matrix."""
-    def core(system, aT, dWT):
-        return _diffusion(system, aT, dWT, _csr_matvecs(system._step_operators().eta, dWT))
-
-    return _batched(core, system, a, dW)
+    return _batched(_diffusion, system, a, dW)
 
 
 def step_euler_maruyama(system: GalerkinSystem, a: np.ndarray, dW: np.ndarray, dt: float) -> np.ndarray:

@@ -284,6 +284,21 @@ def test_integrate_batch_member_invariant(basis2_2, conv2_2, n_members, scheme, 
             assert oracles.bit_equal(getattr(batch, key)[m:m + 1], getattr(one, key)), (m, key)
 
 
+def test_stability_dt_reuses_transport_norms(basis2_2, conv2_2, monkeypatch):
+    system = _two_transport_system(basis2_2, conv2_2)
+    rate = system.nu * float(system.basis.k_sq.max()) + 0.7 * system.conv.frobenius
+    for zeta in system.noise.transport.zeta:
+        rate += float(np.linalg.norm(zeta, 2)) ** 2
+    assert system.stability_dt(0.7) == 0.5 / rate
+    # the spectral norms are cached with the step operators: no second SVD
+
+    def no_norm(*args, **kwargs):
+        raise AssertionError("spectral norm recomputed")
+
+    monkeypatch.setattr(np.linalg, "norm", no_norm)
+    assert system.stability_dt(0.7) == 0.5 / rate
+
+
 def test_energy_series_is_parseval(additive_system, rng):
     a0 = rng.normal(size=additive_system.n_modes) * 0.4
     path = BrownianPath.generate(8, 1e-3, 100, additive_system.n_brownian)
