@@ -199,10 +199,18 @@ def run_battery(seed: int = 20240901) -> list[CheckResult]:
         worst = max(worst, abs(a @ col) / np.linalg.norm(a) ** 2)
     results.append(_leq("sde.transport_diffusion_orthogonal", worst, 1e-13))
 
-    # own stream, so the draws of the other checks stay as they were
-    sys_mixed = build_system(b, noise, nu=0.05)
+    # 2-D c=4 (N = 80) with a transport field on every mode of |k|^2 <= 2 and
+    # two dense additive columns, so the drift and noise matrices have full
+    # rows, where products whose rounding depends on the batch size show; own
+    # stream, so the draws of the other checks stay as they were
+    b4 = build_basis(2, 4)
     draws = np.random.default_rng(seed + 5)
-    states = draws.normal(size=(7, b.n_modes))
+    field4 = draws.normal(scale=0.3, size=b4.n_modes) * (b4.k_sq <= 2)
+    cols = draws.normal(scale=0.2, size=(2, b4.n_modes))
+    noise4 = build_noise(b4, sigma1_modes=[(0, cols[0]), (2, cols[1])],
+                         transport_fields=[(1, field4)])
+    sys_mixed = build_system(b4, noise4, nu=0.05)
+    states = draws.normal(size=(7, b4.n_modes))
     dWs = draws.normal(scale=math.sqrt(1e-3), size=(7, sys_mixed.n_brownian))
     mismatched = 0
     for step in (step_euler_maruyama, step_heun_stratonovich):
@@ -210,12 +218,12 @@ def run_battery(seed: int = 20240901) -> list[CheckResult]:
         mismatched += sum(batch[m].tobytes() != step(sys_mixed, states[m], dWs[m], 1e-3).tobytes()
                           for m in range(len(states)))
     results.append(_leq("sde.step.batch_invariant", mismatched, 0.0,
-                        note="rows of one EM and one Heun step of 7 members that differ "
-                             "from the member stepped alone"))
+                        note="rows of one EM and one Heun step of 7 members (2-D c=4) "
+                             "that differ from the member stepped alone"))
     ops = sys_mixed._step_operators()
-    dense = {"drift": dissipation_matrix(b, sys_mixed.nu, sys_mixed.corr),
-             "eta": noise.additive.eta, "eta_t": noise.additive.eta.T,
-             "zeta": noise.transport.zeta.reshape(-1, b.n_modes)}
+    dense = {"drift": dissipation_matrix(b4, sys_mixed.nu, sys_mixed.corr),
+             "eta": noise4.additive.eta, "eta_t": noise4.additive.eta.T,
+             "zeta": noise4.transport.zeta.reshape(-1, b4.n_modes)}
     mismatched = sum(getattr(ops, name).toarray().tobytes() != np.ascontiguousarray(m).tobytes()
                      for name, m in dense.items())
     results.append(_leq("sde.step_operators.exact", mismatched, 0.0,

@@ -70,13 +70,8 @@ class SdeError(ValueError):
 
 @dataclass(frozen=True)
 class _StepOperators:
-    """The linear operators of one step, as CSR matrices.
-
-    Each is built from its dense matrix, so `toarray()` gives that matrix
-    back bit for bit.  A CSR product with an (n, M) array of member columns
-    sums each output entry over the stored entries of its row in column
-    order, one member at a time, so its bits do not depend on M.
-    """
+    """The linear operators of one step as CSR matrices, each built from its
+    dense matrix, so `toarray()` gives that matrix back bit for bit."""
 
     drift: sparse.csr_matrix    # (N, N) Ito drift matrix nu*diag(|k|^2) + corr
     eta: sparse.csr_matrix      # (N, K) additive noise
