@@ -557,9 +557,10 @@ class ConvectionTensor:
     members.  The integrators keep their state in that layout and call it
     directly; `apply` is the wrapper for (..., N) states, which transposes in
     and out of it and so has the same bits.  Output modes are walked in row
-    blocks, runs of whole scatter rows [j0, j1).  A block gathers a product table, one row
-    fl(a_i c_k) of R members per distinct pair in the block, and sums it with
-    a per-block CSR matrix whose column indices point into that table.  For
+    blocks, runs of whole scatter rows [j0, j1).  A block gathers a product
+    table, one row fl(a_i c_k) of R members per distinct pair in the block,
+    and sums it with a per-block CSR matrix whose column indices point into
+    that table (`_csr_matvecs`).  For
     B(a, c) the pairs are the ordered (i, k); for B(a, a) they are the
     unordered {i, k}, since the stored entries (i, k, j) and (k, i, j)
     multiply the same product and IEEE multiplication commutes,
