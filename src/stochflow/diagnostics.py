@@ -570,11 +570,13 @@ def dissipative_weak_residual(ensemble, phi, t: float) -> dict:
     for sl in _chunks(system, ensemble.n_members, j):
         a = _run_members(system, ensemble.seeds[sl], ensemble.initial_states[sl], dt, j,
                          ensemble.scheme).states            # (j+1, M, N)
+        boundary = np.einsum("mn,n->m", a[j] - a[0], phi)
         u = np.ascontiguousarray(a[:-1].transpose(1, 0, 2))   # (M, j, N)
+        del a  # the member-major copy replaces it before the kernel allocates
         conv = system.conv.apply(u, np.broadcast_to(phi, u.shape))
         conv = np.ascontiguousarray(conv.reshape(len(u), -1))
         u = u.reshape(len(u), -1)
         quad = np.einsum("mk,mk->m", conv, u) - np.einsum("mk,k->m", u, lin)
-        residuals[sl] = -np.einsum("mn,n->m", a[j] - a[0], phi) + quad * dt
+        residuals[sl] = -boundary + quad * dt
     mean, se = mean_stderr(residuals)
     return {"residual": mean, "stderr": se, "n_members": ensemble.n_members, "t": t}
