@@ -53,7 +53,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse import _sparsetools
 
 TWO_PI = 2.0 * np.pi
 
@@ -560,11 +559,10 @@ class ConvectionTensor:
     blocks, runs of whole scatter rows [j0, j1).  A block gathers a product
     table, one row fl(a_i c_k) of R members per distinct pair in the block,
     and sums it with a per-block CSR matrix whose column indices point into
-    that table (`_csr_matvecs`).  For
-    B(a, c) the pairs are the ordered (i, k); for B(a, a) they are the
-    unordered {i, k}, since the stored entries (i, k, j) and (k, i, j)
-    multiply the same product and IEEE multiplication commutes,
-    fl(a_i a_k) = fl(a_k a_i).  At 2-D cutoff 4 and R = 1024 that gathers
+    that table (`sub @ table`, scipy's csr_matvecs).  For B(a, c) the pairs
+    are the ordered (i, k); for B(a, a) they are the unordered {i, k}, since
+    the stored entries (i, k, j) and (k, i, j) multiply the same product and
+    IEEE multiplication commutes, fl(a_i a_k) = fl(a_k a_i).  At 2-D cutoff 4 and R = 1024 that gathers
     3310 rows per call instead of nnz = 6176.  A block grows row by row while
     its distinct pairs fill at most a fixed workspace of R doubles per pair
     (one row may exceed it).  The entries of each scatter row keep their
@@ -666,33 +664,13 @@ class ConvectionTensor:
             np.take(aT, i_idx, axis=0, out=prod, mode="clip")
             np.take(cT, k_idx, axis=0, out=other, mode="clip")
             np.multiply(prod, other, out=prod)
-            out[j0:j1] = _csr_matvecs(sub, prod)
+            out[j0:j1] = sub @ prod
         return out
 
     def to_dense(self) -> np.ndarray:
         dense = np.zeros((self.n_modes,) * 3)
         dense[self.i_idx, self.k_idx, self.j_idx] = self.values
         return dense
-
-
-def _csr_matvecs(op: sparse.csr_matrix, x: np.ndarray) -> np.ndarray:
-    """op @ x for an (n, R) array x of member columns, through scipy's sparsetools.
-
-    Each output entry is the sequential sum, in stored order, of the entries
-    of its row times x, column by column, so the bits of a column do not
-    depend on R.  At R = 1 scipy's single-vector routine forms the same sums
-    faster, as `op @ x` would pick it; calling the routines directly skips
-    that dispatch, which costs more than the product itself at small R.
-    """
-    n_row, n_col = op.shape
-    out = np.zeros((n_row, x.shape[1]))
-    if x.shape[1] == 1:
-        _sparsetools.csr_matvec(n_row, n_col, op.indptr, op.indices, op.data, x.ravel(),
-                                out.ravel())
-    else:
-        _sparsetools.csr_matvecs(n_row, n_col, x.shape[1], op.indptr, op.indices, op.data,
-                                 x.ravel(), out.ravel())
-    return out
 
 
 def _lookup(keys: np.ndarray, values: np.ndarray, query: np.ndarray) -> np.ndarray:

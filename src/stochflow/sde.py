@@ -38,8 +38,9 @@ members, from the first step to the last.  Every linear operator of a step
 (the Ito drift matrix, eta, its transpose and the stacked zeta_l) is a CSR
 matrix built on first use and cached on the `GalerkinSystem`, and the
 convection kernel ends in CSR products too (`ConvectionTensor._apply_members`).
-scipy's csr_matvecs forms each output entry as the sequential sum over the
-stored entries of its row, member by member, so its bits do not depend on M.
+`op @ aT` on a CSR matrix runs scipy's csr_matvecs (csr_matvec at M = 1),
+which forms each output entry as the sequential sum over the stored entries
+of its row, member by member, so its bits do not depend on M.
 A BLAS product blocks and vectorizes by batch size, and a dense `np.einsum`
 over the (N, M) layout changes its loop with M, so neither runs in a step.
 The per-member series (energy, |grad u|^2) reduce over member-major rows:
@@ -57,8 +58,7 @@ from typing import Iterable, Iterator
 import numpy as np
 from scipy import sparse
 
-from .basis import (BasisSpec, ConvectionTensor, _csr_matvecs, convection_tensor,
-                    dissipation_matrix)
+from .basis import BasisSpec, ConvectionTensor, convection_tensor, dissipation_matrix
 from .noise import NoiseSpec, build_noise
 
 SCHEMES = ("euler_maruyama", "heun")
@@ -165,7 +165,7 @@ def _drift(system: GalerkinSystem, aT: np.ndarray, include_correction: bool = Tr
     out = system.conv._apply_members(aT)
     np.negative(out, out=out)
     if include_correction:
-        out -= _csr_matvecs(system._step_operators().drift, aT)
+        out -= system._step_operators().drift @ aT
     else:
         out -= system.nu * (system.basis.k_sq[:, None] * aT)
     return out
@@ -173,10 +173,10 @@ def _drift(system: GalerkinSystem, aT: np.ndarray, include_correction: bool = Tr
 
 def _diffusion(system: GalerkinSystem, aT: np.ndarray, dWT: np.ndarray) -> np.ndarray:
     ops = system._step_operators()
-    out = _csr_matvecs(ops.eta, dWT)
+    out = ops.eta @ dWT
     modes = system.noise.transport.modes
     if modes:
-        za = _csr_matvecs(ops.zeta, aT).reshape(len(modes), *aT.shape)
+        za = (ops.zeta @ aT).reshape(len(modes), *aT.shape)
         for s, ell in enumerate(modes):
             out += za[s] * dWT[ell]
     return out
@@ -205,10 +205,18 @@ def _heun(system: GalerkinSystem, aT: np.ndarray, dWT: np.ndarray, dt: float) ->
     return out
 
 
+def _check_state(system: GalerkinSystem, a: np.ndarray) -> None:
+    if a.shape[-1:] != (system.n_modes,):
+        raise SdeError(f"state has shape {a.shape}, expected (..., {system.n_modes})")
+
+
 def _batched(core, system: GalerkinSystem, a: np.ndarray, dW: np.ndarray, *args) -> np.ndarray:
     """Run a member-minor core on (..., N) states and (..., K) increments."""
     a = np.asarray(a, dtype=np.float64)
     dW = np.asarray(dW, dtype=np.float64)
+    _check_state(system, a)
+    if dW.shape[-1:] != (system.n_brownian,):
+        raise SdeError(f"increment has shape {dW.shape}, expected (..., {system.n_brownian})")
     lead = np.broadcast_shapes(a.shape[:-1], dW.shape[:-1])
     rows = math.prod(lead)
     aT = _member_minor(np.broadcast_to(a, lead + a.shape[-1:]), rows)
@@ -222,6 +230,7 @@ def drift(system: GalerkinSystem, a: np.ndarray, include_correction: bool = True
     Supports a leading batch axis on `a`.
     """
     a = np.asarray(a, dtype=np.float64)
+    _check_state(system, a)
     rows = a.size // system.n_modes
     return _drift(system, _member_minor(a, rows), include_correction).T.reshape(a.shape)
 
@@ -460,6 +469,9 @@ def integrate_batch(
     if a.ndim != 2:
         raise SdeError("integrate_batch expects a (members, modes) state array")
     M, N = a.shape
+    _check_state(system, a)
+    if dt <= 0:
+        raise SdeError(f"dt must be positive, got {dt}")
     n_steps = increments.shape[1]
     if increments.shape[0] != M or increments.shape[2] != system.n_brownian:
         raise SdeError("increment array inconsistent with batch and noise dimensions")
@@ -515,7 +527,7 @@ def integrate_batch(
         dW = increments[:, n, :]
         dWT = np.ascontiguousarray(dW.T)
         # left-point accumulators along the path
-        sigma_a = _csr_matvecs(eta_t, aT)
+        sigma_a = eta_t @ aT
         for ell in range(dWT.shape[0]):
             stoch_acc += sigma_a[ell] * dWT[ell]
         grad_acc += g_now * dt

@@ -299,6 +299,34 @@ def test_stability_dt_reuses_transport_norms(basis2_2, conv2_2, monkeypatch):
     assert system.stability_dt(0.7) == 0.5 / rate
 
 
+@pytest.mark.parametrize("scheme", ["euler_maruyama", "heun"])
+def test_integrate_batch_rejects_bad_shapes_and_dt(basis2_2, conv2_2, scheme):
+    system = _two_transport_system(basis2_2, conv2_2)
+    N, K = system.n_modes, system.n_brownian
+    inc = np.zeros((2, 3, K))
+    with pytest.raises(SdeError, match="state has shape"):
+        integrate_batch(system, np.zeros((2, N - 1)), inc, 1e-3, scheme)
+    with pytest.raises(SdeError, match="state has shape"):
+        integrate_batch(system, np.zeros((2, N - 1)), np.zeros((2, 0, K)), 1e-3, scheme)
+    for dt in (0.0, -1e-3):
+        with pytest.raises(SdeError, match="dt must be positive"):
+            integrate_batch(system, np.zeros((2, N)), inc, dt, scheme)
+
+
+@pytest.mark.parametrize("step", [step_euler_maruyama, step_heun_stratonovich])
+def test_step_rejects_bad_shapes(basis2_2, conv2_2, step):
+    system = _two_transport_system(basis2_2, conv2_2)
+    N, K = system.n_modes, system.n_brownian
+    with pytest.raises(SdeError, match="increment has shape"):
+        step(system, np.zeros((3, N)), np.zeros((3, K - 1)), 1e-3)
+    with pytest.raises(SdeError, match="state has shape"):
+        step(system, np.zeros((3, N - 1)), np.zeros((3, K)), 1e-3)
+    with pytest.raises(SdeError, match="increment has shape"):
+        _diffusion_increment(system, np.zeros(N), np.zeros(K - 1))
+    with pytest.raises(SdeError, match="state has shape"):
+        drift(system, np.zeros((3, N - 1)))
+
+
 def test_energy_series_is_parseval(additive_system, rng):
     a0 = rng.normal(size=additive_system.n_modes) * 0.4
     path = BrownianPath.generate(8, 1e-3, 100, additive_system.n_brownian)
