@@ -644,6 +644,8 @@ class ConvectionTensor:
         a = np.asarray(a, dtype=np.float64)
         if c is not None:
             a, c = np.broadcast_arrays(a, np.asarray(c, dtype=np.float64))
+        if a.shape[-1:] != (self.n_modes,):
+            raise ValueError(f"state has shape {a.shape}, expected (..., {self.n_modes})")
         rows = a.size // self.n_modes
         aT = np.ascontiguousarray(a.reshape(rows, self.n_modes).T)
         cT = None if c is None else np.ascontiguousarray(c.reshape(rows, self.n_modes).T)

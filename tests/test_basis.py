@@ -178,6 +178,17 @@ def test_bilinear_apply_against_dense(conv2_2, rng):
     assert np.abs(conv2_2.apply(batch) - expected_b).max() <= 1e-13
 
 
+def test_apply_rejects_wrong_width(conv2_2):
+    # (2N, N - 1) has as many entries as (2N - 2, N): without the check the
+    # kernel reads it as 2N - 2 states of N modes and reshapes the result back
+    n = conv2_2.n_modes
+    for shape in ((2 * n, n - 1), (n - 1,)):
+        with pytest.raises(ValueError, match="state has shape"):
+            conv2_2.apply(np.ones(shape))
+    with pytest.raises(ValueError, match="state has shape"):
+        conv2_2.apply(np.ones((3, n + 1)), np.ones((3, n + 1)))
+
+
 # -- dissipation matrix ------------------------------------------------------------
 
 
