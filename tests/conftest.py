@@ -81,6 +81,13 @@ def mixed_system_c4():
     return _mixed(basis, basis_mod.convection_tensor(basis))
 
 
+@pytest.fixture(scope="session")
+def mixed_system_3d():
+    """`mixed_system` on the 3-D cutoff-1 basis (N = 52)."""
+    basis = basis_mod.build_basis(3, 1)
+    return _mixed(basis, basis_mod.convection_tensor(basis))
+
+
 @pytest.fixture()
 def rng():
     return np.random.default_rng(1234)

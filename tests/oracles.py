@@ -110,3 +110,66 @@ def neg_part_max(mats, axis=-1):
     sym = 0.5 * (mats + np.swapaxes(mats, -1, -2))
     w = np.maximum(0.0, -np.linalg.eigvalsh(sym)[..., 0])
     return w.max(initial=0.0) if axis is None else w.max(axis=axis)
+
+
+def process_series(phi, increments, dt):
+    """phi0 + sum A dt + sum dW @ B on the saved grid, one step at a time."""
+    n_steps = increments.shape[0]
+    out = np.empty((n_steps + 1, phi.phi0.size))
+    out[0] = phi.phi0
+    cur = phi.phi0.copy()
+    for m in range(n_steps):
+        if phi.A is not None:
+            cur = cur + phi.A[m] * dt
+        if phi.B is not None:
+            cur = cur + increments[m] @ phi.B
+        out[m + 1] = cur
+    return out
+
+
+def energy_variational_gap(traj, system, phi, s, t, euler_form=False, energy_series=None):
+    """The energy-variational gap term by term, each contraction of three
+    operands as one `np.einsum` and the test process stepped in a loop.
+
+    Only the convection product `conv.apply` and the grid supremum
+    `neg_sup_series`, both pinned bitwise on their own, are the package's.
+    """
+    from stochflow.diagnostics import neg_sup_series
+
+    i, j = traj.index_of_time(s), traj.index_of_time(t)
+    dt_s = traj.dt * traj.store_every
+    nu = 0.0 if euler_form else system.nu
+    eta = system.noise.additive.eta
+    tr = system.noise.transport
+    gap = ((traj.energy[j] - traj.energy[i]) + nu * (traj.grad_int[j] - traj.grad_int[i])
+           - (traj.stoch_int[j] - traj.stoch_int[i])
+           - 0.5 * (traj.times[j] - traj.times[i]) * float(np.sum(eta * eta)))
+    if phi.is_zero() and energy_series is None:
+        return gap
+    inc = traj.increments
+    phi_series = process_series(phi, inc, dt_s)
+    a = traj.states
+    E = traj.energy if energy_series is None else np.asarray(energy_series)
+    a_l, phi_l, dW = a[i:j], phi_series[i:j], inc[i:j]
+    gap += -(a[j] @ phi_series[j]) + (a[i] @ phi_series[i])
+    if nu:
+        gap += -nu * float(np.einsum("tn,n,tn->", a_l, system.basis.k_sq, phi_l)) * dt_s
+    gap += float(np.einsum("tn,tn->", system.conv.apply(a_l, phi_l), a_l)) * dt_s
+    slack = 0.5 * np.einsum("tn,tn->t", a_l, a_l) - E[i:j]
+    if np.any(slack):
+        gap += float(2.0 * np.sum(neg_sup_series(system.basis, phi_l) * slack)) * dt_s
+    if phi.A is not None:
+        gap += float(np.einsum("tn,tn->", phi.A[i:j], a_l)) * dt_s
+    gap += -float(np.einsum("tn,nm,tm->", a_l, system.corr, phi_l)) * dt_s
+    integrand = -(phi_l @ eta)
+    if tr.zeta.shape[0]:
+        integrand[:, list(tr.modes)] += np.einsum("tj,sji,ti->ts", a_l, tr.zeta, phi_l)
+    if phi.B is not None:
+        integrand -= np.einsum("tn,ln->tl", a_l, phi.B)
+    gap -= float(np.einsum("tl,tl->", integrand, dW))
+    if phi.B is not None:
+        gap += float(np.einsum("nl,ln->", eta, phi.B)) * (j - i) * dt_s
+        if tr.zeta.shape[0]:
+            uzB = np.einsum("tj,sji,si->ts", a_l, tr.zeta, phi.B[list(tr.modes)])
+            gap -= float(np.sum(uzB)) * dt_s
+    return gap

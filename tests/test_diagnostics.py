@@ -237,6 +237,21 @@ def test_process_reproduction(additive_system, rng):
         assert np.abs(series - direct).max() <= 1e-14
 
 
+@pytest.mark.parametrize("n_steps", [0, 1, 7, 300])
+@pytest.mark.parametrize("parts", ["A", "B", "AB", "static"])
+def test_process_series_bitwise_loop(rng, parts, n_steps):
+    N, K = 12, 3
+    phi0 = rng.normal(size=N)
+    phi0[0] = -0.0  # a signed zero a static series must keep
+    phi = TestProcessRep(phi0=phi0,
+                         A=rng.normal(size=(n_steps, N)) if "A" in parts else None,
+                         B=rng.normal(size=(K, N)) if "B" in parts else None)
+    inc = rng.normal(scale=0.03, size=(n_steps, K))
+    series = phi.series(inc, 1e-3)
+    assert series.shape == (n_steps + 1, N)
+    assert oracles.bit_equal(series, oracles.process_series(phi, inc, 1e-3))
+
+
 def test_battery_structure(additive_system):
     battery = make_test_processes(additive_system, 100, 1e-3, seed=0, count=10)
     assert len(battery) == 10
@@ -326,6 +341,48 @@ def test_gap_dimension_mismatch_rejected(additive_system):
     traj = integrate(additive_system, np.zeros(additive_system.n_modes), path)
     with pytest.raises(DiagnosticsError):
         energy_variational_gap(traj, additive_system, phi, 0.0, 0.01)
+
+
+@pytest.mark.parametrize("bad", ["short A", "long A", "short series", "long series",
+                                 "scalar series"])
+def test_gap_rejects_malformed_A_and_energy_series(additive_system, rng, bad):
+    N = additive_system.n_modes
+    path = BrownianPath.generate(1, 1e-3, 10, additive_system.n_brownian)
+    traj = integrate(additive_system, rng.normal(size=N) * 0.3, path)
+    A = {"short A": 9, "long A": 11}.get(bad, 10)
+    phi = TestProcessRep(phi0=rng.normal(size=N) * 0.3, A=rng.normal(size=(A, N)))
+    energy = {"short series": traj.energy[:-1], "long series": np.append(traj.energy, 0.0),
+              "scalar series": np.float64(1.0)}.get(bad)
+    with pytest.raises(DiagnosticsError, match="A has shape" if "A" in bad else "energy"):
+        energy_variational_gap(traj, additive_system, phi, 0.0, 0.005, energy_series=energy)
+
+
+@pytest.mark.parametrize("variant", ["plain", "euler_form", "relaxed", "interior"])
+@pytest.mark.parametrize("system_name", ["mixed_system", "mixed_system_c4", "mixed_system_3d"])
+def test_gap_matches_three_operand_oracle(request, system_name, variant):
+    """Transport and additive noise, every kind of test process, and one
+    process with A and with B on every Brownian mode, transport ones too."""
+    system = request.getfixturevalue(system_name)
+    N, K = system.n_modes, system.n_brownian
+    gen = np.random.default_rng(3)
+    low = system.basis.k_sq <= 2.0
+    a0 = gen.normal(scale=0.4, size=N) * low
+    traj = integrate(system, a0, BrownianPath.generate(17, 2e-3, 60, K), store_every=2)
+    n_save = traj.times.size - 1
+    dt_s = traj.dt * traj.store_every
+    battery = make_test_processes(system, n_save, dt_s, seed=4, count=6)
+    battery.append(TestProcessRep(phi0=gen.normal(scale=0.3, size=N) * low,
+                                  A=gen.normal(scale=0.5, size=(n_save, N)) * low,
+                                  B=gen.normal(scale=0.3, size=(K, N)) * low, label="both"))
+    assert {p.label.split("-")[0] for p in battery} == {"static", "modulated", "martingale",
+                                                        "both"}
+    s, t = (4 * dt_s, 26 * dt_s) if variant == "interior" else (0.0, float(traj.times[-1]))
+    kwargs = {"euler_form": variant == "euler_form",
+              "energy_series": None if variant == "plain" else traj.energy + 0.05}
+    for phi in battery:
+        got = energy_variational_gap(traj, system, phi, s, t, **kwargs)
+        want = oracles.energy_variational_gap(traj, system, phi, s, t, **kwargs)
+        assert abs(got - want) <= 1e-13 * abs(want), (phi.label, got, want)
 
 
 def test_calibrate_gap_tolerance(additive_system, rng):
