@@ -52,7 +52,6 @@ from .diagnostics import (
     energy_residual,
     energy_variational_gap,
     make_test_processes,
-    neg_part_spectral_sup,
     relative_energy,
     reynolds_defect,
 )
@@ -63,7 +62,6 @@ from .ensemble import (
     empirical_measure,
     moment_report,
     run_ensemble,
-    young_eval,
 )
 from .experiments import SweepPlan, order_study, viscosity_sweep
 

@@ -755,8 +755,8 @@ def dissipation_matrix(basis: BasisSpec, nu: float, transport=None) -> np.ndarra
     TransportNoise-like object exposing ito correction via `.correction()`.
     Symmetric and positive semidefinite for nu >= 0.
     """
-    if nu < 0:
-        raise BasisError(f"viscosity must be nonnegative, got {nu}")
+    if not 0 <= nu < np.inf:
+        raise BasisError(f"viscosity must be nonnegative and finite, got {nu}")
     D = nu * np.diag(basis.k_sq)
     if transport is None:
         return D

@@ -35,12 +35,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import (BasisSpec, TrigField, default_grid, evaluate_field, leray_project,
-                    solenoidal_field, velocity_gradient)
+from .basis import BasisSpec, default_grid, evaluate_field, velocity_gradient
 from .ensemble import _chunks, _run_members, mean_stderr
 from .noise import hs_norm
-from .sde import (BrownianPath, GalerkinSystem, Trajectory, _grid_index, _philox_streams,
-                  integrate)
+from .sde import GalerkinSystem, Trajectory, _grid_index, _philox_streams
 
 
 class DiagnosticsError(ValueError):
@@ -118,31 +116,18 @@ def _screened_neg_part(mats: np.ndarray) -> np.ndarray:
     return w
 
 
-def _neg_part_max(mats: np.ndarray, axis: int | None = -1) -> np.ndarray:
+def _neg_part_max(mats: np.ndarray) -> np.ndarray:
     """max over the sample axis of max(0, -lambda_min(sym part)).
 
-    `mats` is (..., S, d, d) and the result (...).  With axis=None the max
-    runs over every axis from +0.0, so an empty stack gives 0.0.  Bitwise
-    `np.maximum(0.0, -_min_sym_eig(mats))` reduced the same way, which runs
-    LAPACK on every sample unless d = 2.
+    `mats` is (..., S, d, d) with S >= 1 and the result (...).  Bitwise
+    `np.maximum(0.0, -_min_sym_eig(mats)).max(axis=-1)`, which runs LAPACK
+    on every sample unless d = 2.
     """
-    if mats.shape[-1] == 3 and mats.ndim > 2 and mats.size:
+    if mats.shape[-1] == 3 and mats.size:
         w = _screened_neg_part(mats)
     else:
         w = np.maximum(0.0, -_min_sym_eig(mats))
-    return w.max(initial=0.0) if axis is None else w.max(axis=axis)
-
-
-def neg_part_spectral_sup(gradient_samples: np.ndarray) -> float:
-    """sup over samples of the spectral norm of the negative symmetric part.
-
-    For each d x d sample this is max(0, -lambda_min(sym part)); the supremum
-    runs over all leading axes.
-    """
-    mats = np.asarray(gradient_samples, dtype=np.float64)
-    if mats.ndim < 2 or mats.shape[-1] != mats.shape[-2]:
-        raise DiagnosticsError("expected samples of square matrices")
-    return float(_neg_part_max(mats, axis=None))
+    return w.max(axis=-1)
 
 
 # doubles of gradient samples that one time-row block of neg_sup_series holds
@@ -427,51 +412,6 @@ def energy_variational_gap(
     return gap
 
 
-def calibrate_gap_tolerance(
-    system: GalerkinSystem,
-    a0: np.ndarray,
-    dt_target: float,
-    n_steps_target: int,
-    seed: int = 1234,
-    levels: int = 2,
-    count: int = 10,
-    safety: float = 3.0,
-    scheme: str = "euler_maruyama",
-) -> dict:
-    """Measure the gap's discretization error by coupled dt-refinement.
-
-    Integrates the same Brownian path at dt_target * 2^l for l = levels..0,
-    evaluates the full test-process battery at each resolution, fits the
-    log-log slope, and returns safety * (largest |gap| at dt_target) as the
-    tolerance, together with the study data.
-    """
-    base_dt = dt_target * (2 ** levels)
-    n_base = n_steps_target // (2 ** levels)
-    if n_base * (2 ** levels) != n_steps_target:
-        raise DiagnosticsError("n_steps_target must be divisible by 2**levels")
-    path = BrownianPath.generate(seed, base_dt, n_base, system.n_brownian)
-    dts, max_gaps = [], []
-    for level in range(levels + 1):
-        traj = integrate(system, a0, path, scheme=scheme)
-        battery = make_test_processes(system, path.n_steps, path.dt, seed=seed, count=count)
-        gaps = [
-            abs(energy_variational_gap(traj, system, phi, 0.0, traj.times[-1]))
-            for phi in battery
-        ]
-        dts.append(path.dt)
-        max_gaps.append(max(gaps))
-        if level < levels:
-            path = path.refine()
-    slope = float(np.polyfit(np.log(dts), np.log(np.maximum(max_gaps, 1e-300)), 1)[0])
-    return {
-        "dts": dts,
-        "max_gaps": max_gaps,
-        "slope": slope,
-        "safety": safety,
-        "tol": safety * max_gaps[-1],
-    }
-
-
 # -- relative energy and the Gronwall bound ------------------------------------
 
 
@@ -490,10 +430,19 @@ def relative_energy(
     grid and Brownian path (the comparison is only meaningful under
     coupling).  The envelope is RE(s) * exp(int_s^t 2 |(grad u~)_sym,-|),
     with the rate evaluated as a grid supremum of the fine field.
+
+    Raises DiagnosticsError when the two trajectories do not share a grid
+    and a path, when t < s, or when `energy_series` is not of
+    `coarse.energy`'s shape.
     """
     if coarse.seed != fine.seed or coarse.times.shape != fine.times.shape or \
             not np.allclose(coarse.times, fine.times):
         raise DiagnosticsError("relative energy requires a shared grid and Brownian path")
+    if t < s:
+        raise DiagnosticsError(f"need s <= t, got s={s}, t={t}")
+    if energy_series is not None and np.shape(energy_series) != coarse.energy.shape:
+        raise DiagnosticsError(f"energy_series has shape {np.shape(energy_series)}; the "
+                               f"coarse trajectory's energy has {coarse.energy.shape}")
     i = coarse.index_of_time(s)
     j = coarse.index_of_time(t)
     emb = coarse_basis.embedding_into(fine_basis)
@@ -572,26 +521,15 @@ def reynolds_defect(states: np.ndarray, basis: BasisSpec) -> DefectField:
 def dissipative_weak_residual(ensemble, phi, t: float) -> dict:
     """Ensemble-mean residual of the weak formulation against a static field.
 
-    `phi` is a solenoidal test field given either as basis coefficients or a
-    TrigField (which must be mean-free and solenoidal).  The quadratic term
-    is evaluated member-wise, which is algebraically identical to the
-    mean-field weak form with the second-moment defect substituted; the
-    martingale term is averaged out, so the mean residual decays like
+    `phi` is the test field's (N,) solenoidal basis coefficients.  The
+    quadratic term is evaluated member-wise, which is algebraically identical
+    to the mean-field weak form with the second-moment defect substituted;
+    the martingale term is averaged out, so the mean residual decays like
     M^(-1/2) with standard error reported alongside.  For viscous systems the
     weak form includes the viscous coupling.
     """
     system = ensemble.system
     basis = system.basis
-    if isinstance(phi, TrigField):
-        if np.any(phi.mean):
-            raise DiagnosticsError(
-                "constant components are excluded by the mean-free convention"
-            )
-        coeffs = leray_project(basis, phi)
-        back = solenoidal_field(basis, coeffs)
-        if not np.allclose(back.coeffs, phi.coeffs, atol=1e-12):
-            raise DiagnosticsError("test field must be solenoidal")
-        phi = coeffs
     phi = np.asarray(phi, dtype=np.float64)
     if phi.shape != (basis.n_modes,):
         raise DiagnosticsError(f"test field has shape {phi.shape}, expected ({basis.n_modes},)")

@@ -13,8 +13,7 @@ at the end.  Any other state is not stored: `member_trajectory` regenerates
 a member at full resolution.
 
 The empirical Young measure is the collection of member field samples at the
-probe points; its pairings <mu, f> are ensemble-probe averages, reported with
-Monte-Carlo standard errors.
+probe points.
 """
 
 from __future__ import annotations
@@ -238,7 +237,6 @@ class EmpiricalYoungMeasure:
 
     probe_times: np.ndarray     # (P,)
     grid_n: int
-    quad_weight: float
     samples: np.ndarray         # (P, M, G, d)
 
     def mean_field(self) -> np.ndarray:
@@ -253,51 +251,8 @@ def empirical_measure(ensemble: Ensemble) -> EmpiricalYoungMeasure:
     return EmpiricalYoungMeasure(
         probe_times=ensemble.probe_times,
         grid_n=grid_n,
-        quad_weight=basis.quad_weight(grid_n),
         samples=samples,
     )
-
-
-def young_eval(
-    measure: EmpiricalYoungMeasure,
-    f: Callable[[np.ndarray], np.ndarray],
-    growth_exponent: float,
-    weight: Callable[[float], np.ndarray] | None = None,
-) -> dict:
-    """Monte-Carlo estimate of E[ int_0^T int_D w(t,x) f(u) dx dt ].
-
-    `f` maps field values (..., d) to scalars (...); the declared growth
-    exponent |f(x)| <= c(|x|^q + 1) is trusted, not verified, and recorded in
-    the result.  `weight` maps a probe time to a scalar or per-grid-point
-    weight.  Time quadrature is trapezoidal over the probe times (exact when
-    the integrand mean is affine in t), space quadrature is the uniform grid
-    rule.  Returns the estimate with its standard error across members.
-    """
-    P, M, G, d = measure.samples.shape
-    fvals = f(measure.samples)
-    if fvals.shape != (P, M, G):
-        raise EnsembleError(f"f returned shape {fvals.shape}, expected {(P, M, G)}")
-    if weight is not None:
-        w = np.stack([np.broadcast_to(weight(float(t)), (G,))
-                      for t in measure.probe_times])
-        fvals = fvals * w[:, None, :]
-    space = fvals.sum(axis=2) * measure.quad_weight           # (P, M)
-    t = measure.probe_times
-    if P > 1:
-        wt = np.empty(P)
-        wt[0] = 0.5 * (t[1] - t[0])
-        wt[-1] = 0.5 * (t[-1] - t[-2])
-        wt[1:-1] = 0.5 * (t[2:] - t[:-2])
-    else:
-        wt = np.array([1.0])
-    per_member = wt @ space                                    # (M,)
-    est, se = mean_stderr(per_member)
-    return {
-        "estimate": est,
-        "stderr": se,
-        "n_members": M,
-        "growth_exponent": growth_exponent,
-    }
 
 
 # -- moment reports ---------------------------------------------------------------
@@ -324,18 +279,3 @@ def moment_report(ensemble: Ensemble, p: float) -> dict:
         "n_members": ensemble.n_members,
     }
 
-
-def independence_check(ensemble: Ensemble) -> dict:
-    """Sample correlation of terminal energy between member-index halves.
-
-    For independent members the correlation is O(M^{-1/2}); the check
-    reports |corr| against 3/sqrt(M/2).
-    """
-    e = ensemble.energy[-1]
-    M2 = e.size // 2
-    x, y = e[:M2], e[M2 : 2 * M2]
-    if M2 < 2 or x.std() == 0 or y.std() == 0:
-        return {"correlation": 0.0, "bound": 0.0, "ok": True}
-    corr = float(np.corrcoef(x, y)[0, 1])
-    bound = 3.0 / math.sqrt(M2)
-    return {"correlation": corr, "bound": bound, "ok": abs(corr) <= bound}

@@ -47,8 +47,8 @@ class SweepPlan:
     def validate(self):
         if len(self.nus) < 1:
             raise ExperimentError("empty viscosity axis")
-        if any(nu <= 0 for nu in self.nus):
-            raise ExperimentError("viscosity axis must be positive")
+        if not all(0 < nu < math.inf for nu in self.nus):
+            raise ExperimentError("viscosity axis must be positive and finite")
         if any(a <= b for a, b in zip(self.nus, self.nus[1:])):
             raise ExperimentError("viscosity axis must be strictly decreasing")
 
@@ -62,7 +62,6 @@ def viscosity_sweep(
     plan: SweepPlan,
     base_system: GalerkinSystem,
     initial,
-    test_field: np.ndarray | None = None,
 ) -> dict:
     """Run the nu axis with shared paths and collect the limit diagnostics.
 
@@ -70,17 +69,17 @@ def viscosity_sweep(
     residual over [0, T], the viscous functional nu E[int |grad u|^2], and
     the weighted viscous term sqrt(nu) * sqrt(nu E[int |grad u|^2]) *
     |grad phi| whose fitted log-log exponent against nu is the decay
-    observable.  Consecutive-axis field differences at T are reported under
-    path coupling, and the inviscid-form gap battery runs on one member of
-    the smallest-nu ensemble.
+    observable; phi is the static field with the same coefficient on every
+    mode with |k|^2 <= 2 and |phi| = 1/2.  Consecutive-axis field differences
+    at T are reported under path coupling, and the inviscid-form gap battery
+    runs on one member of the smallest-nu ensemble.
     """
     plan.validate()
     t_final = plan.dt * plan.n_steps
     hs2 = hs_norm(base_system.noise.additive)
-    if test_field is None:
-        test_field = np.zeros(base_system.n_modes)
-        low = np.nonzero(base_system.basis.k_sq <= 2.0)[0]
-        test_field[low] = 0.5 / math.sqrt(low.size)
+    test_field = np.zeros(base_system.n_modes)
+    low = np.nonzero(base_system.basis.k_sq <= 2.0)[0]
+    test_field[low] = 0.5 / math.sqrt(low.size)
     grad_phi = _grad_norm_l2l2(base_system, test_field, t_final)
 
     points = []

@@ -287,7 +287,7 @@ def run_battery(seed: int = 20240901) -> list[CheckResult]:
     worst = max(abs(energy_variational_gap(traj_d, sys_add, phi, 0.0, 0.5))
                 for phi in battery)
     results.append(_leq("diagnostics.gap.battery", worst, 0.05,
-                        note="desk-scale sanity bound; calibrated tolerance in acceptance"))
+                        note="desk-scale sanity bound on the battery's largest |gap|"))
 
     # own stream, so the draws of the checks above stay as they were
     b3 = build_basis(3, 1)

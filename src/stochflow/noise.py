@@ -33,10 +33,6 @@ class AdditiveNoise:
     eta: np.ndarray  # (N, K)
 
     @property
-    def n_brownian(self) -> int:
-        return self.eta.shape[1]
-
-    @property
     def support(self) -> tuple[int, ...]:
         cols = np.nonzero(np.any(self.eta != 0.0, axis=0))[0]
         return tuple(int(c) for c in cols)

@@ -132,8 +132,8 @@ class GalerkinSystem:
 
 def build_system(basis: BasisSpec, noise: NoiseSpec | None = None, nu: float = 0.0,
                  conv: ConvectionTensor | None = None) -> GalerkinSystem:
-    if nu < 0:
-        raise SdeError(f"viscosity must be nonnegative, got {nu}")
+    if not 0 <= nu < math.inf:
+        raise SdeError(f"viscosity must be nonnegative and finite, got {nu}")
     if noise is None:
         noise = build_noise(basis)
     if conv is None:
@@ -224,15 +224,12 @@ def _batched(core, system: GalerkinSystem, a: np.ndarray, dW: np.ndarray, *args)
     return core(system, aT, dWT, *args).T.reshape(lead + a.shape[-1:])
 
 
-def drift(system: GalerkinSystem, a: np.ndarray, include_correction: bool = True) -> np.ndarray:
-    """Ito drift -B(a,a) - D a; Stratonovich drift when the correction is excluded.
-
-    Supports a leading batch axis on `a`.
-    """
+def drift(system: GalerkinSystem, a: np.ndarray) -> np.ndarray:
+    """Ito drift -B(a,a) - D a.  Supports a leading batch axis on `a`."""
     a = np.asarray(a, dtype=np.float64)
     _check_state(system, a)
     rows = a.size // system.n_modes
-    return _drift(system, _member_minor(a, rows), include_correction).T.reshape(a.shape)
+    return _drift(system, _member_minor(a, rows)).T.reshape(a.shape)
 
 
 def _diffusion_increment(system: GalerkinSystem, a: np.ndarray, dW: np.ndarray) -> np.ndarray:
@@ -242,8 +239,8 @@ def _diffusion_increment(system: GalerkinSystem, a: np.ndarray, dW: np.ndarray) 
 
 def step_euler_maruyama(system: GalerkinSystem, a: np.ndarray, dW: np.ndarray, dt: float) -> np.ndarray:
     """One Ito Euler-Maruyama step; correction matrix lives in the drift."""
-    if dt <= 0:
-        raise SdeError(f"dt must be positive, got {dt}")
+    if not 0 < dt < math.inf:
+        raise SdeError(f"dt must be positive and finite, got {dt}")
     return _batched(_euler_maruyama, system, a, dW, dt)
 
 
@@ -255,8 +252,8 @@ def step_heun_stratonovich(system: GalerkinSystem, a: np.ndarray, dW: np.ndarray
     Members whose predictor is non-finite come out as NaN, for the caller to
     flag as blown up; the corrector is evaluated only for the others.
     """
-    if dt <= 0:
-        raise SdeError(f"dt must be positive, got {dt}")
+    if not 0 < dt < math.inf:
+        raise SdeError(f"dt must be positive and finite, got {dt}")
     return _batched(_heun, system, a, dW, dt)
 
 
@@ -314,8 +311,8 @@ class BrownianPath:
     @classmethod
     def generate(cls, seed: int, dt: float, n_steps: int, n_brownian: int,
                  level: int = 0) -> "BrownianPath":
-        if dt <= 0 or n_steps < 0:
-            raise SdeError("BrownianPath needs dt > 0 and n_steps >= 0")
+        if not 0 < dt < math.inf or n_steps < 0:
+            raise SdeError("BrownianPath needs a finite dt > 0 and n_steps >= 0")
         base_dt = dt * (2 ** level)
         n_base = n_steps >> level
         if n_base << level != n_steps:
@@ -470,8 +467,8 @@ def integrate_batch(
         raise SdeError("integrate_batch expects a (members, modes) state array")
     M, N = a.shape
     _check_state(system, a)
-    if dt <= 0:
-        raise SdeError(f"dt must be positive, got {dt}")
+    if not 0 < dt < math.inf:  # also refuses NaN, which `dt <= 0` lets through
+        raise SdeError(f"dt must be positive and finite, got {dt}")
     n_steps = increments.shape[1]
     if increments.shape[0] != M or increments.shape[2] != system.n_brownian:
         raise SdeError("increment array inconsistent with batch and noise dimensions")

@@ -104,12 +104,12 @@ def dense_diffusion(eta, zeta_list, zeta_modes, a):
     return out
 
 
-def neg_part_max(mats, axis=-1):
+def neg_part_max(mats):
     """max(0, -lambda_min) of the symmetric parts, LAPACK on every sample,
-    reduced by max over the sample axis (axis=None: every axis, from +0.0)."""
+    reduced by max over the sample axis."""
     sym = 0.5 * (mats + np.swapaxes(mats, -1, -2))
     w = np.maximum(0.0, -np.linalg.eigvalsh(sym)[..., 0])
-    return w.max(initial=0.0) if axis is None else w.max(axis=axis)
+    return w.max(axis=-1)
 
 
 def process_series(phi, increments, dt):

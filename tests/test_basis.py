@@ -221,8 +221,9 @@ def test_dissipation_with_transport_correction(basis2_2, rng):
 
 
 def test_dissipation_rejects_negative_nu(basis2_2):
-    with pytest.raises(BasisError):
-        dissipation_matrix(basis2_2, -0.1)
+    for nu in (-0.1, np.nan, np.inf):
+        with pytest.raises(BasisError):
+            dissipation_matrix(basis2_2, nu)
 
 
 # -- grid projection ------------------------------------------------------------

@@ -1,11 +1,15 @@
-"""The benchmark's span targets name attributes the package still defines."""
+"""The benchmark's span targets and workload calls name attributes the
+package still defines."""
 
+import ast
 import importlib
 import importlib.util
 import sys
 from pathlib import Path
 
-SPANS = Path(__file__).resolve().parents[1] / "benchmark" / "spans.py"
+BENCHMARK = Path(__file__).resolve().parents[1] / "benchmark"
+SPANS = BENCHMARK / "spans.py"
+WORKLOADS = BENCHMARK / "workloads.py"
 
 
 def _load_spans():
@@ -33,4 +37,40 @@ def test_span_targets_resolve():
             found = callable(getattr(module, attr, None))
         if not found:
             missing.append(f"{module_name}:{attr}")
+    assert not missing, missing
+
+
+def _sf_chains(path):
+    """Every `sf.<module>.<name>...` attribute chain in a source file."""
+    chains = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        names = []
+        while isinstance(node, ast.Attribute):
+            names.append(node.attr)
+            node = node.value
+        if isinstance(node, ast.Name) and node.id == "sf" and len(names) >= 2:
+            chains.add(tuple(reversed(names)))
+    return chains
+
+
+def _sf_module(name):
+    # the worker's `sf` namespace holds modules of stochflow and stochflow.io_cli
+    for package in ("stochflow", "stochflow.io_cli"):
+        try:
+            return importlib.import_module(f"{package}.{name}")
+        except ModuleNotFoundError:
+            pass
+    return None
+
+
+def test_workload_calls_resolve():
+    chains = _sf_chains(WORKLOADS)
+    assert chains
+    missing = []
+    for module_name, *attrs in sorted(chains):
+        obj = _sf_module(module_name)
+        for attr in attrs:
+            obj = getattr(obj, attr, None)
+        if obj is None:
+            missing.append(".".join(["sf", module_name, *attrs]))
     assert not missing, missing

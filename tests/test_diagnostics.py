@@ -5,17 +5,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stochflow import ensemble as ensemble_mod
-from stochflow.basis import TrigField, build_basis
+from stochflow.basis import build_basis
 from stochflow.diagnostics import (
     DiagnosticsError,
     TestProcessRep,
     _neg_part_max,
-    calibrate_gap_tolerance,
     dissipative_weak_residual,
     energy_residual,
     energy_variational_gap,
     make_test_processes,
-    neg_part_spectral_sup,
     neg_sup_series,
     relative_energy,
     reynolds_defect,
@@ -72,16 +70,16 @@ def test_residual_additive_mean_small_ensemble(additive_system):
 
 
 def test_neg_part_examples():
-    assert neg_part_spectral_sup(np.array([[[1.0, 0.0], [0.0, -2.0]]])) == 2.0
-    assert neg_part_spectral_sup(np.eye(2)[None]) == 0.0
-    assert neg_part_spectral_sup(np.array([[[0.0, 1.0], [1.0, 0.0]]])) == 1.0
+    assert _neg_part_max(np.array([[[1.0, 0.0], [0.0, -2.0]]])) == 2.0
+    assert _neg_part_max(np.eye(2)[None]) == 0.0
+    assert _neg_part_max(np.array([[[0.0, 1.0], [1.0, 0.0]]])) == 1.0
 
 
 @given(data=st.lists(st.floats(-5, 5), min_size=8, max_size=8))
 @settings(max_examples=100, deadline=None)
 def test_neg_part_matches_eig_oracle(data):
     mats = np.array(data).reshape(2, 2, 2)
-    got = neg_part_spectral_sup(mats)
+    got = _neg_part_max(mats)
     sym = 0.5 * (mats + mats.transpose(0, 2, 1))
     expect = max(max(0.0, -np.linalg.eigvalsh(s).min()) for s in sym)
     assert got == pytest.approx(expect, abs=1e-12)
@@ -95,7 +93,7 @@ def test_neg_part_matches_eig_oracle(data):
 
 def test_neg_part_3d_matrices(rng):
     mats = rng.normal(size=(7, 3, 3))
-    got = neg_part_spectral_sup(mats)
+    got = _neg_part_max(mats)
     sym = 0.5 * (mats + mats.transpose(0, 2, 1))
     expect = max(max(0.0, -np.linalg.eigvalsh(s).min()) for s in sym)
     assert got == pytest.approx(expect, rel=1e-12)
@@ -146,13 +144,11 @@ def test_neg_part_max_matches_lapack_bitwise(seed, kinds, exponent, ties):
         for s_, kind in enumerate(row):
             mats[r, s_] = _sample(gen, kind) * 10.0 ** (exponent + gen.integers(-3, 4))
     if ties:
-        top = oracles.neg_part_max(mats[:, :, None], axis=-1).argmax(axis=-1)
+        top = oracles.neg_part_max(mats[:, :, None]).argmax(axis=-1)
         best = mats[np.arange(len(kinds)), top]
         near = [best, np.nextafter(best, np.inf), np.nextafter(best, -np.inf)]
         mats = np.concatenate([mats, np.stack(near, axis=1)], axis=1)
     assert oracles.bit_equal(_neg_part_max(mats), oracles.neg_part_max(mats))
-    assert oracles.bit_equal(np.float64(neg_part_spectral_sup(mats)),
-                             oracles.neg_part_max(mats, axis=None))
 
 
 @pytest.mark.parametrize("exponent", [-300, -150, -108, 0, 108, 150, 300])
@@ -182,14 +178,6 @@ def test_neg_part_max_non_finite_as_lapack(rng, bad):
         assert outcome(_neg_part_max, mats) == expect, (i, j)
         if np.isnan(bad) and i != j:
             assert expect == "LinAlgError"
-            with pytest.raises(np.linalg.LinAlgError):
-                neg_part_spectral_sup(mats)
-
-
-def test_neg_part_spectral_sup_empty_stack():
-    for d in (2, 3):
-        value = neg_part_spectral_sup(np.zeros((0, d, d)))
-        assert type(value) is float and value.hex() == "0x0.0p+0"
 
 
 @pytest.mark.parametrize("dim,cutoff,T", [(2, 4, 50), (3, 1, 40)])
@@ -385,20 +373,6 @@ def test_gap_matches_three_operand_oracle(request, system_name, variant):
         assert abs(got - want) <= 1e-13 * abs(want), (phi.label, got, want)
 
 
-def test_calibrate_gap_tolerance(additive_system, rng):
-    a0 = rng.normal(size=additive_system.n_modes) * 0.3
-    report = calibrate_gap_tolerance(additive_system, a0, 1e-3, 400, seed=77)
-    assert report["tol"] > 0
-    assert len(report["dts"]) == 3
-    # fresh trajectories at the target dt stay within the calibrated tolerance
-    path = BrownianPath.generate(501, 1e-3, 400, additive_system.n_brownian)
-    traj = integrate(additive_system, a0, path)
-    battery = make_test_processes(additive_system, 400, 1e-3, seed=9)
-    for phi in battery:
-        gap = energy_variational_gap(traj, additive_system, phi, 0.0, 0.4)
-        assert gap <= report["tol"]
-
-
 # -- relative energy -------------------------------------------------------------
 
 
@@ -421,6 +395,18 @@ def test_relative_energy_rejects_mismatched_paths(additive_system, rng):
     with pytest.raises(DiagnosticsError):
         relative_energy(t1, t2, additive_system.basis, additive_system.basis,
                         0.0, 0.1)
+
+
+def test_relative_energy_refuses_bad_interval_and_energy(additive_system, rng):
+    a0 = rng.normal(size=additive_system.n_modes) * 0.3
+    traj = integrate(additive_system, a0,
+                     BrownianPath.generate(1, 1e-3, 100, additive_system.n_brownian))
+    b = additive_system.basis
+    with pytest.raises(DiagnosticsError, match="s <= t"):
+        relative_energy(traj, traj, b, b, 0.05, 0.01)
+    for energy in (traj.energy[:-1], np.append(traj.energy, 0.0)):
+        with pytest.raises(DiagnosticsError, match="energy_series"):
+            relative_energy(traj, traj, b, b, 0.0, 0.1, energy_series=energy)
 
 
 def test_relative_energy_coarse_fine(basis2_2, rng):
@@ -535,22 +521,3 @@ def test_weak_residual_additive_ci(additive_system):
     out = dissipative_weak_residual(ens, phi, 0.1)
     assert abs(out["residual"]) <= 3 * out["stderr"]
 
-
-def test_weak_residual_rejects_constant_field(additive_system):
-    const = TrigField.zeros(additive_system.basis)
-    const.mean[:] = 1.0
-    ens = run_ensemble(additive_system, np.zeros(additive_system.n_modes),
-                       2, base_seed=1, dt=1e-3, n_steps=10)
-    with pytest.raises(DiagnosticsError, match="mean-free"):
-        dissipative_weak_residual(ens, const, 0.01)
-
-
-def test_weak_residual_accepts_solenoidal_trig_field(additive_system, rng):
-    a = rng.normal(size=additive_system.n_modes) * 0.4
-    from stochflow.basis import solenoidal_field
-
-    fld = solenoidal_field(additive_system.basis, a)
-    ens = run_ensemble(additive_system, np.zeros(additive_system.n_modes),
-                       4, base_seed=1, dt=1e-3, n_steps=10)
-    out = dissipative_weak_residual(ens, fld, 0.01)
-    assert np.isfinite(out["residual"])

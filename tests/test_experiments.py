@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -37,6 +39,9 @@ def test_sweep_plan_validation():
         SweepPlan(nus=(1e-3, 1e-2)).validate()
     with pytest.raises(ExperimentError):
         SweepPlan(nus=()).validate()
+    for nus in ((math.nan,), (math.inf, 1e-2), (1e-1, math.nan)):
+        with pytest.raises(ExperimentError):
+            SweepPlan(nus=nus).validate()
     SweepPlan(nus=(1e-1, 1e-2)).validate()
 
 

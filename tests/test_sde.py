@@ -308,9 +308,27 @@ def test_integrate_batch_rejects_bad_shapes_and_dt(basis2_2, conv2_2, scheme):
         integrate_batch(system, np.zeros((2, N - 1)), inc, 1e-3, scheme)
     with pytest.raises(SdeError, match="state has shape"):
         integrate_batch(system, np.zeros((2, N - 1)), np.zeros((2, 0, K)), 1e-3, scheme)
-    for dt in (0.0, -1e-3):
+    for dt in (0.0, -1e-3, np.nan, np.inf):
         with pytest.raises(SdeError, match="dt must be positive"):
             integrate_batch(system, np.zeros((2, N)), inc, dt, scheme)
+
+
+@pytest.mark.parametrize("dt", [0.0, np.nan, np.inf, -np.inf])
+def test_steps_and_paths_refuse_bad_dt(basis2_2, conv2_2, dt):
+    # `dt <= 0` is False for NaN, so a non-finite dt needs its own refusal
+    system = _two_transport_system(basis2_2, conv2_2)
+    N, K = system.n_modes, system.n_brownian
+    for step in (step_euler_maruyama, step_heun_stratonovich):
+        with pytest.raises(SdeError, match="dt must be positive"):
+            step(system, np.zeros(N), np.zeros(K), dt)
+    with pytest.raises(SdeError, match="dt > 0"):
+        BrownianPath.generate(1, dt, 4, K)
+
+
+@pytest.mark.parametrize("nu", [-1e-3, np.nan, np.inf])
+def test_build_system_refuses_bad_viscosity(basis2_2, conv2_2, nu):
+    with pytest.raises(SdeError, match="viscosity"):
+        build_system(basis2_2, nu=nu, conv=conv2_2)
 
 
 @pytest.mark.parametrize("step", [step_euler_maruyama, step_heun_stratonovich])
