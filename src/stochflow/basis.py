@@ -433,18 +433,62 @@ def evaluate_field(basis: BasisSpec, a: np.ndarray, n: int) -> np.ndarray:
     return np.einsum("...n,ndg->...gd", np.asarray(a, dtype=np.float64), vals)
 
 
+# doubles of gradient samples per BLAS product of `velocity_gradient`
+_GRADIENT_BLOCK = 1 << 16
+
+
+def _gradient_block_rows(basis: BasisSpec, n: int) -> int:
+    """Coefficient rows per BLAS product of `velocity_gradient` on the n grid.
+
+    About 2^16 doubles of samples, and never fewer than two rows: it depends
+    only on the basis and the grid, never on the batch.
+    """
+    return max(2, _GRADIENT_BLOCK // (n ** basis.dim * basis.dim ** 2))
+
+
 def velocity_gradient(
     basis: BasisSpec, coeffs: np.ndarray, n: int, out: np.ndarray | None = None
 ) -> np.ndarray:
     """Gradient tensor of the reconstructed field on the grid.
 
     Returns shape (..., n^d, d, d) for coefficient input (..., N); entry
-    [..., g, m, c] is d(component c)/d(x_m) at grid point g.  As in numpy,
-    `out` is an array of that shape to write the result into.
+    [..., g, m, c] is d(component c)/d(x_m) at grid point g.  The result has
+    grid points innermost in memory, like the table `mode_gradients(n)`:
+    `out`, if given, is an array of the result's shape whose axes in the
+    order (..., d, d, n^d) are C-contiguous.
+
+    The transform is one BLAS product (B, N) @ (N, d^2 n^d) against that
+    table per block of B coefficient rows, B = `_gradient_block_rows(basis,
+    n)`.  A shorter last block is zero-padded to B rows, so every row goes
+    through a product of the same shape, whatever the batch, and its samples
+    are bitwise those of its own call (one row alone would take BLAS's
+    matrix-vector path, which rounds differently).
     """
-    grads = basis.mode_gradients(n)  # (N, d, d, G)
-    return np.einsum("...n,nmcg->...gmc", np.asarray(coeffs, dtype=np.float64), grads,
-                     out=out)
+    d, N, G = basis.dim, basis.n_modes, n ** basis.dim
+    table = basis.mode_gradients(n).reshape(N, d * d * G)
+    coeffs = np.asarray(coeffs, dtype=np.float64)
+    if coeffs.shape[-1:] != (N,):
+        raise BasisError(f"coefficients have shape {coeffs.shape}, expected (..., {N})")
+    if out is None:
+        dest = np.empty(coeffs.shape[:-1] + (d, d, G))
+    else:
+        dest = np.moveaxis(out, -3, -1)
+        if dest.shape != coeffs.shape[:-1] + (d, d, G) or not dest.flags.c_contiguous:
+            raise BasisError("out must have the result's shape with grid points "
+                             "innermost and contiguous")
+    # contiguous rows, so every block is a BLAS operand as it stands
+    flat = np.ascontiguousarray(coeffs.reshape(-1, N))
+    rows = dest.reshape(len(flat), d * d * G)
+    B = _gradient_block_rows(basis, n)
+    for t in range(0, len(flat), B):
+        block = flat[t:t + B]
+        if len(block) == B:
+            np.matmul(block, table, out=rows[t:t + B])
+        else:
+            padded = np.zeros((B, N))
+            padded[:len(block)] = block
+            rows[t:] = (padded @ table)[:len(block)]
+    return np.moveaxis(dest, -1, -3)
 
 
 # -- the triad kernel -----------------------------------------------------------

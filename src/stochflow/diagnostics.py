@@ -11,14 +11,19 @@ Conventions, fixed once for all residuals: time integrals are left-point
 Riemann sums on the saved grid, stochastic integrals are left-point (Ito)
 sums along the stored increments, and the L-infinity norm of the negative
 symmetric part of a gradient field is the spectral norm evaluated as a grid
-supremum (reported as the larger of the base quadrature grid and a twice
-refined grid).
+supremum on the twice refined quadrature grid.  The base grid's points are
+every other point of the refined grid, and `velocity_gradient` gives them
+bitwise the same samples on both grids, so the refined supremum is the
+larger of the two grids' bit for bit and the base grid needs no pass of its
+own.
 
-In 3-D that supremum's values come from LAPACK `eigvalsh`.  A closed-form
-eigenvalue screen only chooses which gradient samples can reach the maximum
-and go to LAPACK, so the result is bitwise that of LAPACK on every sample.
-Time series are walked in blocks of time rows of a fixed workspace, so the
-memory of `neg_sup_series` is bounded in the series length.
+In 3-D that supremum's values come from LAPACK `eigvalsh`.  A layered
+eigenvalue screen (cheap bounds, a LAPACK floor per row, a closed form on
+the samples that reach it) only chooses which gradient samples can reach
+the maximum and go to LAPACK, so the result is bitwise that of LAPACK on
+every sample.  Time series are walked in blocks of time rows of a fixed
+workspace, so the memory of `neg_sup_series` is bounded in the series
+length.
 
 The energy-variational gap contracts no more than two operands at a time.
 Over T saved steps, N modes and S transport fields, a matrix product with
@@ -35,7 +40,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import BasisSpec, default_grid, evaluate_field, velocity_gradient
+from .basis import (BasisSpec, _gradient_block_rows, default_grid, evaluate_field,
+                    velocity_gradient)
 from .ensemble import _chunks, _run_members, mean_stderr
 from .noise import hs_norm
 from .sde import GalerkinSystem, Trajectory, _grid_index, _philox_streams
@@ -62,43 +68,107 @@ def _min_sym_eig(mats: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(sym)[..., 0]
 
 
-# margin of the 3 x 3 screen, relative to a sample's largest |entry|: about
-# 60x the worst error of the trigonometric closed form near repeated
-# eigenvalues (~sqrt(eps)); the absolute term covers products that underflow
+# margin of the 3 x 3 screen's bounds: relative to a sample's largest |entry|
+# for the closed form, about 60x its worst error near repeated eigenvalues
+# (~sqrt(eps)), and relative to the row's largest bound 2p + |q| on the
+# spectral radius for the cheap bounds; the absolute terms cover products
+# that underflow (unscaled squares in the cheap bounds lose at most ~1e-161)
 _SCREEN_REL = 1e-6
 _SCREEN_ABS = 1e-300
+_BOUND_ABS = 1e-150
+
+# the six entries (i, j) of a symmetric 3 x 3 matrix, diagonal first
+_SYM_I = np.array([0, 1, 2, 0, 0, 1])
+_SYM_J = np.array([0, 1, 2, 1, 2, 2])
+
+
+def _sym_entries(mats: np.ndarray) -> np.ndarray:
+    """(n, 6) entries of `_min_sym_eig`'s sym = 0.5 * (mats + mats^T) of
+    (n, 3, 3) samples, bitwise."""
+    return 0.5 * (mats[:, _SYM_I, _SYM_J] + mats[:, _SYM_J, _SYM_I])
+
+
+def _lapack_neg_part(e: np.ndarray) -> np.ndarray:
+    """max(0, -lambda_min) by LAPACK `eigvalsh` of the samples with entries e."""
+    sym = np.empty((len(e), 3, 3))
+    sym[:, _SYM_I, _SYM_J] = e
+    sym[:, _SYM_J, _SYM_I] = e
+    return np.maximum(0.0, -np.linalg.eigvalsh(sym)[..., 0])
 
 
 def _screened_neg_part(mats: np.ndarray) -> np.ndarray:
     """max(0, -lambda_min(sym)) per 3 x 3 sample, exact where it can matter.
 
     LAPACK `eigvalsh` supplies every value that can reach the maximum of its
-    row (the last sample axis); the others hold +0.0.  The classical closed
-    form (O. K. Smith, Comm. ACM 4(4), 1961), on each sample scaled to a
-    largest |entry| of 1, only chooses the samples: those whose upper bound
-    reaches the row's floor, the largest lower bound and at least 0.  A
-    non-finite sample always goes to LAPACK, which raises or returns NaN for
-    it.  So a max over whole rows gives the bits of LAPACK on every sample,
-    signed zeros included: a row with a positive maximum keeps it, and in a
-    row whose maximum is 0 every ruled-out sample is positive definite,
-    where LAPACK's weight is +0.0 too.
+    row (the last sample axis); the others hold +0.0.  The screen runs in
+    layers, each on fewer samples:
+
+    1. Cheap bounds on every sample, with no scaling and no trigonometry:
+       with q = tr/3 and p = |dev sym|_F / sqrt(6), the deviator's
+       eigenvalues lie in [-2p, -p] at the smallest, so -lambda_min lies in
+       [p - q, 2p - q].
+    2. Each row's floor is LAPACK's value on its sample of the largest cheap
+       upper bound.
+    3. The classical closed form (O. K. Smith, Comm. ACM 4(4), 1961), on
+       each sample scaled to a largest |entry| of 1, runs only on the
+       samples whose cheap upper bound reaches the floor; its lower bounds
+       raise the floor.
+    4. LAPACK runs on the samples whose closed-form upper bound reaches the
+       raised floor.
+
+    A non-finite sample has a NaN or infinite bound, so it always goes to
+    LAPACK, which raises or returns NaN for it.  So a max over whole rows
+    gives the bits of LAPACK on every sample, signed zeros included: a row
+    with a positive maximum keeps it, and in a row whose maximum is 0 every
+    ruled-out sample is positive definite, where LAPACK's weight is +0.0 too.
     """
-    pairs = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
-    # the bits of `_min_sym_eig`'s sym = 0.5 * (mats + mats^T), without the copy
-    e = [0.5 * (mats[..., i, j] + mats[..., j, i]) for i, j in pairs]
-    scale = np.abs(e[0])
-    for x in e[1:]:
-        scale = np.maximum(scale, np.abs(x))
+    S = mats.shape[-3]
+    m = mats.reshape((-1, S, 3, 3))
+    rows = np.arange(len(m))
+    # 1. cheap bounds
+    with np.errstate(invalid="ignore", over="ignore", under="ignore"):
+        q = m[..., 0, 0] + m[..., 1, 1]
+        q += m[..., 2, 2]
+        q *= 1.0 / 3.0
+        # 12 p^2 = 2 sum_i (m_ii - q)^2 + sum_{i<j} (m_ij + m_ji)^2, in place
+        x = m[..., 0, 0] - q
+        dev = x * x
+        for i in (1, 2):
+            np.subtract(m[..., i, i], q, out=x)
+            x *= x
+            dev += x
+        dev *= 2.0
+        for i, j in ((0, 1), (0, 2), (1, 2)):
+            np.add(m[..., i, j], m[..., j, i], out=x)
+            x *= x
+            dev += x
+        two_p = np.sqrt(dev, out=dev)
+        two_p *= 1.0 / np.sqrt(3.0)
+        # 2p + |q| bounds the spectral radius of sym
+        np.abs(q, out=x)
+        x += two_p
+        tol = _SCREEN_REL * x.max(axis=-1) + _BOUND_ABS
+        upper = np.subtract(two_p, q, out=two_p)
+    # 2. the floor; a NaN weight (non-finite sample) leaves it at 0
+    best = upper.argmax(axis=-1)
+    w_best = _lapack_neg_part(_sym_entries(m[rows, best]))
+    floor = np.fmax(w_best, 0.0)
+    # 3. the closed form on the survivors; NaN bounds compare false, so
+    # non-finite samples survive every layer
+    r, c = np.nonzero(~(upper < (floor - tol)[:, None]))
+    e = _sym_entries(m[r, c])
+    scale = np.abs(e).max(axis=1)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
-        b00, b11, b22, b01, b02, b12 = (x / np.where(scale > 0, scale, 1.0) for x in e)
+        b = e / np.where(scale > 0, scale, 1.0)[:, None]
+        b00, b11, b22, b01, b02, b12 = b.T
         q = (b00 + b11 + b22) / 3.0
         d0, d1, d2 = b00 - q, b11 - q, b22 - q
         p = np.sqrt((d0 * d0 + d1 * d1 + d2 * d2 + 2.0 * (b01 * b01 + b02 * b02 + b12 * b12))
                     / 6.0)
         det = (d0 * (d1 * d2 - b12 * b12) - b01 * (b01 * d2 - b12 * b02)
                + b02 * (b01 * b12 - d1 * b02))
-        r = np.clip(np.where(p > 0, det / (2.0 * p * p * p), 0.0), -1.0, 1.0)
-        neg = -(q + 2.0 * p * np.cos(np.arccos(r) / 3.0 + 2.0 * np.pi / 3.0))
+        cos = np.clip(np.where(p > 0, det / (2.0 * p * p * p), 0.0), -1.0, 1.0)
+        neg = -(q + 2.0 * p * np.cos(np.arccos(cos) / 3.0 + 2.0 * np.pi / 3.0))
         lower = (neg - _SCREEN_REL) * scale - _SCREEN_ABS
         upper = (neg + _SCREEN_REL) * scale + _SCREEN_ABS
     # non-finite bounds: a non-finite sample (its scale is inf or NaN) or one
@@ -106,14 +176,13 @@ def _screened_neg_part(mats: np.ndarray) -> np.ndarray:
     unsure = ~(np.isfinite(lower) & np.isfinite(upper))
     lower[unsure] = -np.inf
     upper[unsure] = np.inf
-    floor = np.maximum(lower.max(axis=-1, keepdims=True), 0.0)
-    pick = np.nonzero(upper >= floor)
-    sym = np.empty((pick[0].size, 3, 3))
-    for (i, j), x in zip(pairs, e):
-        sym[:, i, j] = sym[:, j, i] = x[pick]
-    w = np.zeros(mats.shape[:-2])
-    w[pick] = np.maximum(0.0, -np.linalg.eigvalsh(sym)[..., 0])
-    return w
+    np.maximum.at(floor, r, lower)
+    # 4. LAPACK on the final picks; each row's candidate has its value already
+    w = np.zeros((len(m), S))
+    w[rows, best] = w_best
+    pick = (upper >= floor[r]) & (c != best[r])
+    w[r[pick], c[pick]] = _lapack_neg_part(e[pick])
+    return w.reshape(mats.shape[:-2])
 
 
 def _neg_part_max(mats: np.ndarray) -> np.ndarray:
@@ -130,42 +199,37 @@ def _neg_part_max(mats: np.ndarray) -> np.ndarray:
     return w.max(axis=-1)
 
 
-# doubles of gradient samples that one time-row block of neg_sup_series holds
-_NEG_SUP_WORKSPACE = 1 << 16
-
-
 def neg_sup_series(basis: BasisSpec, coeff_series: np.ndarray) -> np.ndarray:
     """Per-time grid supremum of |(grad phi)_sym,-| in the spectral norm.
 
-    Evaluated on the base quadrature grid and on a 2x refined grid, taking
-    the pointwise-in-time larger value (the grid sup is a lower bound of the
-    true supremum; refinement tightens it).  Time rows are walked in blocks
-    of a fixed workspace, so memory does not grow with the series length;
-    the gradients of every block on both grids are written into one
-    workspace per call.
+    Evaluated on the 2x refined quadrature grid (the grid sup is a lower
+    bound of the true supremum; refinement tightens it).  The base grid's
+    points are every other point of the refined grid and their gradient
+    samples are bitwise the refined grid's, so the refined sup is the larger
+    of the two grids' bit for bit.
+
+    Time rows are walked in the B-row blocks of `velocity_gradient`'s BLAS
+    products (B is fixed by the basis and the grid, about 2^16 doubles of
+    samples), and each block's gradients are written into one workspace per
+    call.  So memory does not grow with the series length and every row's
+    value is that of its own call.  In 3-D each block's eigenvalue supremum
+    is screened in layers (`_screened_neg_part`): cheap bounds on every
+    sample, LAPACK on each row's best candidate for a floor, the closed form
+    on the samples that reach it, then LAPACK on the final picks.
     """
-    n = default_grid(basis.cutoff)
+    n = 2 * default_grid(basis.cutoff)
+    d, G = basis.dim, n ** basis.dim
     series = np.asarray(coeff_series, dtype=np.float64)
     flat = series.reshape(-1, series.shape[-1])
-    # (grid, doubles per time row, rows per block) on each grid
-    plan = []
-    for grid_n in (n, 2 * n):
-        per_row = grid_n ** basis.dim * basis.dim ** 2
-        plan.append((grid_n, per_row, max(1, _NEG_SUP_WORKSPACE // per_row)))
-    # every block of both grids is written into this one workspace
-    work = np.empty(max(per_row * min(rows, len(flat)) for _, per_row, rows in plan))
-    sups = []
-    for grid_n, per_row, rows in plan:
-        blocks = []
-        # an empty series still makes one (empty) block
-        for t in range(0, max(len(flat), 1), rows):
-            block = flat[t:t + rows]
-            # grid points innermost, the memory order of the einsum's own output
-            grads = work[:per_row * len(block)].reshape(
-                (len(block), basis.dim, basis.dim, grid_n ** basis.dim)).transpose(0, 3, 1, 2)
-            blocks.append(_neg_part_max(velocity_gradient(basis, block, grid_n, out=grads)))
-        sups.append(np.concatenate(blocks).reshape(series.shape[:-1]))
-    return np.maximum(sups[0], sups[1])
+    rows = _gradient_block_rows(basis, n)
+    # grid points innermost, as velocity_gradient lays them out
+    work = np.empty((min(rows, len(flat)), d, d, G)).transpose(0, 3, 1, 2)
+    sup = np.empty(len(flat))
+    for t in range(0, len(flat), rows):
+        block = flat[t:t + rows]
+        grads = velocity_gradient(basis, block, n, out=work[:len(block)])
+        sup[t:t + len(block)] = _neg_part_max(grads)
+    return sup.reshape(series.shape[:-1])
 
 
 # -- the energy residual -------------------------------------------------------

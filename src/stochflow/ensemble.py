@@ -165,9 +165,16 @@ def run_ensemble(
     f(seeds, basis) -> (M, N).  Members run in contiguous chunks (optionally
     on a thread pool); all reductions are written by member index, so results
     are bitwise independent of chunking and scheduling.
+
+    Raises EnsembleError for fewer than one member, a dt that is not finite
+    and positive, or a negative n_steps.
     """
     if n_members < 1:
         raise EnsembleError(f"need at least one member, got {n_members}")
+    if not (np.isfinite(dt) and dt > 0):
+        raise EnsembleError(f"dt must be finite and positive, got {dt}")
+    if n_steps < 0:
+        raise EnsembleError(f"n_steps must be nonnegative, got {n_steps}")
     seeds = member_seeds(base_seed, n_members)
     sample = initial if callable(initial) else constant_initial(initial)
     a0 = sample(seeds, system.basis)

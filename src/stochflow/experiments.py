@@ -170,6 +170,8 @@ def order_study(
     """
     if len(dt_values) < 3:
         raise ExperimentError("order study needs at least 3 dt values")
+    if n_members < 1:
+        raise ExperimentError(f"order study needs at least one member, got {n_members}")
     for a, b in zip(dt_values, dt_values[1:]):
         if not math.isclose(b, a / 2.0, rel_tol=1e-12):
             raise ExperimentError("dt axis must halve between consecutive points")

@@ -269,6 +269,50 @@ def test_grid_transforms_take_batch_axes(rng):
         assert np.abs(coeffs - a).max() <= 1e-12
 
 
+GRADIENT_CASES = [(2, 2), (2, 4), (3, 1), (3, 2)]
+
+
+@pytest.mark.parametrize("dim,cutoff", GRADIENT_CASES)
+def test_base_grid_gradients_are_refined_samples(dim, cutoff):
+    # the base grid's points are every other point of the 2x grid, and the
+    # blocked transform gives them the same bits on both grids
+    b = build_basis(dim, cutoff)
+    n = default_grid(cutoff)
+    a = np.random.default_rng(dim * 10 + cutoff).normal(size=(5, b.n_modes)) / (1.0 + b.k_sq)
+    fine = velocity_gradient(b, a, 2 * n).reshape((5,) + (2 * n,) * dim + (dim, dim))
+    every_other = fine[(slice(None),) + (slice(None, None, 2),) * dim]
+    assert oracles.bit_equal(every_other.reshape(5, n ** dim, dim, dim),
+                             velocity_gradient(b, a, n))
+
+
+@pytest.mark.parametrize("dim,cutoff", GRADIENT_CASES)
+def test_gradient_rows_match_single_row_calls(dim, cutoff):
+    # one BLAS product per block of B rows, the last one zero-padded: a row's
+    # bits do not depend on the batch it is in
+    b = build_basis(dim, cutoff)
+    n = 2 * default_grid(cutoff)
+    B = basis_mod._gradient_block_rows(b, n)
+    a = np.random.default_rng(cutoff).normal(size=(B + 1, b.n_modes)) / (1.0 + b.k_sq)
+    single = [velocity_gradient(b, a[t], n) for t in range(B + 1)]
+    for T in (1, B - 1, B, B + 1):
+        grads = velocity_gradient(b, a[:T], n)
+        for t in range(T):
+            assert oracles.bit_equal(grads[t], single[t]), (T, t)
+
+
+def test_velocity_gradient_out_layout(basis2_2, rng):
+    n = default_grid(basis2_2.cutoff)
+    a = rng.normal(size=(3, basis2_2.n_modes))
+    work = np.empty((3, 2, 2, n * n)).transpose(0, 3, 1, 2)
+    got = velocity_gradient(basis2_2, a, n, out=work)
+    assert np.shares_memory(got, work)
+    assert oracles.bit_equal(work, velocity_gradient(basis2_2, a, n))
+    with pytest.raises(BasisError):
+        velocity_gradient(basis2_2, a, n, out=np.empty((3, n * n, 2, 2)))
+    with pytest.raises(BasisError):
+        velocity_gradient(basis2_2, a[:, 1:], n)
+
+
 def test_project_field_rejects_underresolved(basis2_2):
     n = default_grid(basis2_2.cutoff) - 1
     with pytest.raises(BasisError):

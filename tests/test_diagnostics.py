@@ -151,6 +151,61 @@ def test_neg_part_max_matches_lapack_bitwise(seed, kinds, exponent, ties):
     assert oracles.bit_equal(_neg_part_max(mats), oracles.neg_part_max(mats))
 
 
+def _spectral(gen, eigenvalues):
+    """A sample whose symmetric part has the given eigenvalues, plus a random
+    antisymmetric part."""
+    Q = np.linalg.qr(gen.normal(size=(3, 3)))[0]
+    A = gen.normal(size=(3, 3))
+    return Q @ np.diag(eigenvalues) @ Q.T + 0.5 * (A - A.T)
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       kinds=st.lists(st.lists(st.sampled_from(SAMPLE_KINDS), min_size=1, max_size=24),
+                      min_size=1, max_size=4),
+       exponent=st.integers(-150, 150),
+       pair=st.sampled_from(("smallest", "largest")),
+       split=st.sampled_from((0.0, 1e-15, 1e-9, 1e-4)),
+       lead=st.sampled_from((0.0, 1e-15, 1e-9, 1e-4)))
+@settings(max_examples=200, deadline=None)
+def test_layered_screen_near_degenerate_maximum(seed, kinds, exponent, pair, split, lead):
+    # each row's maximum sits on a sample with a (near) double eigenvalue,
+    # where the cheap bounds are tight (pair "largest" reaches 2p - q,
+    # "smallest" p - q) and the closed form is least accurate; it beats the
+    # row's other samples by a relative `lead`, 0 for a near tie
+    gen = np.random.default_rng(seed)
+    S = max(map(len, kinds)) + 1
+    mats = np.zeros((len(kinds), S, 3, 3))
+    for r, row in enumerate(kinds):
+        for s_, kind in enumerate(row):
+            mats[r, s_] = _sample(gen, kind)
+        t = max(float(oracles.neg_part_max(mats[r])), 1.0) * (1.0 + lead)
+        if pair == "smallest":
+            eig = [-t, -t * (1.0 - split), gen.uniform(-t, 2.0 * t)]
+        else:
+            v = gen.uniform(-t, 2.0 * t)
+            eig = [-t, v, v * (1.0 + split)]
+        mats[r, gen.integers(S)] = _spectral(gen, eig)
+    mats *= 10.0 ** exponent
+    assert oracles.bit_equal(_neg_part_max(mats), oracles.neg_part_max(mats))
+
+
+def test_layered_screen_margin_at_a_tight_bound():
+    # row [B, A]: A's eigenvalues (-t, t/2, t/2) make its cheap upper bound
+    # 2p - q exact, B's (-s, -s, 2s) make B's twice its value, so B is the
+    # LAPACK candidate; with s within a few ulps of t, A survives only through
+    # the screen's margin for rounding
+    gen = np.random.default_rng(11)
+    rows = []
+    for _ in range(200):
+        t = gen.uniform(0.5, 2.0)
+        for k in range(-6, 7):
+            s_ = t * (1.0 + k * 2.0 ** -52)
+            rows.append([_spectral(gen, [-s_, -s_, 2.0 * s_]),
+                         _spectral(gen, [-t, 0.5 * t, 0.5 * t])])
+    mats = np.array(rows)
+    assert oracles.bit_equal(_neg_part_max(mats), oracles.neg_part_max(mats))
+
+
 @pytest.mark.parametrize("exponent", [-300, -150, -108, 0, 108, 150, 300])
 def test_neg_part_max_across_scales(exponent):
     # near 1e-108 the closed form's p^3 is subnormal: the screen is only right

@@ -109,6 +109,15 @@ def test_rejects_empty_ensemble(additive_system):
                      base_seed=0, dt=1e-3, n_steps=10)
 
 
+@pytest.mark.parametrize("dt,n_steps", [(np.nan, 10), (np.inf, 10), (-np.inf, 10), (0.0, 10),
+                                        (-1e-3, 10), (1e-3, -3)])
+def test_rejects_bad_time_grid(additive_system, dt, n_steps):
+    # refused by name, before the probe-grid check can misreport it
+    with pytest.raises(EnsembleError, match="dt must be|n_steps must be"):
+        run_ensemble(additive_system, np.zeros(additive_system.n_modes), 2,
+                     base_seed=0, dt=dt, n_steps=n_steps)
+
+
 def test_gaussian_initial_reproducible(basis2_2):
     sampler = gaussian_initial(0.4, max_ksq=2.0)
     seeds = member_seeds(7, 16)

@@ -34,6 +34,13 @@ def test_order_study_rejects_bad_axes(viscous_system):
                     t_final=0.1)
 
 
+def test_order_study_rejects_no_members(viscous_system):
+    a0 = np.zeros(viscous_system.n_modes)
+    with pytest.raises(ExperimentError, match="member"):
+        order_study(viscous_system, a0, "euler_maruyama", (1e-2, 5e-3, 2.5e-3),
+                    n_members=0, t_final=0.1)
+
+
 def test_sweep_plan_validation():
     with pytest.raises(ExperimentError):
         SweepPlan(nus=(1e-3, 1e-2)).validate()
