@@ -171,9 +171,12 @@ def _drift(system: GalerkinSystem, aT: np.ndarray, include_correction: bool = Tr
     return out
 
 
-def _diffusion(system: GalerkinSystem, aT: np.ndarray, dWT: np.ndarray) -> np.ndarray:
+def _diffusion(system: GalerkinSystem, aT: np.ndarray, dWT: np.ndarray,
+               additive: np.ndarray | None = None) -> np.ndarray:
+    """eta dW + sum_l (zeta_l a) dW_l; `additive`, if given, is eta dW and is
+    added to in place."""
     ops = system._step_operators()
-    out = ops.eta @ dWT
+    out = ops.eta @ dWT if additive is None else additive
     modes = system.noise.transport.modes
     if modes:
         za = (ops.zeta @ aT).reshape(len(modes), *aT.shape)
@@ -188,8 +191,9 @@ def _euler_maruyama(system: GalerkinSystem, aT: np.ndarray, dWT: np.ndarray,
 
 
 def _heun(system: GalerkinSystem, aT: np.ndarray, dWT: np.ndarray, dt: float) -> np.ndarray:
+    additive = system._step_operators().eta @ dWT
     f0 = _drift(system, aT, include_correction=False)
-    g0 = _diffusion(system, aT, dWT)
+    g0 = _diffusion(system, aT, dWT, additive.copy())
     pred = aT + f0 * dt + g0
     finite = np.all(np.isfinite(pred), axis=0)
     blown = not np.all(finite)
@@ -198,7 +202,7 @@ def _heun(system: GalerkinSystem, aT: np.ndarray, dWT: np.ndarray, dt: float) ->
         # batch keeps its shape and every finite member its bits
         pred = np.where(finite, pred, aT)
     f1 = _drift(system, pred, include_correction=False)
-    g1 = _diffusion(system, pred, dWT)
+    g1 = _diffusion(system, pred, dWT, additive)
     out = aT + 0.5 * dt * (f0 + f1) + 0.5 * (g0 + g1)
     if blown:
         out = np.where(finite, out, np.nan)

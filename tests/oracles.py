@@ -6,7 +6,10 @@ integration paths it is used to check.  Mode evaluation is reimplemented from
 the basis metadata alone.
 """
 
+import itertools
+
 import numpy as np
+from scipy import sparse
 
 TWO_PI = 2.0 * np.pi
 
@@ -24,6 +27,30 @@ def torus_grid(dim, n):
     axes = [np.arange(n) * (TWO_PI / n)] * dim
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=-1)
+
+
+def basis_tables(dim, cutoff):
+    """(wavevectors, integer polarizations, mode_wave, mode_pol, mode_phase)
+    of the basis, by loops: every canonical k of the cube (first nonzero entry
+    positive) sorted by (|k|^2, k), the polarizations k^perp in 2-D and
+    c1 = k x h, c2 = k x c1 in 3-D (h = e_z, or e_x on the z axis), and the
+    modes wavevector-major, then polarization, then cos before sin."""
+    waves = [k for k in itertools.product(range(-cutoff, cutoff + 1), repeat=dim)
+             if next((c for c in k if c), 0) > 0]
+    waves.sort(key=lambda k: (sum(c * c for c in k), k))
+    pols = []
+    for k in waves:
+        if dim == 2:
+            pols.append([[-k[1], k[0]]])
+        else:
+            h = (1, 0, 0) if k[0] == 0 and k[1] == 0 else (0, 0, 1)
+            c1 = np.cross(k, h)
+            pols.append([c1, np.cross(k, c1)])
+    modes = [(w, p, phase) for w in range(len(waves)) for p in range(dim - 1)
+             for phase in (0, 1)]
+    mode_wave, mode_pol, mode_phase = (np.array(m, dtype=np.int64) for m in zip(*modes))
+    return (np.array(waves, dtype=np.int64), np.array(pols, dtype=np.int64),
+            mode_wave, mode_pol, mode_phase)
 
 
 def eval_mode(basis, idx, x):
@@ -69,6 +96,32 @@ def dense_convection(basis, factor=4):
     advect = np.einsum("igm,kgmc->ikgc", vals, grads, optimize=True)
     w = quad_weight(basis.dim, n)
     return w * np.einsum("ikgc,jgc->ikj", advect, vals, optimize=True)
+
+
+def _lookup(keys, values, query):
+    # values at `query` in the sorted unique `keys`, 0.0 where absent
+    pos = np.minimum(np.searchsorted(keys, query), keys.size - 1)
+    return np.where(keys[pos] == query, values[pos], 0.0)
+
+
+def skew_entries(n, i, k, j, values):
+    """(b[i,k,j] - b[i,j,k]) / 2 over the union of the stored triples and
+    their mirrors (`np.union1d`, then a sorted lookup of each key and of its
+    mirror, 0.0 where absent), nonzero entries ordered by a three-key
+    `lexsort` on (j, i, k), and the scatter matrix built from COO.
+    Returns (i, k, j, w, scatter)."""
+    key = (i * n + k) * n + j
+    order = np.argsort(key)
+    key, values = key[order], values[order]
+    full = np.union1d(key, (i * n + j) * n + k)
+    fi, rest = np.divmod(full, n * n)
+    fk, fj = np.divmod(rest, n)
+    mirror = (fi * n + fj) * n + fk
+    w = 0.5 * (_lookup(key, values, full) - _lookup(key, values, mirror))
+    keep = w != 0.0
+    order = np.lexsort((fk[keep], fi[keep], fj[keep]))
+    i, k, j, w = fi[keep][order], fk[keep][order], fj[keep][order], w[keep][order]
+    return i, k, j, w, sparse.csr_matrix((w, (j, np.arange(w.size))), shape=(n, w.size))
 
 
 def gram_matrix(basis, n=None):

@@ -31,6 +31,10 @@ CONVECTION = {
     (2, 8): (88352, "c6d5a1b47270d8e772ea24ca58690d758ab16666bd331041a8a63374ad7926b9"),
     (3, 1): (2096, "49fc4f2ca4bf1b6dfe30d6ccde092ebb388c20de7336e87ea701311758004e70"),
     (3, 2): (70000, "523147d698fa0255fc9e91864ea104d90262a23d64e0abbc0d7ba47ae6f3ebd9"),
+    # recorded from the vectorized triad kernel and union/lookup skew pass that
+    # the loop-recorded pins above held, before the one-sort skew pass
+    (2, 12): (425344, "b95ebafc4b3997742c3594f7b2e9d1b1db49a208cb99933c0fe5adfaa34b5b2d"),
+    (3, 3): (619968, "a1b69248026148812d7fd57043d69295469ce20652638406ecf4fcffd9389642"),
 }
 
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import sparse
 
 from stochflow import basis as basis_mod
 from stochflow.basis import (
@@ -55,6 +56,23 @@ def test_polarization_counts():
     assert per_wave == 4  # 2 polarizations x 2 phases
     b2 = build_basis(2, 1)
     assert b2.n_modes // b2.n_wavevectors == 2
+
+
+@pytest.mark.parametrize("dim,cutoff", [(2, 1), (2, 2), (2, 5), (2, 8), (3, 1), (3, 2), (3, 4)])
+def test_basis_tables_match_loop_oracle(dim, cutoff):
+    b = build_basis(dim, cutoff)
+    built = (b.wavevectors, b.pol_int, b.mode_wave, b.mode_pol, b.mode_phase)
+    for got, expected in zip(built, oracles.basis_tables(dim, cutoff)):
+        assert oracles.bit_equal(got, expected)
+
+
+def test_k_sq_is_cached_and_read_only(basis2_2):
+    ksq = basis2_2.k_sq
+    assert ksq is basis2_2.k_sq
+    assert oracles.bit_equal(ksq, np.sum(basis2_2.wavevectors ** 2, axis=1)[
+        basis2_2.mode_wave].astype(np.float64))
+    with pytest.raises(ValueError):
+        ksq[0] = 0.0
 
 
 @pytest.mark.parametrize("dim,cutoff", [(2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (3, 1), (3, 2)])
@@ -115,6 +133,44 @@ def test_leray_rejects_mismatched_index_set(basis2_2, basis2_3):
 def test_convection_skew_bitwise(conv2_2):
     dense = conv2_2.to_dense()
     assert np.abs(dense + dense.transpose(0, 2, 1)).max() == 0.0
+
+
+@pytest.mark.parametrize("dim,cutoff", [(2, 2), (2, 4), (3, 1), (3, 2)])
+def test_scatter_equals_coo_built(dim, cutoff):
+    conv = convection_tensor(build_basis(dim, cutoff))
+    coo = sparse.csr_matrix((conv.values, (conv.j_idx, np.arange(conv.nnz))),
+                            shape=(conv.n_modes, conv.nnz))
+    s = conv.scatter()
+    for name in ("indptr", "indices", "data"):
+        assert oracles.bit_equal(getattr(s, name), getattr(coo, name))
+    assert s.shape == coo.shape
+    assert oracles.bit_equal(conv.frobenius, float(np.sqrt(np.sum(conv.values ** 2))))
+
+
+def test_skew_pass_matches_union_lookup_oracle():
+    gen = np.random.default_rng(11)
+    n = 9
+    keys = set(gen.choice(n ** 3, size=200, replace=False).tolist())
+    values = {key: gen.normal() for key in keys}
+    # give some entries their mirror: exactly opposite, equal (the skew part
+    # is 0.0 and the pair is dropped) or unrelated
+    for key in list(keys)[::3]:
+        i, k, j = key // (n * n), key // n % n, key % n
+        mirror = (i * n + j) * n + k
+        if mirror not in keys:
+            keys.add(mirror)
+            values[mirror] = gen.choice([-values[key], values[key], gen.normal()])
+    shuffled = gen.permutation(sorted(keys))
+    i, k, j = shuffled // (n * n), shuffled // n % n, shuffled % n
+    vals = np.array([values[key] for key in shuffled.tolist()])
+    assert not np.isin((i * n + j) * n + k, shuffled).all()
+    i_o, k_o, j_o, w_o, s_o = oracles.skew_entries(n, i, k, j, vals)
+    got = basis_mod._skew_tensor(n, i, k, j, vals)
+    s = got.scatter()
+    for g, e in zip((got.i_idx, got.k_idx, got.j_idx, got.values, s.indptr, s.indices, s.data),
+                    (i_o, k_o, j_o, w_o, s_o.indptr, s_o.indices, s_o.data)):
+        assert oracles.bit_equal(g, e)
+    assert s.shape == s_o.shape
 
 
 def test_convection_energy_conservation(conv2_2, rng):
