@@ -13,14 +13,11 @@ from .basis import (
     BasisSpec,
     BasisError,
     ConvectionTensor,
-    TrigField,
     build_basis,
     convection_tensor,
     dissipation_matrix,
     evaluate_field,
-    leray_project,
     project_field,
-    solenoidal_field,
 )
 from .noise import (
     AdditiveNoise,
@@ -39,10 +36,7 @@ from .sde import (
     SdeError,
     Trajectory,
     build_system,
-    drift,
     integrate,
-    step_euler_maruyama,
-    step_heun_stratonovich,
 )
 from .diagnostics import (
     DefectField,

@@ -110,14 +110,6 @@ def parse_label(label: str, dim: int, cutoff: int) -> tuple[tuple[int, ...], int
     raise BasisError(f"unknown mode label {label!r}")
 
 
-def canonicalize(k: np.ndarray) -> tuple[np.ndarray, int]:
-    """Return (canonical wavevector, sign) with sign * canonical == k."""
-    k = np.asarray(k, dtype=np.int64)
-    if _is_canonical(k):
-        return k, 1
-    return -k, -1
-
-
 def enumerate_wavevectors(dim: int, cutoff: int) -> np.ndarray:
     """Canonical nonzero wavevectors with |k|_inf <= cutoff, deterministically ordered.
 
@@ -180,10 +172,6 @@ class BasisSpec:
         return self.mode_wave.size
 
     @property
-    def n_wavevectors(self) -> int:
-        return self.wavevectors.shape[0]
-
-    @property
     def volume(self) -> float:
         return TWO_PI ** self.dim
 
@@ -225,10 +213,6 @@ class BasisSpec:
 
     def mode_p(self, i: int) -> np.ndarray:
         return self.polarizations[self.mode_wave[i], self.mode_pol[i]]
-
-    def mode_c(self, i: int) -> np.ndarray:
-        """Unnormalized integer polarization of mode i."""
-        return self.pol_int[self.mode_wave[i], self.mode_pol[i]]
 
     def mode_label(self, i: int) -> str:
         return _format_label(self.mode_k(i), self.mode_pol[i], self.mode_phase[i])
@@ -320,83 +304,6 @@ def build_basis(dim: int, cutoff: int) -> BasisSpec:
 def default_grid(cutoff: int) -> int:
     """Smallest grid that integrates products of two modes exactly."""
     return 2 * cutoff + 2
-
-
-# -- fields in trigonometric coordinates ------------------------------------
-
-
-@dataclass
-class TrigField:
-    """A general (not necessarily solenoidal) vector field in trig coordinates.
-
-    field(x) = mean + sum over (wavevector w, phase) of
-               norm_const * coeffs[w, phase, :] * trig_phase(k_w . x)
-
-    indexed by the same canonical wavevector table as a BasisSpec.
-    """
-
-    coeffs: np.ndarray   # (W, 2, d)
-    mean: np.ndarray     # (d,)
-
-    @classmethod
-    def zeros(cls, basis: BasisSpec) -> "TrigField":
-        return cls(
-            coeffs=np.zeros((basis.n_wavevectors, 2, basis.dim)),
-            mean=np.zeros(basis.dim),
-        )
-
-
-def leray_project(basis: BasisSpec, field_: TrigField) -> np.ndarray:
-    """L2-orthogonal projection onto the divergence-free mean-free span.
-
-    Acts per wavevector as I - k k^T/|k|^2; the mean (zero mode) maps to zero.
-    Returns the coefficient vector in basis ordering.  Idempotent:
-    projecting the solenoidal reconstruction of the output reproduces it.
-    """
-    coeffs = np.asarray(field_.coeffs, dtype=np.float64)
-    if coeffs.shape != (basis.n_wavevectors, 2, basis.dim):
-        raise BasisError(
-            f"field indexed by {coeffs.shape}, basis expects "
-            f"{(basis.n_wavevectors, 2, basis.dim)}"
-        )
-    # a_mode = p . w for the mode's (wavevector, phase) slot
-    pvec = basis.polarizations[basis.mode_wave, basis.mode_pol]       # (N, d)
-    slots = coeffs[basis.mode_wave, basis.mode_phase]                 # (N, d)
-    return np.einsum("nd,nd->n", pvec, slots)
-
-
-def solenoidal_field(basis: BasisSpec, a: np.ndarray) -> TrigField:
-    """Embed a basis coefficient vector as a TrigField (inverse of leray on range)."""
-    a = np.asarray(a, dtype=np.float64)
-    if a.shape != (basis.n_modes,):
-        raise BasisError(f"coefficient vector has shape {a.shape}, expected ({basis.n_modes},)")
-    out = TrigField.zeros(basis)
-    pvec = basis.polarizations[basis.mode_wave, basis.mode_pol]
-    np.add.at(out.coeffs, (basis.mode_wave, basis.mode_phase), a[:, None] * pvec)
-    return out
-
-
-def gradient_field(basis: BasisSpec, potential: dict[tuple, float]) -> TrigField:
-    """TrigField of grad g for a scalar trig polynomial g (for testing projections).
-
-    `potential` maps (wavevector tuple, phase) to a coefficient of
-    norm_const * trig(k.x); wavevectors are canonicalized first
-    (cos(-k.x) = cos(k.x), sin(-k.x) = -sin(k.x)).
-    """
-    out = TrigField.zeros(basis)
-    for (ktup, phase), g in potential.items():
-        k, sign = canonicalize(np.array(ktup, dtype=np.int64))
-        w = basis.wave_index(k)
-        if w < 0:
-            raise BasisError(f"wavevector {ktup} outside basis cutoff")
-        kf = k.astype(np.float64)
-        if phase == COS:
-            # grad g cos(k.x) = -g k sin(k.x)
-            out.coeffs[w, SIN] += -g * kf
-        else:
-            # g sin(s k.x) = s g sin(k.x); grad -> s g k cos(k.x)
-            out.coeffs[w, COS] += sign * g * kf
-    return out
 
 
 # -- grid transforms: the only readers of the mode caches ------------------------

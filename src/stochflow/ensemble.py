@@ -3,6 +3,8 @@
 An ensemble is a pure function of (system, base seed, member count, path
 configuration): member m integrates along the level-0 Brownian path with
 seed base_seed XOR m, so any member can be regenerated instead of stored.
+These seeds are distinct within one ensemble, not across ensembles: two
+base seeds whose XOR is below the member count share member streams.
 One member runner over one chunk partition serves `run_ensemble`,
 `member_trajectory` and `diagnostics.dissipative_weak_residual`, and
 integration is invariant to batch size (see `stochflow.sde`), so a
@@ -34,7 +36,9 @@ class EnsembleError(ValueError):
 
 
 def member_seeds(base_seed: int, n_members: int) -> np.ndarray:
-    """Member seeds base_seed XOR index; pairwise distinct by construction."""
+    """Member seeds base_seed XOR index: distinct within one ensemble only,
+    since two base seeds whose XOR is below n_members share seeds (0 and 1
+    give the same 64 seeds in another order)."""
     return np.uint64(base_seed) ^ np.arange(n_members, dtype=np.uint64)
 
 

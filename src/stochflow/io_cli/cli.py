@@ -18,13 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from ..diagnostics import (
-    energy_residual,
-    energy_variational_gap,
-    make_test_processes,
-    reynolds_defect,
-)
-from ..ensemble import moment_report, run_ensemble
+from ..diagnostics import energy_residual, energy_variational_gap, make_test_processes
+from ..ensemble import run_ensemble
 from ..experiments import viscosity_sweep
 from ..sde import BrownianPath, integrate
 from .config import ConfigError, DEFAULTS, RunConfig, emit_config, parse_config
@@ -193,6 +188,13 @@ def cmd_emit(args) -> int:
     return 0
 
 
+def _thread_count(text: str) -> int:
+    """--threads: a count of worker threads, 0 meaning auto."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected 0 (auto) or a positive integer, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="stochflow",
@@ -204,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help=f"override the base seed (or set {ENV_SEED})")
     parser.add_argument("--out", default=os.environ.get(ENV_OUT),
                         help=f"override the output directory (or set {ENV_OUT})")
-    parser.add_argument("--threads", type=int, default=0,
+    parser.add_argument("--threads", type=_thread_count, default=0,
                         help="worker threads for ensemble chunks, 0 = auto")
     strictness = parser.add_mutually_exclusive_group()
     strictness.add_argument("--strict", dest="strict", action="store_true", default=True,

@@ -148,15 +148,10 @@ def build_system(basis: BasisSpec, noise: NoiseSpec | None = None, nu: float = 0
 
 # -- drift, diffusion and steps ----------------------------------------------
 #
-# The cores work member-minor: a batch of M states is a contiguous (N, M)
-# array aT whose columns are the members, and the increments are (K, M).
-# The public functions take (..., N) states and (..., K) increments and
-# transpose in and out of the cores.
-
-
-def _member_minor(x: np.ndarray, rows: int) -> np.ndarray:
-    """(..., n) with `rows` leading entries as a contiguous (n, rows) array."""
-    return np.ascontiguousarray(x.reshape(rows, x.shape[-1]).T)
+# Every function here works member-minor: a batch of M states is a
+# contiguous (N, M) array aT whose columns are the members, and the
+# increments are (K, M).  They are private and reached only through
+# `integrate_batch`, which owns the shape and dt checks.
 
 
 def _drift(system: GalerkinSystem, aT: np.ndarray, include_correction: bool = True) -> np.ndarray:
@@ -191,6 +186,13 @@ def _euler_maruyama(system: GalerkinSystem, aT: np.ndarray, dWT: np.ndarray,
 
 
 def _heun(system: GalerkinSystem, aT: np.ndarray, dWT: np.ndarray, dt: float) -> np.ndarray:
+    """One Stratonovich Heun step: predictor plus trapezoidal corrector.
+
+    Drift excludes the Ito correction; the midpoint-averaged diffusion
+    supplies it in law.  For zero noise this is the deterministic RK2 rule.
+    Members whose predictor is non-finite come out as NaN, for the caller to
+    flag as blown up; the corrector is evaluated only for the others.
+    """
     additive = system._step_operators().eta @ dWT
     f0 = _drift(system, aT, include_correction=False)
     g0 = _diffusion(system, aT, dWT, additive.copy())
@@ -212,53 +214,6 @@ def _heun(system: GalerkinSystem, aT: np.ndarray, dWT: np.ndarray, dt: float) ->
 def _check_state(system: GalerkinSystem, a: np.ndarray) -> None:
     if a.shape[-1:] != (system.n_modes,):
         raise SdeError(f"state has shape {a.shape}, expected (..., {system.n_modes})")
-
-
-def _batched(core, system: GalerkinSystem, a: np.ndarray, dW: np.ndarray, *args) -> np.ndarray:
-    """Run a member-minor core on (..., N) states and (..., K) increments."""
-    a = np.asarray(a, dtype=np.float64)
-    dW = np.asarray(dW, dtype=np.float64)
-    _check_state(system, a)
-    if dW.shape[-1:] != (system.n_brownian,):
-        raise SdeError(f"increment has shape {dW.shape}, expected (..., {system.n_brownian})")
-    lead = np.broadcast_shapes(a.shape[:-1], dW.shape[:-1])
-    rows = math.prod(lead)
-    aT = _member_minor(np.broadcast_to(a, lead + a.shape[-1:]), rows)
-    dWT = _member_minor(np.broadcast_to(dW, lead + dW.shape[-1:]), rows)
-    return core(system, aT, dWT, *args).T.reshape(lead + a.shape[-1:])
-
-
-def drift(system: GalerkinSystem, a: np.ndarray) -> np.ndarray:
-    """Ito drift -B(a,a) - D a.  Supports a leading batch axis on `a`."""
-    a = np.asarray(a, dtype=np.float64)
-    _check_state(system, a)
-    rows = a.size // system.n_modes
-    return _drift(system, _member_minor(a, rows)).T.reshape(a.shape)
-
-
-def _diffusion_increment(system: GalerkinSystem, a: np.ndarray, dW: np.ndarray) -> np.ndarray:
-    """Noise term sum_l (eta[:, l] + zeta_l a) dW_l, without the (..., N, K) matrix."""
-    return _batched(_diffusion, system, a, dW)
-
-
-def step_euler_maruyama(system: GalerkinSystem, a: np.ndarray, dW: np.ndarray, dt: float) -> np.ndarray:
-    """One Ito Euler-Maruyama step; correction matrix lives in the drift."""
-    if not 0 < dt < math.inf:
-        raise SdeError(f"dt must be positive and finite, got {dt}")
-    return _batched(_euler_maruyama, system, a, dW, dt)
-
-
-def step_heun_stratonovich(system: GalerkinSystem, a: np.ndarray, dW: np.ndarray, dt: float) -> np.ndarray:
-    """One Stratonovich Heun step: predictor plus trapezoidal corrector.
-
-    Drift excludes the Ito correction; the midpoint-averaged diffusion
-    supplies it in law.  For zero noise this is the deterministic RK2 rule.
-    Members whose predictor is non-finite come out as NaN, for the caller to
-    flag as blown up; the corrector is evaluated only for the others.
-    """
-    if not 0 < dt < math.inf:
-        raise SdeError(f"dt must be positive and finite, got {dt}")
-    return _batched(_heun, system, a, dW, dt)
 
 
 _STEPPERS = {

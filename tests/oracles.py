@@ -53,10 +53,16 @@ def basis_tables(dim, cutoff):
             mode_wave, mode_pol, mode_phase)
 
 
+def mode_c(basis, idx):
+    """Unnormalized integer polarization of mode idx, read from `pol_int`."""
+    return basis.pol_int[basis.mode_wave[idx], basis.mode_pol[idx]]
+
+
 def eval_mode(basis, idx, x):
     """Mode value (G, d) and gradient (G, d_axis, d_comp) from metadata only."""
     k = basis.mode_k(idx).astype(float)
-    p = basis.mode_c(idx) / np.linalg.norm(basis.mode_c(idx))
+    c_int = mode_c(basis, idx)
+    p = c_int / np.linalg.norm(c_int)
     c = np.sqrt(2.0 / TWO_PI ** basis.dim)
     theta = x @ k
     if basis.mode_phase[idx] == 0:

@@ -20,7 +20,7 @@ from stochflow.diagnostics import (
 )
 from stochflow.ensemble import run_ensemble
 from stochflow.noise import build_noise
-from stochflow.sde import BrownianPath, build_system, drift, integrate
+from stochflow.sde import BrownianPath, _drift, build_system, integrate
 
 import oracles
 
@@ -319,7 +319,7 @@ def test_gap_phi_equals_u_on_em_path(additive_system, rng):
     a0 = rng.normal(size=additive_system.n_modes) * 0.3
     path = BrownianPath.generate(8, 1e-3, 500, additive_system.n_brownian)
     traj = integrate(additive_system, a0, path)
-    A = np.stack([drift(additive_system, traj.states[n]) for n in range(500)])
+    A = np.stack([_drift(additive_system, traj.states[n][:, None])[:, 0] for n in range(500)])
     phi_u = TestProcessRep(phi0=traj.states[0].copy(), A=A,
                            B=additive_system.noise.additive.eta.T.copy())
     assert np.abs(phi_u.series(traj.increments, 1e-3) - traj.states).max() == 0.0

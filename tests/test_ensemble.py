@@ -25,6 +25,12 @@ def test_member_seeds_distinct():
     assert len(set(seeds.tolist())) == 1000
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 3")
+def test_member_seeds_distinct_across_base_seeds():
+    # ensembles with different base seeds share no member stream
+    assert not set(member_seeds(0, 64).tolist()) & set(member_seeds(1, 64).tolist())
+
+
 def test_single_member_deterministic(viscous_system, rng):
     a0 = rng.normal(size=viscous_system.n_modes) * 0.3
     ens = run_ensemble(viscous_system, a0, 1, base_seed=0, dt=1e-3, n_steps=100)

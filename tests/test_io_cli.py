@@ -549,6 +549,14 @@ def test_cli_unknown_subcommand_usage(capsys):
     assert "usage" in capsys.readouterr().err.lower()
 
 
+@pytest.mark.parametrize("threads", ["-2", "x"])
+def test_cli_refuses_bad_thread_count(capsys, threads):
+    with pytest.raises(SystemExit) as exc:
+        main(["--threads", threads, "ensemble"])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
+
+
 def test_cli_invalid_config_lists_errors(tmp_path, capsys):
     p = tmp_path / "bad.json"
     p.write_text(json.dumps({"viscosity": -2, "scheme": "nope"}))

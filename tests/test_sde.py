@@ -9,19 +9,33 @@ from hypothesis import given, settings, strategies as st
 from stochflow.io_cli.storage import load_trajectory, save_trajectory
 from stochflow.noise import build_noise
 from stochflow.sde import (
+    SCHEMES,
     BrownianPath,
     SdeError,
     Trajectory,
-    _diffusion_increment,
+    _diffusion,
+    _drift,
     build_system,
-    drift,
     integrate,
     integrate_batch,
-    step_euler_maruyama,
-    step_heun_stratonovich,
 )
 
 import oracles
+
+
+def drift(system, a):
+    """The Ito drift of one state, as one member-minor column."""
+    return _drift(system, a[:, None])[:, 0]
+
+
+def diffusion(system, a, dW):
+    """The noise increment of one state and one increment, as columns."""
+    return _diffusion(system, a[:, None], dW[:, None])[:, 0]
+
+
+def step(system, a, dW, dt, scheme):
+    """One step of one member."""
+    return integrate_batch(system, a[None], dW[None, None], dt, scheme).states[1, 0]
 
 
 # -- drift ---------------------------------------------------------------------
@@ -61,7 +75,7 @@ def test_drift_rejects_nonfinite(viscous_system):
 def test_diffusion_at_zero_state(additive_system, rng):
     eta = additive_system.noise.additive.eta
     dW = rng.normal(size=additive_system.n_brownian)
-    out = _diffusion_increment(additive_system, np.zeros(additive_system.n_modes), dW)
+    out = diffusion(additive_system, np.zeros(additive_system.n_modes), dW)
     # one Brownian mode, so each entry is a single product
     assert np.array_equal(out, eta @ dW)
 
@@ -71,7 +85,7 @@ def test_transport_diffusion_energy_orthogonal(transport_system, rng):
     for _ in range(50):
         a = rng.normal(size=transport_system.n_modes)
         for dW in unit:
-            inc = _diffusion_increment(transport_system, a, dW)
+            inc = diffusion(transport_system, a, dW)
             assert abs(a @ inc) <= 1e-13 * np.linalg.norm(a) ** 2
 
 
@@ -81,7 +95,7 @@ def test_diffusion_matches_dense_oracle(transport_system, rng):
     tr = transport_system.noise.transport
     dense = oracles.dense_diffusion(transport_system.noise.additive.eta,
                                     tr.zeta, tr.modes, a)
-    assert np.abs(_diffusion_increment(transport_system, a, dW) - dense @ dW).max() <= 1e-13
+    assert np.abs(diffusion(transport_system, a, dW) - dense @ dW).max() <= 1e-13
 
 
 # -- single steps ----------------------------------------------------------------
@@ -89,8 +103,8 @@ def test_diffusion_matches_dense_oracle(transport_system, rng):
 
 def test_em_zero_everything(additive_system):
     a = np.zeros(additive_system.n_modes)
-    out = step_euler_maruyama(additive_system, a,
-                              np.zeros(additive_system.n_brownian), 1e-2)
+    out = step(additive_system, a, np.zeros(additive_system.n_brownian), 1e-2,
+               "euler_maruyama")
     assert np.abs(out).max() == 0.0
 
 
@@ -99,8 +113,7 @@ def test_em_viscous_decay_oracle(viscous_system):
     a = np.zeros(b.n_modes)
     a[b.index_of("1,0:cos")] = 1.0
     dt = 1e-3
-    for _ in range(1000):
-        a = step_euler_maruyama(viscous_system, a, np.zeros(0), dt)
+    a = integrate_batch(viscous_system, a[None], np.zeros((1, 1000, 0)), dt).states[-1, 0]
     exact = oracles.eigenmode_energy(0.1, 1.0, 1.0)
     assert abs(float(a @ a) - exact) <= 1e-3
 
@@ -126,7 +139,7 @@ def test_heun_deterministic_matches_rk2(viscous_system, rng):
         return drift(viscous_system, y)
 
     ref = oracles.rk2_step(f, a, dt)
-    out = step_heun_stratonovich(viscous_system, a, np.zeros(0), dt)
+    out = step(viscous_system, a, np.zeros(0), dt, "heun")
     assert np.abs(out - ref).max() <= 1e-14
 
 
@@ -148,8 +161,8 @@ def test_heun_equals_em_for_state_independent_coefficients(basis2_1, rng):
     a[basis2_1.index_of("1,0:cos")] = 0.7
     assert np.abs(drift(system, a)).max() == 0.0
     dW = rng.normal(size=1) * np.sqrt(1e-2)
-    em = step_euler_maruyama(system, a, dW, 1e-2)
-    heun = step_heun_stratonovich(system, a, dW, 1e-2)
+    em = step(system, a, dW, 1e-2, "euler_maruyama")
+    heun = step(system, a, dW, 1e-2, "heun")
     assert np.array_equal(em, heun)
 
 
@@ -308,7 +321,10 @@ def test_integrate_batch_rejects_bad_shapes_and_dt(basis2_2, conv2_2, scheme):
         integrate_batch(system, np.zeros((2, N - 1)), inc, 1e-3, scheme)
     with pytest.raises(SdeError, match="state has shape"):
         integrate_batch(system, np.zeros((2, N - 1)), np.zeros((2, 0, K)), 1e-3, scheme)
-    for dt in (0.0, -1e-3, np.nan, np.inf):
+    for bad in (np.zeros((3, 3, K)), np.zeros((2, 3, K - 1))):
+        with pytest.raises(SdeError, match="increment array inconsistent"):
+            integrate_batch(system, np.zeros((2, N)), bad, 1e-3, scheme)
+    for dt in (0.0, -1e-3, np.nan, np.inf, -np.inf):
         with pytest.raises(SdeError, match="dt must be positive"):
             integrate_batch(system, np.zeros((2, N)), inc, dt, scheme)
 
@@ -318,9 +334,9 @@ def test_steps_and_paths_refuse_bad_dt(basis2_2, conv2_2, dt):
     # `dt <= 0` is False for NaN, so a non-finite dt needs its own refusal
     system = _two_transport_system(basis2_2, conv2_2)
     N, K = system.n_modes, system.n_brownian
-    for step in (step_euler_maruyama, step_heun_stratonovich):
+    for scheme in SCHEMES:
         with pytest.raises(SdeError, match="dt must be positive"):
-            step(system, np.zeros(N), np.zeros(K), dt)
+            step(system, np.zeros(N), np.zeros(K), dt, scheme)
     with pytest.raises(SdeError, match="dt > 0"):
         BrownianPath.generate(1, dt, 4, K)
 
@@ -329,20 +345,6 @@ def test_steps_and_paths_refuse_bad_dt(basis2_2, conv2_2, dt):
 def test_build_system_refuses_bad_viscosity(basis2_2, conv2_2, nu):
     with pytest.raises(SdeError, match="viscosity"):
         build_system(basis2_2, nu=nu, conv=conv2_2)
-
-
-@pytest.mark.parametrize("step", [step_euler_maruyama, step_heun_stratonovich])
-def test_step_rejects_bad_shapes(basis2_2, conv2_2, step):
-    system = _two_transport_system(basis2_2, conv2_2)
-    N, K = system.n_modes, system.n_brownian
-    with pytest.raises(SdeError, match="increment has shape"):
-        step(system, np.zeros((3, N)), np.zeros((3, K - 1)), 1e-3)
-    with pytest.raises(SdeError, match="state has shape"):
-        step(system, np.zeros((3, N - 1)), np.zeros((3, K)), 1e-3)
-    with pytest.raises(SdeError, match="increment has shape"):
-        _diffusion_increment(system, np.zeros(N), np.zeros(K - 1))
-    with pytest.raises(SdeError, match="state has shape"):
-        drift(system, np.zeros((3, N - 1)))
 
 
 def test_energy_series_is_parseval(additive_system, rng):
