@@ -523,7 +523,7 @@ class ConvectionTensor:
 
     Entries are stored in coordinate format sorted by output index j; the
     per-j scatter matrix realizes the quadratic contraction
-    B(a, c)_j = sum over (i, k) of b[i, k, j] a_i c_k.
+    B(a, a)_j = sum over (i, k) of b[i, k, j] a_i a_k.
 
     The kernel is member-minor: `_apply_members` takes the R states of a
     batch as the columns of a contiguous (N, R) array and returns B in the
@@ -532,24 +532,20 @@ class ConvectionTensor:
     directly; `apply` is the wrapper for (..., N) states, which transposes in
     and out of it and so has the same bits.  Output modes are walked in row
     blocks, runs of whole scatter rows [j0, j1).  A block gathers a product
-    table, one row fl(a_i c_k) of R members per distinct pair in the block,
-    and sums it with a per-block CSR matrix whose column indices point into
-    that table (`sub @ table`, scipy's csr_matvecs).  For B(a, c) the pairs
-    are the ordered (i, k); for B(a, a) they are the unordered {i, k}, since
-    the stored entries (i, k, j) and (k, i, j) multiply the same product and
-    IEEE multiplication commutes, fl(a_i a_k) = fl(a_k a_i).  At 2-D cutoff 4 and R = 1024 that gathers
+    table, one row fl(a_i a_k) of R members per distinct unordered pair
+    {i, k} in the block, and sums it with a per-block CSR matrix whose column
+    indices point into that table (`sub @ table`, scipy's csr_matvecs): the
+    stored entries (i, k, j) and (k, i, j) multiply the same product, since
+    IEEE multiplication commutes.  At 2-D cutoff 4 and R = 1024 that gathers
     3310 rows per call instead of nnz = 6176.  A block grows row by row while
     its distinct pairs fill at most a fixed workspace of R doubles per pair
     (one row may exceed it).  The entries of each scatter row keep their
     order, so every output entry is the same sequential sum, over the same
-    terms v_e * fl(a_i c_k) in the same order, as the single sparse product
+    terms v_e * fl(a_i a_k) in the same order, as the single sparse product
     over the full (nnz, R) product: the bits do not depend on R, on the
     blocking or on the pair tables, and a batch matches its members applied
-    one by one.  Only NaN payloads may differ between B(a, a) and B(a, a')
-    with a' a copy of a: a product of two NaNs keeps one operand's payload,
-    and the table may hold the operands in the other order.  The partitions
-    are built on first use, one per power of two of R and pair kind, and
-    cached on the tensor with their widest block.
+    one by one.  The partitions are built on first use, one per power of two
+    of R, and cached on the tensor with their widest block.
 
     Each call allocates one (2, widest block, R) workspace and every block
     gathers into it, so a call makes one allocation instead of two fresh
@@ -580,20 +576,16 @@ class ConvectionTensor:
     def scatter(self) -> sparse.csr_matrix:
         return self._scatter
 
-    def _row_blocks(self, rows: int, symmetric: bool) -> tuple[int, list]:
-        # (widest block, blocks), keyed by rows rounded up to a power of two
-        # and by whether pairs are unordered; building a partition is
-        # deterministic, so threads that race to fill an entry store equal
-        # values
+    def _row_blocks(self, rows: int) -> tuple[int, list]:
+        # (widest block, blocks), keyed by rows rounded up to a power of two;
+        # building a partition is deterministic, so threads that race to
+        # fill an entry store equal values
         key = 1 << max(rows - 1, 0).bit_length()
-        part = self._blocks.get((key, symmetric))
+        part = self._blocks.get(key)
         if part is None:
             cap = max(1, _APPLY_WORKSPACE // key)
             n, indptr = self.n_modes, self._scatter.indptr
-            if symmetric:
-                pair = np.minimum(self.i_idx, self.k_idx) * n + np.maximum(self.i_idx, self.k_idx)
-            else:
-                pair = self.i_idx * n + self.k_idx
+            pair = np.minimum(self.i_idx, self.k_idx) * n + np.maximum(self.i_idx, self.k_idx)
             blocks, j0 = [], 0
             while j0 < n:
                 # grow the block row by row while its distinct pairs fit
@@ -612,35 +604,30 @@ class ConvectionTensor:
                 blocks.append((j0, j1, table // n, table % n, sub))
                 j0 = j1
             part = max(b[2].size for b in blocks), blocks
-            self._blocks[(key, symmetric)] = part
+            self._blocks[key] = part
         return part
 
-    def apply(self, a: np.ndarray, c: np.ndarray | None = None) -> np.ndarray:
-        """B(a, c) with c defaulting to a; supports arbitrary leading batch axes."""
+    def apply(self, a: np.ndarray) -> np.ndarray:
+        """B(a, a); supports arbitrary leading batch axes."""
         a = np.asarray(a, dtype=np.float64)
-        if c is not None:
-            a, c = np.broadcast_arrays(a, np.asarray(c, dtype=np.float64))
         if a.shape[-1:] != (self.n_modes,):
             raise ValueError(f"state has shape {a.shape}, expected (..., {self.n_modes})")
         rows = a.size // self.n_modes
         aT = np.ascontiguousarray(a.reshape(rows, self.n_modes).T)
-        cT = None if c is None else np.ascontiguousarray(c.reshape(rows, self.n_modes).T)
-        return self._apply_members(aT, cT).T.reshape(a.shape)
+        return self._apply_members(aT).T.reshape(a.shape)
 
-    def _apply_members(self, aT: np.ndarray, cT: np.ndarray | None = None) -> np.ndarray:
-        """B(a, c) member-minor: aT, cT and the result are contiguous (N, R) arrays."""
+    def _apply_members(self, aT: np.ndarray) -> np.ndarray:
+        """B(a, a) member-minor: aT and the result are contiguous (N, R) arrays."""
         rows = aT.shape[1]
         if self.nnz == 0:
             return np.zeros_like(aT)
         out = np.empty((self.n_modes, rows))
-        width, blocks = self._row_blocks(rows, cT is None)
-        if cT is None:
-            cT = aT
+        width, blocks = self._row_blocks(rows)
         work = np.empty((2, width, rows))
         for j0, j1, i_idx, k_idx, sub in blocks:
             prod, other = work[0, :i_idx.size], work[1, :i_idx.size]
             np.take(aT, i_idx, axis=0, out=prod, mode="clip")
-            np.take(cT, k_idx, axis=0, out=other, mode="clip")
+            np.take(aT, k_idx, axis=0, out=other, mode="clip")
             np.multiply(prod, other, out=prod)
             out[j0:j1] = sub @ prod
         return out

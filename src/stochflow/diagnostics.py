@@ -390,10 +390,10 @@ def energy_variational_gap(
     the Ito correction is the row-wise dot of (a @ corr) with phi, T N^2
     flops; the transport integrand the row-wise dot of (a @ zeta_l) with
     phi, S T N^2; the martingale trace a @ (zeta_l B_l), S N^2 + S T N; the
-    convection term one `conv.apply(a, phi)` over T rows.  The test process
-    itself is one cumulative sum (`TestProcessRep.series`).  A relaxed
-    `energy_series` adds `neg_sup_series` over T rows (one row if phi is
-    static).
+    convection term the row-wise dot of one `conv.apply(a)` over T rows with
+    phi.  The test process itself is one cumulative sum
+    (`TestProcessRep.series`).  A relaxed `energy_series` adds
+    `neg_sup_series` over T rows (one row if phi is static).
 
     Raises DiagnosticsError when phi's B is not (K, N), phi0 not (N,), A not
     (n_saved_steps, N), or `energy_series` not of `traj.energy`'s shape.
@@ -442,9 +442,9 @@ def energy_variational_gap(
     # -nu int grad u : grad phi
     if nu:
         gap += -nu * float(np.einsum("tn,n,tn->", a_l, ksq, phi_l)) * dt_s
-    # int [u (x) u] : grad phi  ==  sum b[i,k,j] a_i phi_k a_j
-    conv_u_phi = system.conv.apply(a_l, phi_l)
-    gap += float(np.einsum("tn,tn->", conv_u_phi, a_l)) * dt_s
+    # int [u (x) u] : grad phi  ==  sum b[i,k,j] a_i phi_k a_j  ==  -phi . B(a, a),
+    # as b is skew in its last two slots
+    gap -= float(np.einsum("tn,tn->", system.conv.apply(a_l), phi_l)) * dt_s
     # weight term 2 |(grad phi)_sym,-| (1/2|u|^2 - E)
     slack = 0.5 * np.einsum("tn,tn->t", a_l, a_l) - E[sl]
     if np.any(slack):
@@ -604,6 +604,7 @@ def dissipative_weak_residual(ensemble, phi, t: float) -> dict:
     j = _grid_index(t, dt, ensemble.n_steps,
                     DiagnosticsError(f"time {t} is not on the ensemble's step grid"))
     lin = np.tile(system.nu * ksq_phi + corr_phi, j)
+    phi_rows = np.tile(phi, j)
     residuals = np.empty(ensemble.n_members)
     # every sum over a member's steps and modes runs along one contiguous
     # member-major row, so its bits do not depend on the chunk's size
@@ -613,10 +614,10 @@ def dissipative_weak_residual(ensemble, phi, t: float) -> dict:
         boundary = np.einsum("mn,n->m", a[j] - a[0], phi)
         u = np.ascontiguousarray(a[:-1].transpose(1, 0, 2))   # (M, j, N)
         del a  # the member-major copy replaces it before the kernel allocates
-        conv = system.conv.apply(u, np.broadcast_to(phi, u.shape))
-        conv = np.ascontiguousarray(conv.reshape(len(u), -1))
+        # sum b[i,k,j] u_i phi_k u_j == -phi . B(u, u), as b is skew in (k, j)
+        conv = system.conv.apply(u).reshape(len(u), -1)
         u = u.reshape(len(u), -1)
-        quad = np.einsum("mk,mk->m", conv, u) - np.einsum("mk,k->m", u, lin)
+        quad = -np.einsum("mk,k->m", conv, phi_rows) - np.einsum("mk,k->m", u, lin)
         residuals[sl] = -boundary + quad * dt
     mean, se = mean_stderr(residuals)
     return {"residual": mean, "stderr": se, "n_members": ensemble.n_members, "t": t}

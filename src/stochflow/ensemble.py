@@ -171,7 +171,8 @@ def run_ensemble(
     are bitwise independent of chunking and scheduling.
 
     Raises EnsembleError for fewer than one member, a dt that is not finite
-    and positive, or a negative n_steps.
+    and positive, a negative n_steps or a store_every that is not a positive
+    integer.
     """
     if n_members < 1:
         raise EnsembleError(f"need at least one member, got {n_members}")
@@ -179,6 +180,8 @@ def run_ensemble(
         raise EnsembleError(f"dt must be finite and positive, got {dt}")
     if n_steps < 0:
         raise EnsembleError(f"n_steps must be nonnegative, got {n_steps}")
+    if not (isinstance(store_every, (int, np.integer)) and store_every >= 1):
+        raise EnsembleError(f"store_every must be a positive integer, got {store_every}")
     seeds = member_seeds(base_seed, n_members)
     sample = initial if callable(initial) else constant_initial(initial)
     a0 = sample(seeds, system.basis)

@@ -1,10 +1,12 @@
 """Reproducible limit experiments: viscosity sweeps and order studies.
 
-The viscosity sweep couples Brownian paths across the nu axis (same member
-seeds), which turns the vanishing-viscosity program into something observable
-at desk scale: per-member field differences between consecutive nu values act
-as a Cauchy surrogate for the limit, while moments and the weighted viscous
-functional are tracked for uniformity and decay.
+The viscosity sweep always couples Brownian paths across the nu axis: every
+nu runs on the same member seeds, so each member is one probabilistically
+strong solution path seen at several viscosities.  That turns the
+vanishing-viscosity program into something observable at desk scale:
+per-member field differences between consecutive nu values act as a Cauchy
+surrogate for the limit, while moments and the weighted viscous functional
+are tracked for uniformity and decay.
 
 The order study measures strong convergence rates by dyadic refinement of a
 single family of Brownian paths against a finer reference run: the members'
@@ -31,7 +33,7 @@ class ExperimentError(ValueError):
 
 @dataclass
 class SweepPlan:
-    """Axis and coupling choices for a parameter sweep."""
+    """Axis and run choices for a parameter sweep on coupled paths."""
 
     nus: tuple[float, ...]
     n_members: int = 64
@@ -40,7 +42,6 @@ class SweepPlan:
     n_steps: int = 1000
     scheme: str = "euler_maruyama"
     store_every: int = 10
-    coupled_paths: bool = True
     moment_p: float = 4.0
     gap_battery: int = 10
 
@@ -71,8 +72,8 @@ def viscosity_sweep(
     |grad phi| whose fitted log-log exponent against nu is the decay
     observable; phi is the static field with the same coefficient on every
     mode with |k|^2 <= 2 and |phi| = 1/2.  Consecutive-axis field differences
-    at T are reported under path coupling, and the inviscid-form gap battery
-    runs on one member of the smallest-nu ensemble.
+    at T are reported, and the inviscid-form gap battery runs on one member
+    of the smallest-nu ensemble.
     """
     plan.validate()
     t_final = plan.dt * plan.n_steps
@@ -84,12 +85,11 @@ def viscosity_sweep(
 
     points = []
     finals = []
-    for idx, nu in enumerate(plan.nus):
+    for nu in plan.nus:
         system = build_system(base_system.basis, base_system.noise, nu=nu,
                               conv=base_system.conv)
-        seed = plan.base_seed if plan.coupled_paths else plan.base_seed + 7919 * idx
         ens = run_ensemble(
-            system, initial, plan.n_members, seed, plan.dt, plan.n_steps,
+            system, initial, plan.n_members, plan.base_seed, plan.dt, plan.n_steps,
             scheme=plan.scheme, store_every=plan.store_every,
         )
         finals.append(ens.final_states)
@@ -115,11 +115,8 @@ def viscosity_sweep(
         })
 
     # Cauchy surrogate under coupling: mean |u_{nu_i} - u_{nu_{i+1}}|(T)
-    cauchy = []
-    if plan.coupled_paths:
-        for i in range(len(plan.nus) - 1):
-            diff = np.linalg.norm(finals[i] - finals[i + 1], axis=1)
-            cauchy.append(float(diff.mean()))
+    cauchy = [float(np.linalg.norm(f0 - f1, axis=1).mean())
+              for f0, f1 in zip(finals, finals[1:])]
 
     sup_moments = [p["moment"]["sup_moment"] for p in points]
     uniformity = max(sup_moments) / min(sup_moments) if min(sup_moments) > 0 else math.inf

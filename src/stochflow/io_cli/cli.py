@@ -53,12 +53,12 @@ def _emit(record: dict):
 def _load_config(args) -> RunConfig:
     """The config with the seed and output overrides applied, validated with them."""
     text = Path(args.config).read_text() if args.config else json.dumps(DEFAULTS)
-    cfg = parse_config(text, strict=args.strict)
+    cfg = parse_config(text)
     if args.seed is not None:
         cfg.data["ensemble"]["base_seed"] = args.seed
     if args.out is not None:
         cfg.data["output_dir"] = args.out
-    return parse_config(cfg.canonical(), strict=args.strict)
+    return parse_config(cfg.canonical())
 
 
 def _outdir(cfg: RunConfig) -> Path:
@@ -208,11 +208,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help=f"override the output directory (or set {ENV_OUT})")
     parser.add_argument("--threads", type=_thread_count, default=0,
                         help="worker threads for ensemble chunks, 0 = auto")
-    strictness = parser.add_mutually_exclusive_group()
-    strictness.add_argument("--strict", dest="strict", action="store_true", default=True,
-                            help="unknown config keys are fatal (default)")
-    strictness.add_argument("--lenient", dest="strict", action="store_false",
-                            help="ignore unknown config keys")
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("simulate", help="integrate one trajectory").set_defaults(fn=cmd_simulate)
     sub.add_parser("ensemble", help="run a Monte-Carlo ensemble").set_defaults(fn=cmd_ensemble)

@@ -2,15 +2,15 @@
 
 Configs are JSON documents.  One table, `_SCHEMA`, gives each key of each
 section a rule and a phrase for its value; one walk over it reports every
-unknown key (fatal by default: every experiment depends on the exact noise
-structure), wrong value and missing required key as `<where>.<key> must be
-<what>, got <value>`.  An integer is `type(v) is int`, so JSON `true` is not
-1; a number is an integer or a finite float, so `NaN` and `Infinity` are
-refused.  Rules across keys run after a clean walk; mode labels are read by
-`basis.parse_label` and the viscosity axis is `SweepPlan.validate`'s.  The
-canonical form is strict JSON with defaults filled in and keys sorted, and
-the run hash is its SHA-256, so every artifact names the configuration that
-produced it.
+unknown key, wrong value and missing required key as `<where>.<key> must be
+<what>, got <value>`.  Unknown keys are always fatal: a misspelt key would
+change nothing in the run but its config hash.  An integer is
+`type(v) is int`, so JSON `true` is not 1; a number is an integer or a
+finite float, so `NaN` and `Infinity` are refused.  Rules across keys run
+after a clean walk; mode labels are read by `basis.parse_label` and the
+viscosity axis is `SweepPlan.validate`'s.  The canonical form is strict JSON
+with defaults filled in and keys sorted, and the run hash is its SHA-256, so
+every artifact names the configuration that produced it.
 """
 
 from __future__ import annotations
@@ -110,7 +110,7 @@ class RunConfig:
             dt=sweep["dt"], n_steps=_n_steps(sweep["dt"], sweep["t_final"], "sweep."),
             scheme=sweep["scheme"],
             **{"n_members" if key == "members" else key: val for key, val in sweep.items()
-               if key in ("members", "store_every", "coupled_paths", "moment_p")},
+               if key in ("members", "store_every", "moment_p")},
         )
 
 
@@ -154,14 +154,6 @@ class _Rule(NamedTuple):
 
 def _number(v) -> bool:
     return type(v) is int or type(v) is float and math.isfinite(v)
-
-
-def _strict_json(v) -> bool:
-    """No NaN or Infinity anywhere in v."""
-    if isinstance(v, float):
-        return math.isfinite(v)
-    return all(map(_strict_json, v.values() if isinstance(v, dict) else
-                   v if isinstance(v, list) else ()))
 
 
 _POSITIVE_INT = _Rule(lambda v: type(v) is int and v >= 1, "a positive integer")
@@ -217,7 +209,6 @@ _SCHEMA = {
         "nus": _NUMBERS._replace(required=True),
         "members": _POSITIVE_INT,
         "store_every": _POSITIVE_INT,
-        "coupled_paths": _Rule(lambda v: type(v) is bool, "true or false"),
         "moment_p": _Rule(lambda v: _number(v) and v >= 2, "a number >= 2"),
         "dt": _POSITIVE,
         "t_final": _NONNEGATIVE,
@@ -226,12 +217,10 @@ _SCHEMA = {
 }
 
 
-def _walk(obj: dict, schema: dict, where: str, strict: bool, errors: list):
+def _walk(obj: dict, schema: dict, where: str, errors: list):
     """Append one error per unknown key, missing required key and refused value of obj."""
     for key in sorted(obj.keys() - schema.keys()):
-        if strict or not _strict_json(obj[key]):
-            what = "absent" if strict else "strict JSON"
-            errors.append(f"{where}{key} must be {what} (unknown key), got {json.dumps(obj[key])}")
+        errors.append(f"{where}{key} must be absent (unknown key), got {json.dumps(obj[key])}")
     for key, rule in schema.items():
         if key not in obj:
             if rule.required:
@@ -240,12 +229,12 @@ def _walk(obj: dict, schema: dict, where: str, strict: bool, errors: list):
             errors.append(f"{where}{key} must be {rule.what}, got {json.dumps(value)}")
         elif isinstance(value, list) and rule.schema:
             for pos, entry in enumerate(value):
-                _walk(entry, rule.schema, f"{where}{key}[{pos}].", strict, errors)
+                _walk(entry, rule.schema, f"{where}{key}[{pos}].", errors)
         elif value is not None and rule.schema:
-            _walk(value, rule.schema, f"{where}{key}.", strict, errors)
+            _walk(value, rule.schema, f"{where}{key}.", errors)
 
 
-def parse_config(text: str, strict: bool = True) -> RunConfig:
+def parse_config(text: str) -> RunConfig:
     """Parse and fully validate a JSON configuration document.
 
     Mode labels are checked by the basis's label grammar (`parse_label`)
@@ -263,7 +252,7 @@ def parse_config(text: str, strict: bool = True) -> RunConfig:
     for key, val in raw.items():
         cfg[key] = cfg[key] | val if isinstance(val, dict) and isinstance(cfg.get(key), dict) else val
     errors: list[str] = []
-    _walk(cfg, _SCHEMA, "", strict, errors)
+    _walk(cfg, _SCHEMA, "", errors)
     if errors:
         raise ConfigError(errors)
 

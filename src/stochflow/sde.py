@@ -431,6 +431,8 @@ def integrate_batch(
     n_steps = increments.shape[1]
     if increments.shape[0] != M or increments.shape[2] != system.n_brownian:
         raise SdeError("increment array inconsistent with batch and noise dimensions")
+    if not (isinstance(store_every, (int, np.integer)) and store_every >= 1):
+        raise SdeError(f"store_every must be a positive integer, got {store_every}")
     if n_steps % store_every != 0 and n_steps > 0:
         raise SdeError("store_every must divide n_steps")
     if not np.all(np.isfinite(a)):

@@ -190,8 +190,9 @@ def energy_variational_gap(traj, system, phi, s, t, euler_form=False, energy_ser
     """The energy-variational gap term by term, each contraction of three
     operands as one `np.einsum` and the test process stepped in a loop.
 
-    Only the convection product `conv.apply` and the grid supremum
-    `neg_sup_series`, both pinned bitwise on their own, are the package's.
+    The convection term contracts the dense tensor b[i,k,j] with u, phi
+    and u, so it shares no code with the kernel.  Only the grid supremum
+    `neg_sup_series`, pinned bitwise on its own, is the package's.
     """
     from stochflow.diagnostics import neg_sup_series
 
@@ -213,7 +214,8 @@ def energy_variational_gap(traj, system, phi, s, t, euler_form=False, energy_ser
     gap += -(a[j] @ phi_series[j]) + (a[i] @ phi_series[i])
     if nu:
         gap += -nu * float(np.einsum("tn,n,tn->", a_l, system.basis.k_sq, phi_l)) * dt_s
-    gap += float(np.einsum("tn,tn->", system.conv.apply(a_l, phi_l), a_l)) * dt_s
+    gap += float(np.einsum("ikj,ti,tk,tj->", system.conv.to_dense(), a_l, phi_l, a_l,
+                           optimize=True)) * dt_s
     slack = 0.5 * np.einsum("tn,tn->t", a_l, a_l) - E[i:j]
     if np.any(slack):
         gap += float(2.0 * np.sum(neg_sup_series(system.basis, phi_l) * slack)) * dt_s

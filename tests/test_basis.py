@@ -182,10 +182,6 @@ def test_sparsity_count_matches_dense():
 
 def test_bilinear_apply_against_dense(conv2_2, rng):
     dense = conv2_2.to_dense()
-    a = rng.normal(size=conv2_2.n_modes)
-    c = rng.normal(size=conv2_2.n_modes)
-    expected = np.einsum("ikj,i,k->j", dense, a, c)
-    assert np.abs(conv2_2.apply(a, c) - expected).max() <= 1e-13
     batch = rng.normal(size=(5, conv2_2.n_modes))
     expected_b = np.einsum("ikj,mi,mk->mj", dense, batch, batch)
     assert np.abs(conv2_2.apply(batch) - expected_b).max() <= 1e-13
@@ -198,8 +194,6 @@ def test_apply_rejects_wrong_width(conv2_2):
     for shape in ((2 * n, n - 1), (n - 1,)):
         with pytest.raises(ValueError, match="state has shape"):
             conv2_2.apply(np.ones(shape))
-    with pytest.raises(ValueError, match="state has shape"):
-        conv2_2.apply(np.ones((3, n + 1)), np.ones((3, n + 1)))
 
 
 # -- dissipation matrix ------------------------------------------------------------

@@ -124,6 +124,15 @@ def test_rejects_bad_time_grid(additive_system, dt, n_steps):
                      base_seed=0, dt=dt, n_steps=n_steps)
 
 
+@pytest.mark.parametrize("store_every,n_steps", [(0, 10), (0, 0), (-2, 10), (2.5, 10)])
+def test_rejects_bad_store_every(additive_system, store_every, n_steps):
+    # refused by name, before the saved grid divides by it or the probe-grid
+    # check misreports it
+    with pytest.raises(EnsembleError, match="store_every must be a positive integer"):
+        run_ensemble(additive_system, np.zeros(additive_system.n_modes), 2,
+                     base_seed=0, dt=1e-3, n_steps=n_steps, store_every=store_every)
+
+
 def test_gaussian_initial_reproducible(basis2_2):
     sampler = gaussian_initial(0.4, max_ksq=2.0)
     seeds = member_seeds(7, 16)

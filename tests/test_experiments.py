@@ -67,11 +67,7 @@ def test_sweep_coupled_paths_reduce_differences(additive_system, rng):
     plan = SweepPlan(nus=(1e-1, 9e-2), n_members=16, dt=1e-2, n_steps=30,
                      store_every=10)
     coupled = viscosity_sweep(plan, additive_system, a0)
-    plan_ind = SweepPlan(nus=(1e-1, 9e-2), n_members=16, dt=1e-2, n_steps=30,
-                         store_every=10, coupled_paths=False)
-    independent = viscosity_sweep(plan_ind, additive_system, a0)
     assert coupled["cauchy_differences"][0] < 0.5 * np.linalg.norm(a0)
-    assert independent["cauchy_differences"] == []
 
 
 def test_empty_tensor_apply_is_zero(basis2_1):

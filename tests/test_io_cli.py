@@ -50,8 +50,11 @@ def test_unknown_key_rejected_strict():
     doc = dict(MINIMAL, typo_key=1)
     with pytest.raises(ConfigError, match="typo_key"):
         parse_config(json.dumps(doc))
-    cfg = parse_config(json.dumps(doc), strict=False)
-    assert cfg["viscosity"] == 0.1
+    # sweeps always run every nu on the same paths; the old switch is unknown
+    doc = dict(MINIMAL, sweep={"nus": [0.1], "store_every": 1, "coupled_paths": False})
+    with pytest.raises(ConfigError) as err:
+        parse_config(json.dumps(doc))
+    assert err.value.errors == ["sweep.coupled_paths must be absent (unknown key), got false"]
 
 
 def test_all_errors_collected():
@@ -215,23 +218,22 @@ def test_wrong_type_sections_rejected(tmp_path, capsys):
 
 
 @settings(max_examples=300)
-@example(path=("initial", "scale"), value=math.nan, strict=True)
-@example(path=("viscosity",), value=math.inf, strict=True)
-@example(path=("typo_key",), value=[-math.inf], strict=False)
+@example(path=("initial", "scale"), value=math.nan)
+@example(path=("viscosity",), value=math.inf)
+@example(path=("typo_key",), value=[-math.inf])
 @given(path=st.sampled_from([
            ("viscosity",), ("dt",), ("t_final",), ("scheme",), ("output_dir",), ("sweep",),
            ("basis", "dim"), ("basis", "cutoff"), ("initial", "scale"),
            ("initial", "max_ksq"), ("ensemble", "members"), ("ensemble", "base_seed"),
            ("ensemble", "store_every"), ("ensemble", "probe_times"), ("sweep", "nus"),
-           ("sweep", "moment_p"), ("sweep", "coupled_paths"), ("typo_key",)]),
+           ("sweep", "moment_p"), ("typo_key",)]),
        value=st.recursive(
            st.sampled_from([None, True, False, math.nan, math.inf, -math.inf, "heun"])
            | st.integers(-3, 5) | st.floats(),
            lambda inner: st.lists(inner, max_size=3)
            | st.dictionaries(st.text(max_size=3), inner, max_size=3),
-           max_leaves=6),
-       strict=st.booleans())
-def test_accepted_canonical_text_is_strict_json(path, value, strict):
+           max_leaves=6))
+def test_accepted_canonical_text_is_strict_json(path, value):
     # whatever a document sets, what parses has a canonical text without NaN
     # or Infinity, so every artifact's config hash names strict JSON; integers
     # stay small, as a large basis.cutoff builds a large basis
@@ -244,11 +246,11 @@ def test_accepted_canonical_text_is_strict_json(path, value, strict):
         section = section.setdefault(name, {})
     section[key] = value
     try:
-        cfg = parse_config(json.dumps(doc), strict=strict)
+        cfg = parse_config(json.dumps(doc))
     except ConfigError:
         return
     again = json.loads(cfg.canonical(), parse_constant=_refuse_constant)
-    assert parse_config(json.dumps(again), strict=strict).hash() == cfg.hash()
+    assert parse_config(json.dumps(again)).hash() == cfg.hash()
 
 
 def test_sweep_plan_defaults():
@@ -256,15 +258,12 @@ def test_sweep_plan_defaults():
                sweep={"nus": [0.1, 0.05], "store_every": 5})
     plan = parse_config(json.dumps(doc)).sweep_plan()
     assert plan == SweepPlan(nus=(0.1, 0.05), n_members=64, base_seed=9, dt=0.001,
-                             n_steps=10, scheme="heun", store_every=5,
-                             coupled_paths=True, moment_p=4.0)
+                             n_steps=10, scheme="heun", store_every=5, moment_p=4.0)
     doc["sweep"] = {"nus": [0.2], "members": 3, "dt": 0.002, "t_final": 0.02,
-                    "store_every": 2, "scheme": "euler_maruyama",
-                    "coupled_paths": False, "moment_p": 6.0}
+                    "store_every": 2, "scheme": "euler_maruyama", "moment_p": 6.0}
     plan = parse_config(json.dumps(doc)).sweep_plan()
     assert plan == SweepPlan(nus=(0.2,), n_members=3, base_seed=9, dt=0.002, n_steps=10,
-                             scheme="euler_maruyama", store_every=2, coupled_paths=False,
-                             moment_p=6.0)
+                             scheme="euler_maruyama", store_every=2, moment_p=6.0)
 
 
 LABELLED = {
@@ -555,6 +554,15 @@ def test_cli_refuses_bad_thread_count(capsys, threads):
         main(["--threads", threads, "ensemble"])
     assert exc.value.code == 2
     assert "--threads" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--lenient", "--strict"])
+def test_cli_refuses_strictness_flags(capsys, flag):
+    # unknown config keys are always fatal, so there is no mode to choose
+    with pytest.raises(SystemExit) as exc:
+        main([flag, "emit-config"])
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
 
 
 def test_cli_invalid_config_lists_errors(tmp_path, capsys):

@@ -329,6 +329,20 @@ def test_integrate_batch_rejects_bad_shapes_and_dt(basis2_2, conv2_2, scheme):
             integrate_batch(system, np.zeros((2, N)), inc, dt, scheme)
 
 
+@pytest.mark.parametrize("store_every", [0, -2, 2.5])
+def test_integrators_refuse_bad_store_every(basis2_2, conv2_2, store_every):
+    # refused by name, before `n_steps % store_every` or the saved grid's
+    # shape can misreport it
+    system = _two_transport_system(basis2_2, conv2_2)
+    N, K = system.n_modes, system.n_brownian
+    with pytest.raises(SdeError, match="store_every must be a positive integer"):
+        integrate_batch(system, np.zeros((2, N)), np.zeros((2, 4, K)), 1e-3,
+                        store_every=store_every)
+    with pytest.raises(SdeError, match="store_every must be a positive integer"):
+        integrate(system, np.zeros(N), BrownianPath.generate(1, 1e-3, 4, K),
+                  store_every=store_every)
+
+
 @pytest.mark.parametrize("dt", [0.0, np.nan, np.inf, -np.inf])
 def test_steps_and_paths_refuse_bad_dt(basis2_2, conv2_2, dt):
     # `dt <= 0` is False for NaN, so a non-finite dt needs its own refusal
