@@ -329,6 +329,21 @@ def test_integrate_batch_rejects_bad_shapes_and_dt(basis2_2, conv2_2, scheme):
             integrate_batch(system, np.zeros((2, N)), inc, dt, scheme)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_integrators_refuse_nonfinite_initial_state(basis2_2, conv2_2, scheme, bad):
+    # refused once at the boundary: the steps and the drift never see a
+    # non-finite state except a blown-up member's, which the loop freezes
+    system = _two_transport_system(basis2_2, conv2_2)
+    N, K = system.n_modes, system.n_brownian
+    a0 = np.zeros((3, N))
+    a0[1, N // 2] = bad
+    with pytest.raises(SdeError, match="non-finite initial state"):
+        integrate_batch(system, a0, np.zeros((3, 4, K)), 1e-3, scheme)
+    with pytest.raises(SdeError, match="non-finite initial state"):
+        integrate(system, a0[1], BrownianPath.generate(1, 1e-3, 4, K), scheme)
+
+
 @pytest.mark.parametrize("store_every", [0, -2, 2.5])
 def test_integrators_refuse_bad_store_every(basis2_2, conv2_2, store_every):
     # refused by name, before `n_steps % store_every` or the saved grid's
