@@ -57,6 +57,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse import _sparsetools
 
 TWO_PI = 2.0 * np.pi
 
@@ -511,6 +512,33 @@ def _triads(
     return tuple(np.concatenate(p) for p in zip(*parts))
 
 
+def _csr_product(op: sparse.csr_matrix, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """op @ x for a float64 (n, R) array x, into the C-contiguous (m, R) `out` if given.
+
+    Calls the routine `op @ x` calls, without scipy's Python dispatch:
+    csr_matvec at R = 1 and csr_matvecs otherwise, each adding into a zeroed
+    output.  Both form each output entry as the sequential sum over the
+    stored entries of its row, so the bits are those of `op @ x` and do not
+    depend on R, and the rows of a stacked operator keep the bits of their
+    own blocks.
+    """
+    rows, cols = op.shape
+    width = x.shape[1]
+    if out is None:
+        out = np.zeros((rows, width))
+    elif not out.flags.c_contiguous:
+        raise ValueError("_csr_product writes into a C-contiguous array only")
+    else:
+        out.fill(0.0)
+    if width == 1:
+        _sparsetools.csr_matvec(rows, cols, op.indptr, op.indices, op.data,
+                                x.ravel(), out.ravel())
+    else:
+        _sparsetools.csr_matvecs(rows, cols, width, op.indptr, op.indices, op.data,
+                                 x.ravel(), out.ravel())
+    return out
+
+
 # doubles in the gathered (pairs, rows) product table of one row block of
 # ConvectionTensor.apply: small enough to stay in a core's cache (2^15 to
 # 2^17 timed alike at N = 80 to 288 on a 2-CPU x86-64 host, 2^18 slower)
@@ -534,7 +562,7 @@ class ConvectionTensor:
     blocks, runs of whole scatter rows [j0, j1).  A block gathers a product
     table, one row fl(a_i a_k) of R members per distinct unordered pair
     {i, k} in the block, and sums it with a per-block CSR matrix whose column
-    indices point into that table (`sub @ table`, scipy's csr_matvecs): the
+    indices point into that table (`sub @ table`, by `_csr_product`): the
     stored entries (i, k, j) and (k, i, j) multiply the same product, since
     IEEE multiplication commutes.  At 2-D cutoff 4 and R = 1024 that gathers
     3310 rows per call instead of nnz = 6176.  A block grows row by row while
@@ -626,10 +654,10 @@ class ConvectionTensor:
         work = np.empty((2, width, rows))
         for j0, j1, i_idx, k_idx, sub in blocks:
             prod, other = work[0, :i_idx.size], work[1, :i_idx.size]
-            np.take(aT, i_idx, axis=0, out=prod, mode="clip")
-            np.take(aT, k_idx, axis=0, out=other, mode="clip")
+            aT.take(i_idx, axis=0, out=prod, mode="clip")
+            aT.take(k_idx, axis=0, out=other, mode="clip")
             np.multiply(prod, other, out=prod)
-            out[j0:j1] = sub @ prod
+            _csr_product(sub, prod, out[j0:j1])
         return out
 
     def to_dense(self) -> np.ndarray:

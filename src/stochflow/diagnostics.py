@@ -54,17 +54,38 @@ class DiagnosticsError(ValueError):
 # -- the spectral negative-part weight ------------------------------------------
 
 
+def _min_eig_2x2(a: np.ndarray, c: np.ndarray, b: np.ndarray) -> tuple:
+    """Smallest eigenvalue of [[a, b], [b, c]] in closed form, and the squared
+    radius 0.25 (a - c)^2 + b^2 it took."""
+    r2 = 0.25 * (a - c) ** 2 + b ** 2
+    return 0.5 * (a + c) - np.sqrt(r2), r2
+
+
 def _min_sym_eig(mats: np.ndarray) -> np.ndarray:
-    """Smallest eigenvalue of the symmetric part, vectorized over leading axes."""
+    """Smallest eigenvalue of the symmetric part, vectorized over leading axes.
+
+    For d = 2 the closed form runs on the samples as they are, and again on
+    each sample scaled by a power of two to a largest |entry| in [0.5, 1)
+    wherever its squared radius left [2^-960, 2^960] or its value is not
+    finite: there a square under- or overflowed.  The scaling is exact, so
+    the redone samples lose nothing to the range, and the others keep the
+    unscaled bits.
+    """
     sym = 0.5 * (mats + np.swapaxes(mats, -1, -2))
     d = sym.shape[-1]
     if d == 2:
         a = sym[..., 0, 0]
         c = sym[..., 1, 1]
         b = sym[..., 0, 1]
-        half_tr = 0.5 * (a + c)
-        rad = np.sqrt(0.25 * (a - c) ** 2 + b ** 2)
-        return half_tr - rad
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            lam, r2 = _min_eig_2x2(a, c, b)
+        redo = ~((r2 >= 2.0 ** -960) & (r2 <= 2.0 ** 960) & np.isfinite(lam))
+        if redo.any():
+            a, c, b = a[redo], c[redo], b[redo]
+            _, ex = np.frexp(np.maximum(np.maximum(np.abs(a), np.abs(c)), np.abs(b)))
+            low, _ = _min_eig_2x2(np.ldexp(a, -ex), np.ldexp(c, -ex), np.ldexp(b, -ex))
+            lam[redo] = np.ldexp(low, ex)
+        return lam
     return np.linalg.eigvalsh(sym)[..., 0]
 
 

@@ -200,14 +200,15 @@ def run_battery(seed: int = 20240901) -> list[CheckResult]:
                         note="rows of one EM and one Heun step of 7 members (2-D c=4) "
                              "that differ from the member stepped alone"))
     ops = sys_mixed._step_operators()
-    dense = {"drift": dissipation_matrix(b4, sys_mixed.nu, sys_mixed.corr),
-             "eta": noise4.additive.eta, "eta_t": noise4.additive.eta.T,
-             "zeta": noise4.transport.zeta.reshape(-1, b4.n_modes)}
+    zeta = noise4.transport.zeta.reshape(-1, b4.n_modes)
+    heun = np.vstack((zeta, noise4.additive.eta.T))
+    dense = {"eta": noise4.additive.eta, "zeta": zeta, "heun": heun,
+             "em": np.vstack((heun, dissipation_matrix(b4, sys_mixed.nu, sys_mixed.corr)))}
     mismatched = sum(getattr(ops, name).toarray().tobytes() != np.ascontiguousarray(m).tobytes()
                      for name, m in dense.items())
     results.append(_leq("sde.step_operators.exact", mismatched, 0.0,
-                        note="cached CSR step operators whose toarray() differs from "
-                             "their dense matrix"))
+                        note="cached CSR step operators and stacks whose toarray() differs "
+                             "from their dense matrix or np.vstack of blocks"))
 
     sys_visc = build_system(b, build_noise(b), nu=0.1)
     a0 = np.zeros(b.n_modes)

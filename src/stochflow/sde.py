@@ -35,17 +35,36 @@ column into a single-member `Trajectory`; `integrate` and
 A member's bits do not depend on the batch it runs in.  The time loop keeps
 the state member-minor, a contiguous (N, M) array whose columns are the
 members, from the first step to the last.  Every linear operator of a step
-(the Ito drift matrix, eta, its transpose and the stacked zeta_l) is a CSR
-matrix built on first use and cached on the `GalerkinSystem`, and the
-convection kernel ends in CSR products too (`ConvectionTensor._apply_members`).
-`op @ aT` on a CSR matrix runs scipy's csr_matvecs (csr_matvec at M = 1),
-which forms each output entry as the sequential sum over the stored entries
-of its row, member by member, so its bits do not depend on M.
-A BLAS product blocks and vectorizes by batch size, and a dense `np.einsum`
-over the (N, M) layout changes its loop with M, so neither runs in a step.
-The per-member series (energy, |grad u|^2) reduce over member-major rows:
-along axis 0 of the (N, M) state numpy sums pairwise at M = 1 and row by row
-at M > 1.
+is a CSR matrix built on first use and cached on the `GalerkinSystem`
+(`_StepOperators`), and the convection kernel ends in CSR products too
+(`ConvectionTensor._apply_members`).  Each product runs scipy's csr_matvecs
+(csr_matvec at M = 1) through `basis._csr_product`, which skips scipy's
+Python dispatch; the routine forms each output entry as the sequential sum
+over the stored entries of its row, member by member, so its bits do not
+depend on M.  A BLAS product blocks and vectorizes by batch size, and a
+dense `np.einsum` over the (N, M) layout changes its loop with M, so neither
+runs in a step.
+
+Each step forms one product at its left point: the scheme's stack of the
+zeta_l, eta^T and (Euler-Maruyama only) the Ito drift matrix, applied to
+the state.  The rows of a CSR product sum independently, so each block of
+the stack keeps the bits of its own product; the stochastic integral's
+eta^T a comes from the same product as the step's terms.  The step does its
+arithmetic in place wherever the order of operations stays that of the
+plain expression, so the bits do too.  Finiteness is tested once per step
+over the whole batch, and the per-member mask is built only when that
+fails.
+
+The bookkeeping runs once per block of steps, not once per step.  The loop
+collects the states after each step as member-major rows, up to `_BLOCK`
+doubles and at least one step, and then reduces the block.  The per-member
+series (energy, |grad u|^2) reduce over the modes of those rows: along axis 0
+of the (N, M) state numpy would sum pairwise at M = 1 and row by row at
+M > 1.  The left-point sums `stoch_int` and `grad_int` are one cumsum along
+time over the block's terms, after the sum carried in; a cumsum adds in
+sequence, so it is bitwise the per-step `+=`.  The supremum of the energy
+is a max over the block, and the saved increments are summed once, before
+the loop, in order from 0.0.
 """
 
 from __future__ import annotations
@@ -58,10 +77,15 @@ from typing import Iterable, Iterator
 import numpy as np
 from scipy import sparse
 
-from .basis import BasisSpec, ConvectionTensor, convection_tensor, dissipation_matrix
+from .basis import (BasisSpec, ConvectionTensor, _csr_product, convection_tensor,
+                    dissipation_matrix)
 from .noise import NoiseSpec, build_noise
 
 SCHEMES = ("euler_maruyama", "heun")
+
+# doubles of member-major state rows the time loop collects before it reduces
+# a block of steps: the energies, the accumulators and the saved rows
+_BLOCK = 1 << 16
 
 
 class SdeError(ValueError):
@@ -71,12 +95,19 @@ class SdeError(ValueError):
 @dataclass(frozen=True)
 class _StepOperators:
     """The linear operators of one step as CSR matrices, each built from its
-    dense matrix, so `toarray()` gives that matrix back bit for bit."""
+    dense matrix (a stack from the `np.vstack` of its blocks), so `toarray()`
+    gives that matrix back bit for bit.
 
-    drift: sparse.csr_matrix    # (N, N) Ito drift matrix nu*diag(|k|^2) + corr
-    eta: sparse.csr_matrix      # (N, K) additive noise
-    eta_t: sparse.csr_matrix    # (K, N) its transpose, for the stochastic integral
+    A scheme's stack holds every linear map the step applies to the state at
+    its left point, so one product serves them all: the rows zeta_s a, then
+    eta^T a for the stochastic integral, then (Euler-Maruyama only) the Ito
+    drift matrix times a.
+    """
+
+    eta: sparse.csr_matrix      # (N, K) additive noise, applied to dW
     zeta: sparse.csr_matrix     # (S*N, N) the transport matrices zeta_s, stacked
+    em: sparse.csr_matrix       # (S*N + K + N, N) [zeta; eta^T; nu*diag(|k|^2) + corr]
+    heun: sparse.csr_matrix     # (S*N + K, N) [zeta; eta^T]
     zeta_norms: tuple           # spectral norm of each zeta_s
 
 
@@ -109,11 +140,13 @@ class GalerkinSystem:
         if ops is None:
             eta = self.noise.additive.eta
             zeta = self.noise.transport.zeta
+            heun = np.vstack((zeta.reshape(-1, self.n_modes), eta.T))
             ops = _StepOperators(
-                drift=sparse.csr_matrix(dissipation_matrix(self.basis, self.nu, self.corr)),
                 eta=sparse.csr_matrix(eta),
-                eta_t=sparse.csr_matrix(eta.T),
                 zeta=sparse.csr_matrix(zeta.reshape(-1, self.n_modes)),
+                em=sparse.csr_matrix(
+                    np.vstack((heun, dissipation_matrix(self.basis, self.nu, self.corr)))),
+                heun=sparse.csr_matrix(heun),
                 zeta_norms=tuple(float(np.linalg.norm(z, 2)) for z in zeta),
             )
             self._ops["step"] = ops
@@ -150,42 +183,54 @@ def build_system(basis: BasisSpec, noise: NoiseSpec | None = None, nu: float = 0
 #
 # Every function here works member-minor: a batch of M states is a
 # contiguous (N, M) array aT whose columns are the members, and the
-# increments are (K, M).  They are private and reached only through
-# `integrate_batch`, which owns the shape and dt checks.
+# increments are (K, M).  `left` is the product of the scheme's stack
+# (`_StepOperators`) at aT, which the time loop forms once per step; a step
+# overwrites its zeta rows.  They are private and reached only through
+# `integrate_batch`, which owns the shape, dt and finiteness checks.
 
 
-def _drift(system: GalerkinSystem, aT: np.ndarray, include_correction: bool = True) -> np.ndarray:
-    if not np.all(np.isfinite(aT)):
-        raise SdeError("drift evaluated at non-finite state")
+def _drift(system: GalerkinSystem, aT: np.ndarray, linear: np.ndarray | None = None) -> np.ndarray:
+    """-B(a, a) minus the drift's linear part: `linear`, the Ito drift matrix
+    times aT, or, if None, nu |k|^2 a (the Stratonovich drift)."""
     out = system.conv._apply_members(aT)
     np.negative(out, out=out)
-    if include_correction:
-        out -= system._step_operators().drift @ aT
-    else:
+    if linear is None:
         out -= system.nu * (system.basis.k_sq[:, None] * aT)
+    else:
+        out -= linear
     return out
 
 
-def _diffusion(system: GalerkinSystem, aT: np.ndarray, dWT: np.ndarray,
-               additive: np.ndarray | None = None) -> np.ndarray:
-    """eta dW + sum_l (zeta_l a) dW_l; `additive`, if given, is eta dW and is
-    added to in place."""
-    ops = system._step_operators()
-    out = ops.eta @ dWT if additive is None else additive
+def _diffusion(system: GalerkinSystem, left: np.ndarray, dWT: np.ndarray,
+               additive: np.ndarray) -> np.ndarray:
+    """eta dW + sum_l (zeta_l a) dW_l, from `additive` = eta dW, which is left
+    as it is, and the products zeta_l a, the leading rows of `left`.  The sum
+    is formed in place of zeta_0 a (in a copy of `additive` when there is no
+    transport noise), with the terms in the order of a running `+=`."""
     modes = system.noise.transport.modes
-    if modes:
-        za = (ops.zeta @ aT).reshape(len(modes), *aT.shape)
-        for s, ell in enumerate(modes):
-            out += za[s] * dWT[ell]
+    if not modes:
+        return additive.copy()
+    za = left[:len(modes) * additive.shape[0]].reshape(len(modes), *additive.shape)
+    out = za[0]
+    out *= dWT[modes[0]]
+    out += additive
+    for s, ell in enumerate(modes[1:], 1):
+        za[s] *= dWT[ell]
+        out += za[s]
     return out
 
 
 def _euler_maruyama(system: GalerkinSystem, aT: np.ndarray, dWT: np.ndarray,
-                    dt: float) -> np.ndarray:
-    return aT + _drift(system, aT) * dt + _diffusion(system, aT, dWT)
+                    dt: float, left: np.ndarray) -> np.ndarray:
+    out = _drift(system, aT, left[-system.n_modes:])
+    out *= dt
+    out += aT
+    out += _diffusion(system, left, dWT, _csr_product(system._step_operators().eta, dWT))
+    return out
 
 
-def _heun(system: GalerkinSystem, aT: np.ndarray, dWT: np.ndarray, dt: float) -> np.ndarray:
+def _heun(system: GalerkinSystem, aT: np.ndarray, dWT: np.ndarray, dt: float,
+          left: np.ndarray) -> np.ndarray:
     """One Stratonovich Heun step: predictor plus trapezoidal corrector.
 
     Drift excludes the Ito correction; the midpoint-averaged diffusion
@@ -193,20 +238,31 @@ def _heun(system: GalerkinSystem, aT: np.ndarray, dWT: np.ndarray, dt: float) ->
     Members whose predictor is non-finite come out as NaN, for the caller to
     flag as blown up; the corrector is evaluated only for the others.
     """
-    additive = system._step_operators().eta @ dWT
-    f0 = _drift(system, aT, include_correction=False)
-    g0 = _diffusion(system, aT, dWT, additive.copy())
-    pred = aT + f0 * dt + g0
-    finite = np.all(np.isfinite(pred), axis=0)
-    blown = not np.all(finite)
-    if blown:
+    ops = system._step_operators()
+    additive = _csr_product(ops.eta, dWT)
+    f0 = _drift(system, aT)
+    g0 = _diffusion(system, left, dWT, additive)
+    pred = f0 * dt
+    pred += aT
+    pred += g0
+    finite = None
+    if not np.isfinite(pred).all():
         # stand the finite start state in for the blown-up predictors, so the
         # batch keeps its shape and every finite member its bits
+        finite = np.isfinite(pred).all(axis=0)
         pred = np.where(finite, pred, aT)
-    f1 = _drift(system, pred, include_correction=False)
-    g1 = _diffusion(system, pred, dWT, additive)
-    out = aT + 0.5 * dt * (f0 + f1) + 0.5 * (g0 + g1)
-    if blown:
+    f1 = _drift(system, pred)
+    g1 = _diffusion(system, _csr_product(ops.zeta, pred), dWT, additive)
+    del pred
+    # aT + 0.5 dt (f0 + f1) + 0.5 (g0 + g1), in place and in that order
+    out = f0
+    out += f1
+    out *= 0.5 * dt
+    out += aT
+    g0 += g1
+    g0 *= 0.5
+    out += g0
+    if finite is not None:
         out = np.where(finite, out, np.nan)
     return out
 
@@ -448,8 +504,11 @@ def integrate_batch(
         )
 
     n_save = n_steps // store_every if n_steps else 0
+    K = system.n_brownian
     ksq = system.basis.k_sq
-    eta_t = system._step_operators().eta_t
+    ops = system._step_operators()
+    stack = ops.em if scheme == "euler_maruyama" else ops.heun
+    sigma = slice(ops.zeta.shape[0], ops.zeta.shape[0] + K)  # eta^T a in either stack
 
     times = np.arange(n_save + 1) * (dt * store_every)
     states = np.empty((n_save + 1, M, N))
@@ -457,59 +516,79 @@ def integrate_batch(
     grad_energy = np.empty((n_save + 1, M))
     stoch_series = np.empty((n_save + 1, M))
     grad_series = np.empty((n_save + 1, M))
-    inc_saved = np.zeros((n_save, M, system.n_brownian))
+    # each saved slot sums its store_every increments in turn from 0.0, as a
+    # per-step `+=` would
+    inc_saved = np.zeros((n_save, M, K))
+    grouped = increments.reshape(M, n_save, store_every, K)
+    for r in range(store_every):
+        inc_saved += grouped[:, :, r].transpose(1, 0, 2)
 
     # the per-member series reduce over the modes of member-major rows: a
     # reduction along axis 0 of the (N, M) state would sum pairwise at M = 1
     # and sequentially at M > 1
-    def _energy(x):
-        return 0.5 * np.einsum("mj,mj->m", x, x)
-
-    def _grad_energy(x):
-        return np.einsum("j,mj->m", ksq, x * x)
+    def _energies(x):
+        return 0.5 * np.einsum("...j,...j->...", x, x), np.einsum("j,...j->...", ksq, x * x)
 
     states[0] = a
-    energy[0] = _energy(a)
-    grad_energy[0] = g_now = _grad_energy(a)
+    energy[0], grad_energy[0] = _energies(a)
     stoch_series[0] = 0.0
     grad_series[0] = 0.0
 
     stoch_acc = np.zeros(M)
     grad_acc = np.zeros(M)
+    g_left = grad_energy[0]                 # |grad u|^2 at the current left point
     sup_energy = energy[0].copy()
     blowup_step = np.full(M, -1, dtype=np.int64)
     alive = np.ones(M, dtype=bool)
+    frozen = False
 
+    # one block of steps at a time: the states after each step, member-major,
+    # and the left-point terms of the accumulators, each after the sum carried
+    # in, so that one sequential cumsum per block is bitwise the per-step `+=`
+    per_block = max(1, min(n_steps, _BLOCK // max(1, M * N)))
+    rows = np.empty((per_block, M, N))
+    stoch_terms = np.empty((per_block * K + 1, M))
+    grad_terms = np.empty((per_block + 1, M))
+    left = np.empty((stack.shape[0], M))
     aT = np.ascontiguousarray(a.T)          # (N, M), the state the steps see
-    for n in range(n_steps):
-        dW = increments[:, n, :]
-        dWT = np.ascontiguousarray(dW.T)
-        # left-point accumulators along the path
-        sigma_a = eta_t @ aT
-        for ell in range(dWT.shape[0]):
-            stoch_acc += sigma_a[ell] * dWT[ell]
-        grad_acc += g_now * dt
-        aT_new = step(system, aT, dWT, dt)
-        if not np.all(alive):
-            aT_new[:, ~alive] = aT[:, ~alive]  # dead members stay frozen
-        bad = ~np.all(np.isfinite(aT_new), axis=0)
-        if np.any(bad):
-            blowup_step[bad & alive] = n + 1
-            alive &= ~bad
-            aT_new[:, bad] = aT[:, bad]  # freeze at the last finite state
-        aT = aT_new
-        a = np.ascontiguousarray(aT.T)
-        e_now = _energy(a)
-        g_now = _grad_energy(a)
-        np.maximum(sup_energy, e_now, out=sup_energy)
-        save_slot, rem = divmod(n + 1, store_every)
-        inc_saved[save_slot - 1 if rem == 0 else save_slot] += dW
-        if rem == 0:
-            states[save_slot] = a
-            energy[save_slot] = e_now
-            grad_energy[save_slot] = g_now
-            stoch_series[save_slot] = stoch_acc
-            grad_series[save_slot] = grad_acc
+    del a
+    for n0 in range(0, n_steps, per_block):
+        n1 = min(n0 + per_block, n_steps)
+        dWT_block = np.ascontiguousarray(increments[:, n0:n1].transpose(1, 2, 0),
+                                         dtype=np.float64)
+        for i, dWT in enumerate(dWT_block):
+            _csr_product(stack, aT, left)
+            np.multiply(left[sigma], dWT, out=stoch_terms[1 + i * K:1 + (i + 1) * K])
+            aT_new = step(system, aT, dWT, dt, left)
+            if frozen:
+                aT_new[:, ~alive] = aT[:, ~alive]  # dead members stay frozen
+            if not np.isfinite(aT_new).all():
+                bad = ~np.isfinite(aT_new).all(axis=0)
+                blowup_step[bad & alive] = n0 + i + 1
+                alive &= ~bad
+                frozen = True
+                aT_new[:, bad] = aT[:, bad]  # freeze at the last finite state
+            aT = aT_new
+            rows[i] = aT.T
+        b = n1 - n0
+        x = rows[:b]
+        e, g = _energies(x)
+        np.maximum(sup_energy, e.max(axis=0), out=sup_energy)
+        grad_terms[0] = grad_acc
+        np.multiply(g_left, dt, out=grad_terms[1])
+        np.multiply(g[:b - 1], dt, out=grad_terms[2:b + 1])
+        stoch_terms[0] = stoch_acc
+        grad_cum = np.cumsum(grad_terms[:b + 1], axis=0)
+        stoch_cum = np.cumsum(stoch_terms[:b * K + 1], axis=0)
+        grad_acc, stoch_acc, g_left = grad_cum[b], stoch_cum[b * K], g[b - 1]
+        # the saved steps in (n0, n1] and their rows in the block
+        saved = np.arange(-(-(n0 + 1) // store_every) * store_every, n1 + 1, store_every)
+        idx, slot = saved - (n0 + 1), saved // store_every
+        states[slot] = x[idx]
+        energy[slot] = e[idx]
+        grad_energy[slot] = g[idx]
+        stoch_series[slot] = stoch_cum[(idx + 1) * K]
+        grad_series[slot] = grad_cum[idx + 1]
 
     return BatchResult(
         times=times, states=states, energy=energy, grad_energy=grad_energy,

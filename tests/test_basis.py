@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import sparse
 
 from stochflow import basis as basis_mod
 from stochflow.basis import (
     BasisError,
+    _csr_product,
     build_basis,
     convection_tensor,
     default_grid,
@@ -194,6 +196,28 @@ def test_apply_rejects_wrong_width(conv2_2):
     for shape in ((2 * n, n - 1), (n - 1,)):
         with pytest.raises(ValueError, match="state has shape"):
             conv2_2.apply(np.ones(shape))
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), rows=st.integers(0, 9), cols=st.integers(0, 9),
+       width=st.sampled_from([1, 2, 3, 17]), density=st.floats(0.0, 1.0),
+       special=st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_csr_product_is_public_product(seed, rows, cols, width, density, special):
+    # the kernel and the time loop call scipy's csr_matvec(s) directly; they
+    # must stay bitwise `op @ x`, empty rows and NaN/Inf entries included
+    gen = np.random.default_rng(seed)
+    dense = gen.normal(size=(rows, cols)) * (gen.random((rows, cols)) < density)
+    x = gen.normal(size=(cols, width)) * 10.0 ** gen.integers(-8, 8, size=(cols, 1))
+    if special:
+        for arr in (dense, x):
+            hit = gen.random(arr.shape) < 0.2
+            arr[hit] = gen.choice([np.nan, np.inf, -np.inf], size=int(hit.sum()))
+    op = sparse.csr_matrix(dense)
+    expect = op @ x
+    assert oracles.bit_equal(_csr_product(op, x), expect)
+    out = np.full((rows, width), 7.0)
+    assert _csr_product(op, x, out) is out
+    assert oracles.bit_equal(out, expect)
 
 
 # -- dissipation matrix ------------------------------------------------------------

@@ -2,10 +2,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from stochflow import ensemble as ensemble_mod
-from stochflow.basis import build_basis
+from stochflow.basis import _csr_product, build_basis
 from stochflow.diagnostics import (
     DiagnosticsError,
     TestProcessRep,
@@ -76,6 +76,8 @@ def test_neg_part_examples():
 
 
 @given(data=st.lists(st.floats(-5, 5), min_size=8, max_size=8))
+# PSD with a tiny entry, whose square the unscaled closed form lost
+@example(data=[0.0, 0.0, 0.0, 3.92e-161, 1.0, 0.0, 0.0, 1.0])
 @settings(max_examples=100, deadline=None)
 def test_neg_part_matches_eig_oracle(data):
     mats = np.array(data).reshape(2, 2, 2)
@@ -216,6 +218,20 @@ def test_neg_part_max_across_scales(exponent):
         assert oracles.bit_equal(_neg_part_max(mats), oracles.neg_part_max(mats))
 
 
+@pytest.mark.parametrize("exponent", [-300, -160, -108, 0, 108, 160, 300])
+def test_neg_part_max_2d_across_scales(exponent):
+    # the 2 x 2 closed form scales each sample by a power of two, so its
+    # squares neither underflow to a spurious weight on a PSD sample nor
+    # overflow to -inf (with a RuntimeWarning)
+    gen = np.random.default_rng(exponent + 2000)
+    g = gen.normal(size=(8, 50, 2, 2))
+    for mats in (g, g @ g.swapaxes(-1, -2)):
+        mats = mats * 10.0 ** exponent
+        scale = np.abs(mats).max(axis=(-3, -2, -1))
+        err = np.abs(_neg_part_max(mats) - oracles.neg_part_max(mats))
+        assert np.all(err <= 2e-12 * scale), exponent
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_neg_part_max_non_finite_as_lapack(rng, bad):
     # every non-finite sample reaches LAPACK, which raises for NaN off the
@@ -319,7 +335,10 @@ def test_gap_phi_equals_u_on_em_path(additive_system, rng):
     a0 = rng.normal(size=additive_system.n_modes) * 0.3
     path = BrownianPath.generate(8, 1e-3, 500, additive_system.n_brownian)
     traj = integrate(additive_system, a0, path)
-    A = np.stack([_drift(additive_system, traj.states[n][:, None])[:, 0] for n in range(500)])
+    # the Ito drift at each left point, as the Euler-Maruyama step forms it
+    aT = np.ascontiguousarray(traj.states[:500].T)
+    linear = _csr_product(additive_system._step_operators().em, aT)[-additive_system.n_modes:]
+    A = np.ascontiguousarray(_drift(additive_system, aT, linear).T)
     phi_u = TestProcessRep(phi0=traj.states[0].copy(), A=A,
                            B=additive_system.noise.additive.eta.T.copy())
     assert np.abs(phi_u.series(traj.increments, 1e-3) - traj.states).max() == 0.0
