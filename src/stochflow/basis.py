@@ -524,10 +524,12 @@ def _csr_product(op: sparse.csr_matrix, x: np.ndarray, out: np.ndarray | None = 
     """
     rows, cols = op.shape
     width = x.shape[1]
+    if x.shape[0] != cols:
+        raise ValueError(f"operator has {cols} columns, operand {x.shape[0]} rows")
     if out is None:
         out = np.zeros((rows, width))
-    elif not out.flags.c_contiguous:
-        raise ValueError("_csr_product writes into a C-contiguous array only")
+    elif out.shape != (rows, width) or out.dtype != np.float64 or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a C-contiguous float64 array of shape {(rows, width)}")
     else:
         out.fill(0.0)
     if width == 1:

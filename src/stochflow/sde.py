@@ -523,10 +523,7 @@ def integrate_batch(
     for r in range(store_every):
         inc_saved += grouped[:, :, r].transpose(1, 0, 2)
 
-    # the per-member series reduce over the modes of member-major rows: a
-    # reduction along axis 0 of the (N, M) state would sum pairwise at M = 1
-    # and sequentially at M > 1
-    def _energies(x):
+    def _energies(x):  # over the modes of member-major rows
         return 0.5 * np.einsum("...j,...j->...", x, x), np.einsum("j,...j->...", ksq, x * x)
 
     states[0] = a

@@ -220,6 +220,16 @@ def test_csr_product_is_public_product(seed, rows, cols, width, density, special
     assert oracles.bit_equal(out, expect)
 
 
+def test_csr_product_refuses_mismatched_arrays():
+    # the routines take raw buffers, so a wrong size would read or write past them
+    op = sparse.csr_matrix(np.arange(6.0).reshape(2, 3))
+    with pytest.raises(ValueError, match="columns"):
+        _csr_product(op, np.ones((2, 4)))
+    for out in (np.zeros((3, 4)), np.zeros((2, 4), dtype=np.float32), np.zeros((4, 2)).T):
+        with pytest.raises(ValueError, match="out must be"):
+            _csr_product(op, np.ones((3, 4)), out)
+
+
 # -- dissipation matrix ------------------------------------------------------------
 
 
