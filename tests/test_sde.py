@@ -330,8 +330,8 @@ def test_integrate_batch_rejects_bad_shapes_and_dt(basis2_2, conv2_2, scheme):
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_integrators_refuse_nonfinite_initial_state(basis2_2, conv2_2, scheme, bad):
-    # refused once at the boundary: the steps and the drift never see a
-    # non-finite state except a blown-up member's, which the loop freezes
+    # refused once at the boundary; the loop freezes a member that blows up
+    # at its last finite state, so no step starts from a non-finite state
     system = _two_transport_system(basis2_2, conv2_2)
     N, K = system.n_modes, system.n_brownian
     a0 = np.zeros((3, N))
