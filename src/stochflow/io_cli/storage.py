@@ -1,40 +1,43 @@
-"""Self-identifying binary containers for trajectories and ensembles.
+"""Self-identifying containers for trajectories and ensembles, on numpy's .npz.
 
-Layout (all integers little-endian):
+A container is an uncompressed zip as `np.savez` writes it: one `.npy` member
+per array, stored as <f8, <i8 or <u8 in C order, and a `header` member of
+UTF-8 JSON (a uint8 array): `kind`, `version` (2; version 1 was a hand-rolled
+layout that began b"SGNSBIN\\x00"), the producing config's `config_hash` and
+a `meta` dict, in which integers such as 64-bit seeds stay exact.
 
-    magic     8 bytes   b"SGNSBIN\\x00"
-    version   u32       format version (currently 1)
-    kind      16 bytes  ascii, zero padded ("trajectory", ...)
-    hash      64 bytes  ascii hex sha256 of the producing config
-    n_meta    u32       scalar metadata: per item u16 name length, name utf8,
-                        f64 value
-    n_text    u32       text metadata: per item u16+name, u16+utf8 value (seeds
-                        in decimal: a double rounds integers past 2**53)
-    n_arrays  u32       per array: u16+name, u8 dtype (0 = <f8, 1 = <i8,
-                        2 = <u8), u8 ndim, ndim x u64 shape, raw data
+The zip holds a CRC-32 of every member and the loader reads every member
+whole, so a flipped payload bit never loads. Damage maps onto typed errors,
+so callers can tell an incompatible file from a corrupt one: MagicError (a
+foreign file), VersionError, HashMismatchError, TruncatedFileError (no zip end
+record) and StorageError for the rest (a bad CRC, trailing bytes, a pickled or
+malformed member).
 
-Arrays are written C-order, so time series are time-major as integrated.
-Loading validates structure strictly: wrong magic, unknown version, config
-hash mismatch, and truncation are separate error types so callers can tell
-an incompatible file from a corrupt one; any other damage raises StorageError.
+Every file written here, sidecars and manifests too, goes to a temporary file
+beside its target, is fsynced and then replaces the target (`os.replace`): a
+crash leaves the old file or the new one, never a torn one.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import math
-import struct
+import os
+import zipfile
 from pathlib import Path
 
 import numpy as np
 
 from ..sde import Trajectory
 
-MAGIC = b"SGNSBIN\x00"
-VERSION = 1
-
-_DTYPES = {0: np.dtype("<f8"), 1: np.dtype("<i8"), 2: np.dtype("<u8")}
-_DTYPE_CODES = {dtype: code for code, dtype in _DTYPES.items()}
+VERSION = 2
+_OLD_MAGIC = b"SGNSBIN\x00"
+_ZIP_MAGIC = b"PK\x03\x04"
+_END_MAGIC = b"PK\x05\x06"    # end of central directory record, 22 bytes + comment
+_DTYPES = {"f": "<f8", "u": "<u8", "i": "<i8", "b": "<i8"}
+_NPY_HEADERS = {(1, 0): np.lib.format.read_array_header_1_0,
+                (2, 0): np.lib.format.read_array_header_2_0}
 
 
 class StorageError(IOError):
@@ -54,189 +57,122 @@ class VersionError(StorageError):
 class HashMismatchError(StorageError):
     def __init__(self, found: str, expected: str):
         self.found, self.expected = found, expected
-        super().__init__(
-            f"config hash mismatch: file carries {found}, caller expects {expected}"
-        )
+        super().__init__(f"config hash mismatch: file carries {found}, caller expects {expected}")
 
 
 class TruncatedFileError(StorageError):
     pass
 
 
-def save_container(
-    path,
-    kind: str,
-    config_hash: str,
-    meta: dict[str, float] | None = None,
-    text: dict[str, str] | None = None,
-    arrays: dict[str, np.ndarray] | None = None,
-):
-    meta = meta or {}
-    text = text or {}
-    arrays = arrays or {}
-    buf = bytearray()
-    buf += MAGIC
-    buf += struct.pack("<I", VERSION)
-    buf += kind.encode().ljust(16, b"\x00")[:16]
+def _write_atomic(path, write) -> None:
+    """Call `write(fh)` on a temporary file beside `path`, then replace `path`."""
+    path = Path(path)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            write(fh)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def save_container(path, kind: str, config_hash: str, meta: dict | None = None,
+                   arrays: dict[str, np.ndarray] | None = None):
     if len(config_hash) != 64:
         raise StorageError(f"config hash must be 64 hex chars, got {len(config_hash)}")
-    buf += config_hash.encode()
-    buf += struct.pack("<I", len(meta))
-    for name, value in meta.items():
-        enc = name.encode()
-        buf += struct.pack("<H", len(enc)) + enc + struct.pack("<d", float(value))
-    buf += struct.pack("<I", len(text))
-    for name, value in text.items():
-        enc, venc = name.encode(), value.encode()
-        buf += struct.pack("<H", len(enc)) + enc
-        buf += struct.pack("<H", len(venc)) + venc
-    buf += struct.pack("<I", len(arrays))
-    for name, arr in arrays.items():
-        arr = np.ascontiguousarray(arr)
-        if arr.dtype.kind == "f":
-            arr = arr.astype("<f8", copy=False)
-        elif arr.dtype.kind == "u":
-            arr = arr.astype("<u8", copy=False)
-        elif arr.dtype.kind in "ib":
-            arr = arr.astype("<i8")
-        else:
-            raise StorageError(f"array {name!r} has unsupported dtype {arr.dtype}")
-        enc = name.encode()
-        buf += struct.pack("<H", len(enc)) + enc
-        buf += struct.pack("<BB", _DTYPE_CODES[arr.dtype], arr.ndim)
-        buf += struct.pack(f"<{arr.ndim}Q", *arr.shape)
-        buf += arr.tobytes()
-    Path(path).write_bytes(bytes(buf))
+    header = {"kind": kind, "version": VERSION, "config_hash": config_hash, "meta": meta or {}}
+    members = {"header": np.frombuffer(json.dumps(header).encode(), dtype=np.uint8)}
+    for name, arr in (arrays or {}).items():
+        arr = np.asarray(arr)
+        if arr.dtype.kind not in _DTYPES or name in ("header", "file", "allow_pickle"):
+            raise StorageError(f"array {name!r} of dtype {arr.dtype} cannot be stored")
+        members[name] = np.asarray(arr, dtype=_DTYPES[arr.dtype.kind], order="C")
+    _write_atomic(path, lambda fh: np.savez(fh, allow_pickle=False, **members))
 
 
-class _Reader:
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
-            raise TruncatedFileError(
-                f"file ends at byte {len(self.data)}, needed {self.pos + n}"
-            )
-        out = self.data[self.pos : self.pos + n]
-        self.pos += n
-        return out
-
-    def unpack(self, fmt: str):
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
-
-    def text(self, n: int) -> str:
-        data = self.take(n)
-        try:
-            return data.decode()
-        except UnicodeDecodeError as exc:
-            raise StorageError(f"text at byte {self.pos - n} is not UTF-8: {exc.reason}") from None
-
-    def string(self) -> str:
-        """A u16-length-prefixed UTF-8 string."""
-        return self.text(*self.unpack("<H"))
+def _read_array(zf: zipfile.ZipFile, info: zipfile.ZipInfo, dtypes) -> np.ndarray:
+    """One .npy member, read whole so that zipfile checks its CRC."""
+    data = zf.read(info)
+    fh = io.BytesIO(data)
+    shape, fortran_order, dtype = _NPY_HEADERS[np.lib.format.read_magic(fh)](fh)
+    count = math.prod(shape)
+    if fortran_order or dtype.str not in dtypes or fh.tell() + count * dtype.itemsize != len(data):
+        raise StorageError(f"member {info.filename!r} is not a stored array")
+    return np.frombuffer(data, dtype, count, fh.tell()).reshape(shape).copy()
 
 
 def load_container(path, expect_kind: str | None = None, expect_hash: str | None = None) -> dict:
-    raw = Path(path).read_bytes()
-    r = _Reader(raw)
-    if r.take(len(MAGIC)) != MAGIC:
-        raise MagicError(f"{path} is not a stochflow container")
-    (version,) = r.unpack("<I")
-    if version != VERSION:
-        raise VersionError(version, VERSION)
-    kind = r.text(16).rstrip("\x00")
-    if expect_kind is not None and kind != expect_kind:
-        raise StorageError(f"container holds {kind!r}, expected {expect_kind!r}")
-    config_hash = r.text(64)
-    if expect_hash is not None and config_hash != expect_hash:
-        raise HashMismatchError(config_hash, expect_hash)
-    meta, text, arrays = {}, {}, {}
-    (n_meta,) = r.unpack("<I")
-    for _ in range(n_meta):
-        name = r.string()
-        (meta[name],) = r.unpack("<d")
-    (n_text,) = r.unpack("<I")
-    for _ in range(n_text):
-        name = r.string()
-        text[name] = r.string()
-    (n_arrays,) = r.unpack("<I")
-    for _ in range(n_arrays):
-        name = r.string()
-        code, ndim = r.unpack("<BB")
-        shape = r.unpack(f"<{ndim}Q")
-        if code not in _DTYPES:
-            raise StorageError(f"array {name!r} has unknown dtype code {code}")
-        dtype = _DTYPES[code]
-        # in Python ints: a fixed-width product of a huge shape can wrap
-        data = r.take(math.prod(shape) * dtype.itemsize)
-        try:  # numpy refuses some shapes, e.g. past 64 dimensions
-            arrays[name] = np.frombuffer(data, dtype=dtype).reshape(shape).copy()
-        except ValueError as exc:
-            raise StorageError(f"array {name!r} of shape {shape}: {exc}") from None
-    if r.pos != len(raw):
-        raise StorageError(f"{len(raw) - r.pos} trailing bytes after container payload")
-    return {"kind": kind, "config_hash": config_hash, "meta": meta,
-            "text": text, "arrays": arrays}
+    with open(path, "rb") as fh:
+        head = fh.read(len(_OLD_MAGIC))
+        if head == _OLD_MAGIC:
+            raise VersionError(1, VERSION)
+        if not head.startswith(_ZIP_MAGIC):
+            raise MagicError(f"{path} is not a stochflow container")
+        size = fh.seek(0, os.SEEK_END)
+        fh.seek(max(0, size - 22 - 0xFFFF))
+        tail = fh.read()
+        end = tail.rfind(_END_MAGIC)
+        extra = len(tail) - end - 22 - int.from_bytes(tail[end + 20:end + 22], "little")
+        if end < 0 or extra < 0:
+            raise TruncatedFileError(f"{path} ends at byte {size} without its zip end record")
+        if extra:
+            raise StorageError(f"{extra} trailing bytes after the container's end record")
+        try:
+            with zipfile.ZipFile(fh) as zf:
+                # a damaged directory entry can swallow the entries after it
+                if len(zf.infolist()) != int.from_bytes(tail[end + 10:end + 12], "little"):
+                    raise StorageError(f"{path}: its zip directory and end record disagree")
+                header = json.loads(_read_array(zf, zf.getinfo("header.npy"), ("|u1",)).tobytes())
+                if header["version"] != VERSION:
+                    raise VersionError(header["version"], VERSION)
+                kind, config_hash, meta = header["kind"], header["config_hash"], header["meta"]
+                if expect_kind is not None and kind != expect_kind:
+                    raise StorageError(f"container holds {kind!r}, expected {expect_kind!r}")
+                if expect_hash is not None and config_hash != expect_hash:
+                    raise HashMismatchError(config_hash, expect_hash)
+                if not isinstance(meta, dict):
+                    raise StorageError(f"container meta is a {type(meta).__name__}, not a dict")
+                arrays = {i.filename.removesuffix(".npy"): _read_array(zf, i, _DTYPES.values())
+                          for i in zf.infolist() if i.filename != "header.npy"}
+        except StorageError:
+            raise
+        except (zipfile.BadZipFile, EOFError, OSError, KeyError, NotImplementedError,
+                RuntimeError, TypeError, ValueError) as exc:  # what zipfile, json and numpy raise
+            raise StorageError(f"{path} is damaged: {exc!r}") from None
+    return {"kind": kind, "config_hash": config_hash, "meta": meta, "arrays": arrays}
 
 
 # -- trajectories -------------------------------------------------------------
 
 
+def _write_lines(path, lines) -> None:
+    _write_atomic(path, lambda fh: fh.write("".join(line + "\n" for line in lines).encode()))
+
+
 def save_trajectory(path, traj: Trajectory, config_hash: str):
-    """Binary container plus an NDJSON sidecar of per-time summaries."""
-    save_container(
-        path,
-        kind="trajectory",
-        config_hash=config_hash,
-        meta={
-            "dt": traj.dt,
-            "store_every": traj.store_every,
-            "seed": traj.seed,
-            "nu": traj.nu,
-            "blowup_time": -1.0 if traj.blowup_time is None else traj.blowup_time,
-        },
-        text={"scheme": traj.scheme, "seed": str(traj.seed)},
-        arrays={
-            "times": traj.times,
-            "states": traj.states,
-            "energy": traj.energy,
-            "grad_energy": traj.grad_energy,
-            "stoch_int": traj.stoch_int,
-            "grad_int": traj.grad_int,
-            "increments": traj.increments,
-        },
-    )
-    lines = [
-        json.dumps({"t": float(t), "energy": float(e), "grad_energy": float(g)})
-        for t, e, g in zip(traj.times, traj.energy, traj.grad_energy)
-    ]
-    Path(str(path) + ".ndjson").write_text("\n".join(lines) + "\n")
+    """Container plus an NDJSON sidecar of per-time summaries."""
+    names = ("times", "states", "energy", "grad_energy", "stoch_int", "grad_int", "increments")
+    meta = {"dt": float(traj.dt), "store_every": int(traj.store_every), "seed": int(traj.seed),
+            "nu": float(traj.nu), "scheme": traj.scheme,
+            "blowup_time": None if traj.blowup_time is None else float(traj.blowup_time)}
+    save_container(path, "trajectory", config_hash, meta,
+                   {name: getattr(traj, name) for name in names})
+    # each column through json.dumps at once: one call per line cost more than the container
+    cols = [json.dumps(a.astype(float).tolist())[1:-1].split(", ") if a.size else []
+            for a in (traj.times, traj.energy, traj.grad_energy)]
+    _write_lines(str(path) + ".ndjson",
+                 ('{"t": %s, "energy": %s, "grad_energy": %s}' % row for row in zip(*cols)))
 
 
 def load_trajectory(path, expect_hash: str | None = None) -> tuple[Trajectory, str]:
     box = load_container(path, expect_kind="trajectory", expect_hash=expect_hash)
-    meta, arrays = box["meta"], box["arrays"]
     try:
-        blow = meta["blowup_time"]
-        traj = Trajectory(
-            times=arrays["times"],
-            states=arrays["states"],
-            energy=arrays["energy"],
-            grad_energy=arrays["grad_energy"],
-            stoch_int=arrays["stoch_int"],
-            grad_int=arrays["grad_int"],
-            increments=arrays["increments"],
-            seed=int(box["text"].get("seed", meta["seed"])),
-            dt=meta["dt"],
-            store_every=int(meta["store_every"]),
-            scheme=box["text"]["scheme"],
-            nu=meta["nu"],
-            blowup_time=None if blow < 0 else blow,
-        )
-    except (KeyError, ValueError, OverflowError) as exc:
-        raise StorageError(f"incomplete trajectory container: {exc!r}") from None
+        traj = Trajectory(**box["arrays"], **box["meta"])
+    except TypeError as exc:
+        raise StorageError(f"incomplete trajectory container: {exc}") from None
     return traj, box["config_hash"]
 
 
@@ -246,51 +182,19 @@ def load_trajectory(path, expect_hash: str | None = None) -> tuple[Trajectory, s
 def save_ensemble(path_prefix, ens, config_hash: str):
     """Summary container, probe container, and an NDJSON manifest."""
     prefix = Path(path_prefix)
-    summary = prefix.with_suffix(".summary.bin")
-    probes = prefix.with_suffix(".probes.bin")
-    manifest = prefix.with_suffix(".manifest.ndjson")
-    save_container(
-        summary,
-        kind="ensemble-summary",
-        config_hash=config_hash,
-        meta={
-            "dt": ens.dt,
-            "n_steps": ens.n_steps,
-            "store_every": ens.store_every,
-            "base_seed": ens.base_seed,
-            "members": ens.n_members,
-            "nu": ens.system.nu,
-        },
-        text={"scheme": ens.scheme, "base_seed": str(ens.base_seed)},
-        arrays={
-            "times": ens.times,
-            "energy": ens.energy,
-            "grad_energy": ens.grad_energy,
-            "stoch_int": ens.stoch_int,
-            "grad_int": ens.grad_int,
-            "sup_energy": ens.sup_energy,
-            "final_states": ens.final_states,
-            "blowup_step": ens.blowup_step,
-            "seeds": ens.seeds,
-            "initial_states": ens.initial_states,
-        },
-    )
-    save_container(
-        probes,
-        kind="ensemble-probes",
-        config_hash=config_hash,
-        arrays={"probe_times": ens.probe_times, "probe_states": ens.probe_states},
-    )
-    records = [json.dumps({
-        "config_hash": config_hash,
-        "members": ens.n_members,
-        "base_seed": ens.base_seed,
-        "summary": summary.name,
-        "probes": probes.name,
-    })]
-    records += [
-        json.dumps({"member": m, "seed": int(ens.seeds[m])})
-        for m in range(ens.n_members)
-    ]
-    manifest.write_text("\n".join(records) + "\n")
+    summary, probes, manifest = (prefix.with_name(prefix.name + suffix) for suffix in
+                                 (".summary.bin", ".probes.bin", ".manifest.ndjson"))
+    names = ("times", "energy", "grad_energy", "stoch_int", "grad_int", "sup_energy",
+             "final_states", "blowup_step", "seeds", "initial_states")
+    meta = {"dt": float(ens.dt), "n_steps": int(ens.n_steps), "store_every": int(ens.store_every),
+            "base_seed": int(ens.base_seed), "members": int(ens.n_members),
+            "nu": float(ens.system.nu), "scheme": ens.scheme}
+    save_container(summary, "ensemble-summary", config_hash, meta,
+                   {name: getattr(ens, name) for name in names})
+    save_container(probes, "ensemble-probes", config_hash,
+                   arrays={"probe_times": ens.probe_times, "probe_states": ens.probe_states})
+    head = {"config_hash": config_hash, "members": int(ens.n_members),
+            "base_seed": int(ens.base_seed), "summary": summary.name, "probes": probes.name}
+    _write_lines(manifest, [json.dumps(head)] + ['{"member": %d, "seed": %d}' % ms
+                                                 for ms in enumerate(ens.seeds.tolist())])
     return {"summary": summary, "probes": probes, "manifest": manifest}

@@ -1,15 +1,19 @@
+import io
 import json
 import math
+import zipfile
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from stochflow import basis as basis_mod
 from stochflow.ensemble import run_ensemble
 from stochflow.experiments import SweepPlan
 from stochflow.io_cli.cli import main
 from stochflow.io_cli import config as config_mod
+from stochflow.io_cli import storage
 from stochflow.io_cli.config import ConfigError, emit_config, parse_config
 from stochflow.io_cli.storage import (
     HashMismatchError,
@@ -373,11 +377,32 @@ def test_seed_round_trip_exact(tmp_path, additive_system):
                            base_seed=seed, dt=1e-3, n_steps=2)
         summary = save_ensemble(tmp_path / "e", ens, "ab" * 32)["summary"]
         box = load_container(summary)
-        assert int(box["text"]["base_seed"]) == seed
+        assert oracles.bit_equal(box["meta"]["base_seed"], seed)
         # member seeds past 2**63 are stored unsigned, not wrapped negative
         assert box["arrays"]["seeds"].dtype == np.uint64
         assert box["arrays"]["seeds"].tolist() == [seed, seed ^ 1]
         assert box["arrays"]["blowup_step"].dtype == np.int64
+
+
+def test_dotted_prefixes_name_distinct_files(tmp_path, additive_system):
+    # `with_suffix` once mapped run.nu0.05 and run.nu0.1 both onto run.nu0.*
+    written = {}
+    for prefix, seed in (("run.nu0.05", 5), ("run.nu0.1", 7)):
+        ens = run_ensemble(additive_system, np.zeros(additive_system.n_modes), 2,
+                           base_seed=seed, dt=1e-3, n_steps=2)
+        written[seed] = (ens, save_ensemble(tmp_path / prefix, ens, "ab" * 32))
+    paths = [p for _, files in written.values() for p in files.values()]
+    assert len(set(paths)) == 6 and all(p.parent == tmp_path for p in paths)
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(p.name for p in paths)
+    for seed, (ens, files) in written.items():
+        assert files["summary"].name.startswith(("run.nu0.05.", "run.nu0.1."))
+        summary = load_container(files["summary"], expect_kind="ensemble-summary")
+        assert summary["meta"]["base_seed"] == seed
+        assert oracles.bit_equal(summary["arrays"]["final_states"], ens.final_states)
+        probes = load_container(files["probes"], expect_kind="ensemble-probes")
+        assert oracles.bit_equal(probes["arrays"]["probe_states"], ens.probe_states)
+        head = json.loads(files["manifest"].read_text().splitlines()[0])
+        assert (head["base_seed"], head["summary"]) == (seed, files["summary"].name)
 
 
 def test_hash_mismatch_distinct_error(tmp_path, additive_system):
@@ -393,21 +418,30 @@ def test_truncation_distinct_error(tmp_path, additive_system):
     f = tmp_path / "t.bin"
     save_trajectory(f, _traj(additive_system), "ab" * 32)
     data = f.read_bytes()
-    f.write_bytes(data[: len(data) - 16])
-    with pytest.raises(TruncatedFileError):
-        load_trajectory(f)
+    for keep in (len(data) - 16, len(data) // 2):  # into the end record, and mid-payload
+        f.write_bytes(data[:keep])
+        with pytest.raises(TruncatedFileError):
+            load_trajectory(f)
 
 
-def test_version_mismatch_names_both(tmp_path, additive_system):
+# a container in the hand-rolled layout of format version 1, with no entries
+V1_CONTAINER = (b"SGNSBIN\x00" + (1).to_bytes(4, "little") + b"trajectory".ljust(16, b"\x00")
+                + b"ab" * 32 + bytes(12))
+
+
+def test_version_mismatch_names_both(tmp_path, additive_system, monkeypatch):
     f = tmp_path / "t.bin"
-    save_trajectory(f, _traj(additive_system), "ab" * 32)
-    data = bytearray(f.read_bytes())
-    data[8:12] = (99).to_bytes(4, "little")
-    f.write_bytes(bytes(data))
+    with monkeypatch.context() as patch:
+        patch.setattr(storage, "VERSION", 99)
+        save_trajectory(f, _traj(additive_system), "ab" * 32)
     with pytest.raises(VersionError) as err:
         load_trajectory(f)
-    assert err.value.found == 99 and err.value.expected == 1
-    assert "99" in str(err.value) and "1" in str(err.value)
+    assert err.value.found == 99 and err.value.expected == 2
+    assert "99" in str(err.value) and "2" in str(err.value)
+    f.write_bytes(V1_CONTAINER)
+    with pytest.raises(VersionError) as err:
+        load_trajectory(f)
+    assert err.value.found == 1 and err.value.expected == 2
 
 
 def test_wrong_magic(tmp_path):
@@ -421,24 +455,186 @@ def test_container_trailing_bytes_detected(tmp_path):
     f = tmp_path / "x.bin"
     save_container(f, "trajectory", "0" * 64, arrays={"a": np.arange(4.0)})
     f.write_bytes(f.read_bytes() + b"xx")
-    with pytest.raises(Exception, match="trailing"):
+    with pytest.raises(StorageError, match="trailing"):
         load_container(f)
 
 
-def test_malformed_container_storage_error(tmp_path):
-    # each used to raise KeyError, UnicodeDecodeError or ValueError
+def test_flipped_payload_bit_storage_error(tmp_path):
     f = tmp_path / "x.bin"
-    save_container(f, "trajectory", "0" * 64, arrays={"aa": np.zeros((2, 4))})
-    data = f.read_bytes()
-    name = data.index(b"aa")
-    for at, patch, error in (
-            (name + 2, b"\x07", StorageError),                    # dtype code 7
-            (12, b"\xff", StorageError),                          # in the kind
-            (name, b"\xff", StorageError),                        # in the array's name
-            (name + 4, (2 ** 62).to_bytes(8, "little"), TruncatedFileError)):  # (2**62, 4)
-        f.write_bytes(data[:at] + patch + data[at + len(patch):])
-        with pytest.raises(error):
+    values = np.arange(64.0)
+    save_container(f, "trajectory", "0" * 64, arrays={"a": values})
+    data = bytearray(f.read_bytes())
+    data[data.index(values.tobytes()) + 100] ^= 0x10
+    f.write_bytes(bytes(data))
+    with pytest.raises(StorageError, match="CRC"):
+        load_container(f)
+
+
+def _npz(path, header, **members):
+    """A zip as np.savez writes it, with a raw `header` member (bytes or JSON)."""
+    if not isinstance(header, bytes):
+        header = json.dumps(header).encode()
+    with open(path, "wb") as fh:
+        np.savez(fh, header=np.frombuffer(header, dtype=np.uint8), **members)
+
+
+def test_malformed_container_storage_error(tmp_path):
+    # a CRC-valid zip whose content this format cannot hold: each used to be a
+    # KeyError, UnicodeDecodeError or ValueError inside the loader
+    f = tmp_path / "x.bin"
+    ok = {"kind": "trajectory", "version": 2, "config_hash": "0" * 64, "meta": {}}
+    for header, members in (
+            (b"\xff{", {}),                                        # not UTF-8 JSON
+            (b"[2]", {}),                                           # JSON, not an object
+            ({k: v for k, v in ok.items() if k != "kind"}, {}),     # no kind
+            (dict(ok, meta=[1]), {}),                               # meta not a dict
+            (ok, {"a": np.zeros(2, dtype=np.float32)}),             # a dtype never written
+            (ok, {"a": np.array([None, 1], dtype=object)}),         # a pickled member
+            (ok, {"a": np.asfortranarray(np.zeros((2, 3)))})):      # Fortran order
+        _npz(f, header, **members)
+        with pytest.raises(StorageError):
             load_container(f)
+    header = _npy((len(json.dumps(ok)),), json.dumps(ok).encode(), "|u1")
+    for members in ({"a.npy": _npy((2,), bytes(16))},                              # no header
+                    {"header.npy": header, "a.npy": _npy((2 ** 62, 4), bytes(64))},  # too short
+                    {"header.npy": header, "a.npy": _npy((2,), bytes(64))},        # too long
+                    {"header.npy": header, "a.txt": b"x"}):                        # not a .npy
+        with zipfile.ZipFile(f, "w") as zf:
+            for name, payload in members.items():
+                zf.writestr(name, payload)
+        with pytest.raises(StorageError):
+            load_container(f)
+    _npz(f, ok, a=np.zeros(2))
+    with pytest.raises(StorageError, match="expected 'ensemble-summary'"):
+        load_container(f, expect_kind="ensemble-summary")
+
+
+def _npy(shape, data: bytes, descr="<f8") -> bytes:
+    """A .npy member whose header claims `shape`, followed by `data`."""
+    npy = io.BytesIO()
+    np.lib.format.write_array_header_1_0(
+        npy, {"descr": descr, "fortran_order": False, "shape": shape})
+    return npy.getvalue() + data
+
+
+STORED = {"f": np.float64, "i": np.int64, "b": np.int64, "u": np.uint64}
+SAMPLE = {"states": np.arange(24.0).reshape(4, 6) / 7,
+          "seeds": 2 ** 63 + np.arange(3, dtype=np.uint64),
+          "steps": np.array([-1, 0, 5]), "empty": np.zeros((0, 3)), "scalar": np.array(math.pi)}
+SAMPLE_META = {"seed": 2 ** 64 - 1, "scheme": "heun", "blowup_time": None}
+
+
+@pytest.fixture(scope="module")
+def sample(tmp_path_factory):
+    """The bytes of one container of SAMPLE, and a scratch directory."""
+    d = tmp_path_factory.mktemp("sample")
+    save_container(d / "sample.bin", "trajectory", "ab" * 32, SAMPLE_META, SAMPLE)
+    return (d / "sample.bin").read_bytes(), d
+
+
+def _loads_sample(box) -> bool:
+    header = (box["kind"], box["config_hash"], box["meta"])
+    return (header == ("trajectory", "ab" * 32, SAMPLE_META)
+            and box["arrays"].keys() == SAMPLE.keys()
+            and all(oracles.bit_equal(box["arrays"][k], v) for k, v in SAMPLE.items()))
+
+
+@given(arrays=st.dictionaries(
+           st.text("abxyz_", min_size=1, max_size=4),
+           hnp.arrays(st.sampled_from(["<f8", ">f4", "<f2", "<i8", ">i2", "|i1", "<u8", ">u4",
+                                       "|u1", "|b1"]),
+                      hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=3)),
+           max_size=4),
+       seed=st.integers(0, 2 ** 64 - 1), signed=st.integers(-2 ** 63, 2 ** 63 - 1))
+def test_round_trip_bitwise_any_dtype_and_shape(sample, arrays, seed, signed):
+    f = sample[1] / "round.bin"
+    meta = {"seed": seed, "signed": signed, "scheme": "heun"}
+    save_container(f, "trajectory", "cd" * 32, meta, arrays)
+    box = load_container(f, expect_kind="trajectory", expect_hash="cd" * 32)
+    assert box["meta"] == meta and all(type(box["meta"][k]) is int for k in ("seed", "signed"))
+    assert box["arrays"].keys() == arrays.keys()
+    for name, a in arrays.items():
+        # stored as <f8, <i8 or <u8: every value of every kind widens exactly
+        assert oracles.bit_equal(box["arrays"][name], a.astype(STORED[a.dtype.kind])), name
+
+
+@given(data=st.data())
+def test_truncated_container_typed_error(sample, data):
+    raw, d = sample
+    keep = data.draw(st.integers(0, len(raw) - 1))
+    (d / "cut.bin").write_bytes(raw[:keep])
+    with pytest.raises(MagicError if keep < 4 else TruncatedFileError):
+        load_container(d / "cut.bin")
+
+
+@given(data=st.data())
+def test_flipped_bit_never_loads_other_data(sample, data):
+    # some zip fields lie outside every CRC (timestamps, say) and may flip harmlessly
+    raw, d = sample
+    bit = data.draw(st.integers(0, 8 * len(raw) - 1))
+    flipped = bytearray(raw)
+    flipped[bit // 8] ^= 1 << (bit % 8)
+    (d / "flip.bin").write_bytes(bytes(flipped))
+    try:
+        box = load_container(d / "flip.bin")
+    except StorageError:
+        return
+    assert _loads_sample(box), bit
+
+
+@given(member=st.integers(0, len(SAMPLE)), keep=st.integers(0, 400))
+def test_failed_write_keeps_previous_container(sample, member, keep):
+    # the `member`-th .npy member fails after `keep` of its bytes reach the temporary file
+    raw, d = sample
+    target = d / "atomic" / "c.bin"
+    target.parent.mkdir(exist_ok=True)
+    target.write_bytes(raw)
+    write_array, calls = np.lib.format.write_array, []
+
+    def failing(fp, array, *args, **kwargs):
+        if len(calls) == member:
+            whole = io.BytesIO()
+            write_array(whole, array, *args, **kwargs)
+            fp.write(whole.getvalue()[:keep])
+            raise OSError("disk full")
+        calls.append(array)
+        write_array(fp, array, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(np.lib.format, "write_array", failing)
+        with pytest.raises(OSError, match="disk full"):
+            save_container(target, "trajectory", "cd" * 32, {},
+                           {k: v + 1 for k, v in SAMPLE.items()})
+    assert target.read_bytes() == raw and _loads_sample(load_container(target))
+    assert [p.name for p in target.parent.iterdir()] == ["c.bin"]
+
+
+def test_failed_ensemble_write_keeps_each_previous_file(tmp_path, additive_system, monkeypatch):
+    # summary, probes and manifest are each replaced whole or not at all: the
+    # files before the failing one are new, it and the ones after it are old
+    old = run_ensemble(additive_system, np.zeros(additive_system.n_modes), 2, base_seed=1,
+                       dt=1e-3, n_steps=2)
+    new = run_ensemble(additive_system, np.zeros(additive_system.n_modes), 3, base_seed=2,
+                       dt=1e-3, n_steps=2)
+    for failing in range(3):
+        files = save_ensemble(tmp_path / "e", old, "ab" * 32)
+        before = {key: p.read_bytes() for key, p in files.items()}
+        fsyncs = []
+
+        def fsync(fd):
+            fsyncs.append(fd)
+            if len(fsyncs) > failing:
+                raise OSError("disk full")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(storage.os, "fsync", fsync)
+            with pytest.raises(OSError, match="disk full"):
+                save_ensemble(tmp_path / "e", new, "ab" * 32)
+        for i, key in enumerate(("summary", "probes", "manifest")):
+            assert (files[key].read_bytes() == before[key]) == (i >= failing), (failing, key)
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(p.name for p in files.values())
+        load_container(files["summary"])
+        load_container(files["probes"])
 
 
 def test_damaged_seed_text_storage_error(tmp_path, additive_system):
@@ -505,13 +701,14 @@ def test_cli_diagnose_damaged_container(tmp_path, capsys):
     cfg = _write_config(tmp_path, output_dir=str(tmp_path / "out"))
     assert main(["--config", str(cfg), "simulate"]) == 0
     out = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
-    data = open(out["written"], "rb").read()
-    # the "times" array's dtype byte
-    name = data.index(b"times")
-    open(out["written"], "wb").write(data[:name + 5] + b"\x07" + data[name + 6:])
+    states = load_trajectory(out["written"])[0].states.tobytes()
+    data = bytearray(open(out["written"], "rb").read())
+    # one bit inside the `states` member's data
+    data[data.index(states) + len(states) // 2] ^= 0x01
+    open(out["written"], "wb").write(bytes(data))
     assert main(["--config", str(cfg), "diagnose", "--data", out["written"]]) == 2
     records = [json.loads(l) for l in capsys.readouterr().out.strip().splitlines()]
-    assert len(records) == 1 and "dtype" in records[0]["error"], records
+    assert len(records) == 1 and "CRC" in records[0]["error"], records
 
 
 def test_cli_diagnose_skipped_check_fails(tmp_path, capsys):
