@@ -520,9 +520,11 @@ def relative_energy(
     and a path, when t < s, or when `energy_series` is not of
     `coarse.energy`'s shape.
     """
-    if coarse.seed != fine.seed or coarse.times.shape != fine.times.shape or \
-            not np.allclose(coarse.times, fine.times):
-        raise DiagnosticsError("relative energy requires a shared grid and Brownian path")
+    shared = DiagnosticsError("relative energy requires a shared grid and Brownian path")
+    spacing, last = coarse.dt * coarse.store_every, coarse.times.size - 1
+    if coarse.seed != fine.seed or coarse.times.shape != fine.times.shape or any(
+            _grid_index(t, spacing, last, shared) != i for i, t in enumerate(fine.times.tolist())):
+        raise shared
     if t < s:
         raise DiagnosticsError(f"need s <= t, got s={s}, t={t}")
     if energy_series is not None and np.shape(energy_series) != coarse.energy.shape:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import os
@@ -23,7 +24,8 @@ from ..ensemble import run_ensemble
 from ..experiments import viscosity_sweep
 from ..sde import BrownianPath, integrate
 from .config import ConfigError, DEFAULTS, RunConfig, emit_config, parse_config
-from .storage import HashMismatchError, StorageError, load_trajectory, save_ensemble, save_trajectory
+from .storage import (HashMismatchError, StorageError, _write_atomic, load_trajectory,
+                      save_ensemble, save_trajectory)
 from .verify import run_battery
 
 ENV_SEED = "STOCHFLOW_SEED"
@@ -150,25 +152,24 @@ def cmd_sweep(args) -> int:
         return 1
     system = cfg.build_system()
     report = viscosity_sweep(cfg.sweep_plan(), system, cfg.initial_sampler(system.basis))
-    rows = []
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(["parameter", "statistic", "value", "stderr"])
     for point in report["points"]:
         mom = point["moment"]
         _emit({"config_hash": cfg.hash(), **{k: v for k, v in point.items() if k != "moment"},
                "sup_moment": mom["sup_moment"], "sup_moment_stderr": mom["sup_moment_stderr"]})
-        rows += [(point["nu"], stat, value, se) for stat, value, se in (
+        writer.writerows((point["nu"], stat, value, se) for stat, value, se in (
             ("sup_moment", mom["sup_moment"], mom["sup_moment_stderr"]),
             ("viscous_functional", point["viscous_functional"], 0.0),
             ("weighted_viscous", point["weighted_viscous"], 0.0),
-            ("residual_mean", point["residual_mean"], point["residual_stderr"]))]
+            ("residual_mean", point["residual_mean"], point["residual_stderr"])))
     _emit({"config_hash": cfg.hash(),
            "weighted_exponent": report["weighted_exponent"],
            "sup_moment_uniformity": report["sup_moment_uniformity"],
            "cauchy_differences": report["cauchy_differences"],
            "euler_gaps_smallest_nu": report["euler_gaps_smallest_nu"]})
-    with open(_outdir(cfg) / "sweep.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["parameter", "statistic", "value", "stderr"])
-        writer.writerows(rows)
+    _write_atomic(_outdir(cfg) / "sweep.csv", lambda fh: fh.write(text.getvalue().encode()))
     return 0
 
 

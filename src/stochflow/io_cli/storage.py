@@ -13,9 +13,9 @@ foreign file), VersionError, HashMismatchError, TruncatedFileError (no zip end
 record) and StorageError for the rest (a bad CRC, trailing bytes, a pickled or
 malformed member).
 
-Every file written here, sidecars and manifests too, goes to a temporary file
-beside its target, is fsynced and then replaces the target (`os.replace`): a
-crash leaves the old file or the new one, never a torn one.
+Each value is stored once. Every file the program writes goes to a temporary
+file beside its target, is fsynced and then replaces the target (`os.replace`):
+a crash leaves the old file or the new one, never a torn one.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..sde import Trajectory
+from ..sde import SCHEMES, Trajectory
 
 VERSION = 2
 _OLD_MAGIC = b"SGNSBIN\x00"
@@ -148,27 +148,28 @@ def load_container(path, expect_kind: str | None = None, expect_hash: str | None
 # -- trajectories -------------------------------------------------------------
 
 
-def _write_lines(path, lines) -> None:
-    _write_atomic(path, lambda fh: fh.write("".join(line + "\n" for line in lines).encode()))
+def _trajectory_meta_ok(m: dict) -> bool:
+    # `type` keeps out bools; a comparison, unlike math.isfinite, takes ints of any size
+    finite = [type(m.get(key)) in (int, float) and -math.inf < m[key] < math.inf
+              for key in ("dt", "nu")]
+    return (type(m.get("seed")) is int and type(m.get("store_every")) is int
+            and m["store_every"] >= 1 and all(finite) and m.get("scheme") in SCHEMES
+            and type(m.get("blowup_time")) in (int, float, type(None)))
 
 
 def save_trajectory(path, traj: Trajectory, config_hash: str):
-    """Container plus an NDJSON sidecar of per-time summaries."""
     names = ("times", "states", "energy", "grad_energy", "stoch_int", "grad_int", "increments")
     meta = {"dt": float(traj.dt), "store_every": int(traj.store_every), "seed": int(traj.seed),
             "nu": float(traj.nu), "scheme": traj.scheme,
             "blowup_time": None if traj.blowup_time is None else float(traj.blowup_time)}
     save_container(path, "trajectory", config_hash, meta,
                    {name: getattr(traj, name) for name in names})
-    # each column through json.dumps at once: one call per line cost more than the container
-    cols = [json.dumps(a.astype(float).tolist())[1:-1].split(", ") if a.size else []
-            for a in (traj.times, traj.energy, traj.grad_energy)]
-    _write_lines(str(path) + ".ndjson",
-                 ('{"t": %s, "energy": %s, "grad_energy": %s}' % row for row in zip(*cols)))
 
 
 def load_trajectory(path, expect_hash: str | None = None) -> tuple[Trajectory, str]:
     box = load_container(path, expect_kind="trajectory", expect_hash=expect_hash)
+    if not _trajectory_meta_ok(box["meta"]):
+        raise StorageError(f"trajectory header holds a value of the wrong type: {box['meta']}")
     try:
         traj = Trajectory(**box["arrays"], **box["meta"])
     except TypeError as exc:
@@ -180,21 +181,16 @@ def load_trajectory(path, expect_hash: str | None = None) -> tuple[Trajectory, s
 
 
 def save_ensemble(path_prefix, ens, config_hash: str):
-    """Summary container, probe container, and an NDJSON manifest."""
-    prefix = Path(path_prefix)
-    summary, probes, manifest = (prefix.with_name(prefix.name + suffix) for suffix in
-                                 (".summary.bin", ".probes.bin", ".manifest.ndjson"))
+    """Probe, then summary container under one header: a failed save may leave new
+    probes beside an old summary, which the headers tell apart, never the reverse."""
+    summary, probes = Path(f"{path_prefix}.summary.bin"), Path(f"{path_prefix}.probes.bin")
     names = ("times", "energy", "grad_energy", "stoch_int", "grad_int", "sup_energy",
              "final_states", "blowup_step", "seeds", "initial_states")
     meta = {"dt": float(ens.dt), "n_steps": int(ens.n_steps), "store_every": int(ens.store_every),
             "base_seed": int(ens.base_seed), "members": int(ens.n_members),
             "nu": float(ens.system.nu), "scheme": ens.scheme}
+    save_container(probes, "ensemble-probes", config_hash, meta,
+                   {"probe_times": ens.probe_times, "probe_states": ens.probe_states})
     save_container(summary, "ensemble-summary", config_hash, meta,
                    {name: getattr(ens, name) for name in names})
-    save_container(probes, "ensemble-probes", config_hash,
-                   arrays={"probe_times": ens.probe_times, "probe_states": ens.probe_states})
-    head = {"config_hash": config_hash, "members": int(ens.n_members),
-            "base_seed": int(ens.base_seed), "summary": summary.name, "probes": probes.name}
-    _write_lines(manifest, [json.dumps(head)] + ['{"member": %d, "seed": %d}' % ms
-                                                 for ms in enumerate(ens.seeds.tolist())])
-    return {"summary": summary, "probes": probes, "manifest": manifest}
+    return {"summary": summary, "probes": probes}

@@ -466,9 +466,14 @@ def test_relative_energy_rejects_mismatched_paths(additive_system, rng):
                    BrownianPath.generate(1, 1e-3, 100, additive_system.n_brownian))
     t2 = integrate(additive_system, a0,
                    BrownianPath.generate(2, 1e-3, 100, additive_system.n_brownian))
-    with pytest.raises(DiagnosticsError):
-        relative_energy(t1, t2, additive_system.basis, additive_system.basis,
-                        0.0, 0.1)
+    # one path seed, but saved spacings 1e-7 apart (relative): off the solver's
+    # grid rule (1e-9 max(1, |t|)) at t = 0.1, though np.allclose passes them
+    t3 = integrate(additive_system, a0, BrownianPath.generate(
+        1, 1e-3 * (1 + 1e-7), 100, additive_system.n_brownian))
+    for other in (t2, t3):
+        with pytest.raises(DiagnosticsError, match="shared grid"):
+            relative_energy(t1, other, additive_system.basis, additive_system.basis,
+                            0.0, 0.1)
 
 
 def test_relative_energy_refuses_bad_interval_and_energy(additive_system, rng):

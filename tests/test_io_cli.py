@@ -359,11 +359,8 @@ def test_trajectory_round_trip_bitwise(tmp_path, additive_system):
         assert vars(loaded).keys() == vars(traj).keys()
         for key, value in vars(traj).items():
             assert oracles.bit_equal(value, getattr(loaded, key)), (source, key)
-        # sidecar NDJSON exists, one record per saved time
-        lines = (tmp_path / f"{source}.bin.ndjson").read_text().strip().splitlines()
-        assert len(lines) == traj.times.size
-        rec = json.loads(lines[0])
-        assert rec["t"] == 0.0 and rec["energy"] == traj.energy[0]
+    # the container is the only file a trajectory save writes
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["integrate.bin", "member.bin"]
 
 
 def test_seed_round_trip_exact(tmp_path, additive_system):
@@ -392,7 +389,7 @@ def test_dotted_prefixes_name_distinct_files(tmp_path, additive_system):
                            base_seed=seed, dt=1e-3, n_steps=2)
         written[seed] = (ens, save_ensemble(tmp_path / prefix, ens, "ab" * 32))
     paths = [p for _, files in written.values() for p in files.values()]
-    assert len(set(paths)) == 6 and all(p.parent == tmp_path for p in paths)
+    assert len(set(paths)) == 4 and all(p.parent == tmp_path for p in paths)
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(p.name for p in paths)
     for seed, (ens, files) in written.items():
         assert files["summary"].name.startswith(("run.nu0.05.", "run.nu0.1."))
@@ -401,8 +398,7 @@ def test_dotted_prefixes_name_distinct_files(tmp_path, additive_system):
         assert oracles.bit_equal(summary["arrays"]["final_states"], ens.final_states)
         probes = load_container(files["probes"], expect_kind="ensemble-probes")
         assert oracles.bit_equal(probes["arrays"]["probe_states"], ens.probe_states)
-        head = json.loads(files["manifest"].read_text().splitlines()[0])
-        assert (head["base_seed"], head["summary"]) == (seed, files["summary"].name)
+        assert (probes["config_hash"], probes["meta"]) == (summary["config_hash"], summary["meta"])
 
 
 def test_hash_mismatch_distinct_error(tmp_path, additive_system):
@@ -610,13 +606,14 @@ def test_failed_write_keeps_previous_container(sample, member, keep):
 
 
 def test_failed_ensemble_write_keeps_each_previous_file(tmp_path, additive_system, monkeypatch):
-    # summary, probes and manifest are each replaced whole or not at all: the
-    # files before the failing one are new, it and the ones after it are old
+    # probes are replaced first and the summary last, each whole or not at all:
+    # a failure on the first write keeps both old files, one on the second
+    # leaves new probes beside the old summary, told apart by their headers
     old = run_ensemble(additive_system, np.zeros(additive_system.n_modes), 2, base_seed=1,
                        dt=1e-3, n_steps=2)
     new = run_ensemble(additive_system, np.zeros(additive_system.n_modes), 3, base_seed=2,
                        dt=1e-3, n_steps=2)
-    for failing in range(3):
+    for failing in range(3):   # 2: no write fails
         files = save_ensemble(tmp_path / "e", old, "ab" * 32)
         before = {key: p.read_bytes() for key, p in files.items()}
         fsyncs = []
@@ -628,13 +625,17 @@ def test_failed_ensemble_write_keeps_each_previous_file(tmp_path, additive_syste
 
         with monkeypatch.context() as patch:
             patch.setattr(storage.os, "fsync", fsync)
-            with pytest.raises(OSError, match="disk full"):
+            if failing < 2:
+                with pytest.raises(OSError, match="disk full"):
+                    save_ensemble(tmp_path / "e", new, "ab" * 32)
+            else:
                 save_ensemble(tmp_path / "e", new, "ab" * 32)
-        for i, key in enumerate(("summary", "probes", "manifest")):
-            assert (files[key].read_bytes() == before[key]) == (i >= failing), (failing, key)
-        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(p.name for p in files.values())
-        load_container(files["summary"])
-        load_container(files["probes"])
+        fresh = {key: files[key].read_bytes() != before[key] for key in ("probes", "summary")}
+        assert fresh == {"probes": failing >= 1, "summary": failing >= 2}, failing
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["e.probes.bin", "e.summary.bin"]
+        summary, probes = load_container(files["summary"]), load_container(files["probes"])
+        assert (probes["meta"] == summary["meta"]) == (failing != 1), failing
+        assert summary["meta"]["members"] == (3 if failing >= 2 else 2)
 
 
 def test_damaged_seed_text_storage_error(tmp_path, additive_system):
@@ -645,6 +646,25 @@ def test_damaged_seed_text_storage_error(tmp_path, additive_system):
     f.write_bytes(data[:digit] + b"x" + data[digit + 1:])
     with pytest.raises(StorageError):
         load_trajectory(f)
+
+
+def test_trajectory_header_types_checked(tmp_path, additive_system):
+    # a CRC-valid container from another writer: each bad header value is refused
+    traj = _traj(additive_system, n_steps=5)
+    good = {"dt": traj.dt, "store_every": 1, "seed": 3, "nu": traj.nu,
+            "scheme": "euler_maruyama", "blowup_time": None}
+    arrays = {k: v for k, v in vars(traj).items() if isinstance(v, np.ndarray)}
+    bad = [("seed", "x"), ("dt", "fast"), ("scheme", 7), ("store_every", 1.5),
+           ("seed", True), ("store_every", 0), ("store_every", False), ("nu", float("inf")),
+           ("dt", float("nan")), ("scheme", "rk4"), ("blowup_time", "soon"), ("dt", None)]
+    f = tmp_path / "t.bin"
+    for key, value in bad:
+        save_container(f, "trajectory", "ab" * 32, dict(good, **{key: value}), arrays)
+        with pytest.raises(StorageError, match="wrong type"):
+            load_trajectory(f)
+    # an int is a finite number however large, and a blow-up time may be an int
+    save_container(f, "trajectory", "ab" * 32, dict(good, dt=10 ** 400, blowup_time=2), arrays)
+    assert load_trajectory(f)[0].dt == 10 ** 400
 
 
 # -- CLI --------------------------------------------------------------------
@@ -723,7 +743,7 @@ def test_cli_diagnose_skipped_check_fails(tmp_path, capsys):
         [("energy_residual", True), ("weak_residual", False)]
 
 
-def test_cli_ensemble_writes_manifest(tmp_path, capsys):
+def test_cli_ensemble_writes_two_containers(tmp_path, capsys):
     cfg = _write_config(
         tmp_path,
         t_final=0.01,
@@ -732,10 +752,14 @@ def test_cli_ensemble_writes_manifest(tmp_path, capsys):
                   "probe_times": [0.0, 0.01]},
     )
     assert main(["--config", str(cfg), "ensemble"]) == 0
-    manifest = (tmp_path / "out" / "ensemble.manifest.ndjson").read_text()
-    records = [json.loads(l) for l in manifest.strip().splitlines()]
-    assert records[0]["members"] == 4
-    assert [r["member"] for r in records[1:]] == [0, 1, 2, 3]
+    rec = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == \
+        ["ensemble.probes.bin", "ensemble.summary.bin"]
+    summary, probes = (load_container(f) for f in rec["written"])
+    assert (summary["kind"], probes["kind"]) == ("ensemble-summary", "ensemble-probes")
+    assert summary["config_hash"] == probes["config_hash"] == rec["config_hash"]
+    assert summary["meta"] == probes["meta"] and summary["meta"]["members"] == 4
+    assert summary["arrays"]["seeds"].size == 4
 
 
 def test_cli_unknown_subcommand_usage(capsys):
@@ -829,6 +853,24 @@ def test_cli_sweep_writes_csv(tmp_path, capsys):
     assert [r["nu"] for r in records[:2]] == [0.1, 0.05]
     rows = (tmp_path / "out" / "sweep.csv").read_text().strip().splitlines()
     assert len(rows) == 1 + 2 * 4
+
+
+def test_cli_sweep_failed_write_keeps_previous_csv(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "out"
+    cfg = _write_config(tmp_path, output_dir=str(out), sweep={"nus": [0.1], "store_every": 1})
+    assert main(["--config", str(cfg), "sweep"]) == 0
+    before = (out / "sweep.csv").read_bytes()
+    other = _write_config(tmp_path, output_dir=str(out),
+                          sweep={"nus": [0.1, 0.05], "store_every": 1})
+
+    def fsync(fd):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(storage.os, "fsync", fsync)
+    with pytest.raises(OSError, match="disk full"):
+        main(["--config", str(other), "sweep"])
+    assert (out / "sweep.csv").read_bytes() == before
+    assert [p.name for p in out.iterdir()] == ["sweep.csv"]
 
 
 def _refuse_constant(name):
