@@ -24,10 +24,7 @@ from .noise import (
     NoiseError,
     NoiseSpec,
     TransportNoise,
-    assemble_eta,
-    assemble_zeta,
     build_noise,
-    check_orthogonality,
     hs_norm,
 )
 from .sde import (

@@ -749,19 +749,17 @@ def advection_matrix(
     return Z
 
 
-def dissipation_matrix(basis: BasisSpec, nu: float, transport=None) -> np.ndarray:
+def dissipation_matrix(basis: BasisSpec, nu: float, corr: np.ndarray | None = None) -> np.ndarray:
     """Drift dissipation matrix d = nu * diag(|k|^2) + corr.
 
-    `transport` may be None, a precomputed symmetric correction matrix, or a
-    TransportNoise-like object exposing ito correction via `.correction()`.
-    Symmetric and positive semidefinite for nu >= 0.
+    `corr` is the transport Ito correction (`TransportNoise.correction()`) or
+    None for none.  Symmetric and positive semidefinite for nu >= 0.
     """
     if not 0 <= nu < np.inf:
         raise BasisError(f"viscosity must be nonnegative and finite, got {nu}")
     D = nu * np.diag(basis.k_sq)
-    if transport is None:
+    if corr is None:
         return D
-    corr = transport if isinstance(transport, np.ndarray) else transport.correction()
     if corr.shape != (basis.n_modes, basis.n_modes):
         raise BasisError("transport correction indexed inconsistently with basis")
     return D + corr

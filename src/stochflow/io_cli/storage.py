@@ -157,6 +157,14 @@ def _trajectory_meta_ok(m: dict) -> bool:
             and type(m.get("blowup_time")) in (int, float, type(None)))
 
 
+def _trajectory_shapes_ok(t: Trajectory) -> bool:
+    # on n saved steps: times and the four series (n+1,), states (n+1, N), increments (n, K)
+    series = (t.energy, t.grad_energy, t.stoch_int, t.grad_int)
+    return (t.times.ndim == 1 and all(x.shape == t.times.shape for x in series)
+            and t.states.ndim == 2 and t.states.shape[0] == t.times.size
+            and t.increments.ndim == 2 and t.increments.shape[0] == t.times.size - 1)
+
+
 def save_trajectory(path, traj: Trajectory, config_hash: str):
     names = ("times", "states", "energy", "grad_energy", "stoch_int", "grad_int", "increments")
     meta = {"dt": float(traj.dt), "store_every": int(traj.store_every), "seed": int(traj.seed),
@@ -174,6 +182,9 @@ def load_trajectory(path, expect_hash: str | None = None) -> tuple[Trajectory, s
         traj = Trajectory(**box["arrays"], **box["meta"])
     except TypeError as exc:
         raise StorageError(f"incomplete trajectory container: {exc}") from None
+    if not _trajectory_shapes_ok(traj):
+        shapes = {k: v.shape for k, v in box["arrays"].items()}
+        raise StorageError(f"trajectory array shapes disagree on the saved grid: {shapes}")
     return traj, box["config_hash"]
 
 

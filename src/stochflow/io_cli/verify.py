@@ -200,9 +200,8 @@ def run_battery(seed: int = 20240901) -> list[CheckResult]:
                         note="rows of one EM and one Heun step of 7 members (2-D c=4) "
                              "that differ from the member stepped alone"))
     ops = sys_mixed._step_operators()
-    zeta = noise4.transport.zeta.reshape(-1, b4.n_modes)
-    heun = np.vstack((zeta, noise4.additive.eta.T))
-    dense = {"eta": noise4.additive.eta, "zeta": zeta, "heun": heun,
+    heun = np.vstack((noise4.transport.zeta.reshape(-1, b4.n_modes), noise4.additive.eta.T))
+    dense = {"eta": noise4.additive.eta, "heun": heun,
              "em": np.vstack((heun, dissipation_matrix(b4, sys_mixed.nu, sys_mixed.corr)))}
     mismatched = sum(getattr(ops, name).toarray().tobytes() != np.ascontiguousarray(m).tobytes()
                      for name, m in dense.items())

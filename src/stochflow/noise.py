@@ -1,8 +1,9 @@
 """Additive and transport noise operators in Galerkin coordinates.
 
 The driving Wiener process is cylindrical over an orthonormal Brownian mode
-family; the solver retains exactly the K modes on which either noise operator
-is nonzero (modes with zero coefficient contribute nothing to the dynamics).
+family; the solver keeps the first K modes, K being the largest mode given
+plus one.  A mode that neither noise names has a zero column in eta and no
+zeta matrix, so it contributes nothing to the dynamics.
 
 Additive noise enters through the matrix eta[j, l] = <sigma1 e_l, v_j>;
 transport noise through one skew-symmetric matrix per Brownian mode,
@@ -42,8 +43,8 @@ class AdditiveNoise:
 class TransportNoise:
     """State-dependent Stratonovich advection by divergence-free fields.
 
-    `zeta` stacks the nonzero per-mode matrices; `modes[s]` is the Brownian
-    index of zeta[s].  Each matrix is exactly skew-symmetric.
+    `zeta` stacks the per-mode matrices; `modes[s]` is the Brownian index of
+    zeta[s].  Each matrix is exactly skew-symmetric.
     """
 
     modes: tuple[int, ...]
@@ -73,67 +74,12 @@ class NoiseSpec:
     n_brownian: int
 
 
-def assemble_eta(
-    basis: BasisSpec,
-    sigma1_modes: list[tuple[int, np.ndarray]],
-    n_brownian: int | None = None,
-) -> AdditiveNoise:
-    """Build eta from (brownian mode, coefficient vector) pairs.
-
-    Unspecified columns are zero.  The Brownian dimension defaults to the
-    smallest K covering the given modes.
-    """
-    if n_brownian is None:
-        n_brownian = max((ell for ell, _ in sigma1_modes), default=-1) + 1
-    eta = np.zeros((basis.n_modes, n_brownian))
-    for ell, vec in sigma1_modes:
-        if not 0 <= ell < n_brownian:
-            raise NoiseError(f"brownian mode {ell} out of range [0, {n_brownian})")
-        vec = np.asarray(vec, dtype=np.float64)
-        if vec.shape != (basis.n_modes,):
-            raise NoiseError(
-                f"coefficient vector for mode {ell} has shape {vec.shape}, "
-                f"expected ({basis.n_modes},)"
-            )
-        eta[:, ell] += vec
-    return AdditiveNoise(eta=eta)
-
-
-def assemble_zeta(
-    basis: BasisSpec,
-    transport_fields: list[tuple[int, np.ndarray]],
-    assembly_basis: BasisSpec | None = None,
-) -> TransportNoise:
-    """Build the skew matrices zeta_l from transport field coefficients.
-
-    Each field sigma2 e_l is a combination of solenoidal modes of
-    `assembly_basis` (defaults to `basis`; may have a larger cutoff), so
-    divergence-freeness is exact.  Skew-symmetry is enforced by storing the
-    strict upper triangle and reflecting it with a sign.
-    """
-    if assembly_basis is None:
-        assembly_basis = basis
-    mats: dict[int, np.ndarray] = {}
-    for ell, coeffs in transport_fields:
-        if ell < 0:
-            raise NoiseError(f"brownian mode {ell} out of range")
-        coeffs = np.asarray(coeffs, dtype=np.float64)
-        if coeffs.shape != (assembly_basis.n_modes,):
-            raise NoiseError(
-                f"transport field for mode {ell} has {coeffs.shape[0] if coeffs.ndim else 0} "
-                f"coefficients; assembly cutoff {assembly_basis.cutoff} expects "
-                f"{assembly_basis.n_modes}"
-            )
-        raw = advection_matrix(basis, assembly_basis, coeffs)
-        upper = np.triu(raw, k=1)
-        skew = upper - upper.T
-        mats[ell] = mats.get(ell, 0.0) + skew
-    modes = tuple(sorted(mats.keys()))
-    if modes:
-        zeta = np.stack([mats[ell] for ell in modes])
-    else:
-        zeta = np.zeros((0, basis.n_modes, basis.n_modes))
-    return TransportNoise(modes=modes, zeta=zeta)
+def _coefficients(ell, vec, basis: BasisSpec, what: str) -> np.ndarray:
+    vec = np.asarray(vec, dtype=np.float64)
+    if vec.shape != (basis.n_modes,):
+        raise NoiseError(f"{what} for mode {ell} has shape {vec.shape}; cutoff "
+                         f"{basis.cutoff} expects ({basis.n_modes},)")
+    return vec
 
 
 def build_noise(
@@ -142,36 +88,47 @@ def build_noise(
     transport_fields: list[tuple[int, np.ndarray]] | None = None,
     assembly_basis: BasisSpec | None = None,
 ) -> NoiseSpec:
-    """Assemble a NoiseSpec; the Brownian dimension covers both supports, which must be disjoint."""
+    """Assemble eta and the zeta_l from (brownian mode, coefficients) pairs.
+
+    An additive vector holds sigma1 e_l in `basis`.  A transport field
+    sigma2 e_l is a combination of solenoidal modes of `assembly_basis`
+    (defaults to `basis`; may have a larger cutoff), so divergence-freeness
+    is exact; skew-symmetry is exact too, since each zeta_l stores the strict
+    upper triangle of the advection matrix and reflects it with a sign.
+    Pairs that name one mode twice are summed in the order given, and zeta
+    stacks the transport modes in ascending order.
+
+    The additive support (columns of eta with a nonzero entry) and the
+    transport modes must be disjoint, which makes the cross terms between the
+    two noises vanish identically, with no tolerance involved.
+    """
     sigma1_modes = sigma1_modes or []
     transport_fields = transport_fields or []
-    top = max(
-        [ell for ell, _ in sigma1_modes] + [ell for ell, _ in transport_fields],
-        default=-1,
-    )
-    K = top + 1
-    additive = assemble_eta(basis, sigma1_modes, n_brownian=K)
-    transport = assemble_zeta(basis, transport_fields, assembly_basis)
-    spec = NoiseSpec(additive=additive, transport=transport, n_brownian=K)
-    ok, overlap = check_orthogonality(spec)
-    if not ok:
-        raise NoiseError(
-            "additive and transport noise share brownian modes "
-            f"{sorted(overlap)}; supports must be disjoint"
-        )
-    return spec
+    assembly_basis = assembly_basis or basis
+    given = [ell for ell, _ in [*sigma1_modes, *transport_fields]]
+    if any(ell < 0 for ell in given):
+        raise NoiseError(f"brownian mode {min(given)} is negative")
+    eta = np.zeros((basis.n_modes, max(given, default=-1) + 1))
+    for ell, vec in sigma1_modes:
+        eta[:, ell] += _coefficients(ell, vec, basis, "additive vector")
+    mats: dict[int, np.ndarray] = {}
+    for ell, coeffs in transport_fields:
+        raw = advection_matrix(basis, assembly_basis,
+                               _coefficients(ell, coeffs, assembly_basis, "transport field"))
+        upper = np.triu(raw, k=1)
+        mats[ell] = mats.get(ell, 0.0) + (upper - upper.T)
+    modes = tuple(sorted(mats))
+    zeta = (np.stack([mats[ell] for ell in modes]) if modes
+            else np.zeros((0, basis.n_modes, basis.n_modes)))
+    additive = AdditiveNoise(eta=eta)
+    overlap = sorted(set(additive.support) & set(modes))
+    if overlap:
+        raise NoiseError(f"additive and transport noise share brownian modes {overlap}; "
+                         "supports must be disjoint")
+    return NoiseSpec(additive=additive, transport=TransportNoise(modes=modes, zeta=zeta),
+                     n_brownian=eta.shape[1])
 
 
 def hs_norm(additive: AdditiveNoise) -> float:
     """Squared Hilbert-Schmidt norm of sigma1, sum over all entries of eta^2."""
     return float(np.sum(additive.eta ** 2))
-
-
-def check_orthogonality(spec: NoiseSpec) -> tuple[bool, set[int]]:
-    """True iff the additive and transport Brownian supports are disjoint.
-
-    Disjoint supports make the cross terms between the two noises vanish
-    identically, with no tolerance involved.  Returns (ok, overlapping modes).
-    """
-    overlap = set(spec.additive.support) & set(spec.transport.modes)
-    return (len(overlap) == 0, overlap)

@@ -49,11 +49,12 @@ Each step forms one product at its left point: the scheme's stack of the
 zeta_l, eta^T and (Euler-Maruyama only) the Ito drift matrix, applied to
 the state.  The rows of a CSR product sum independently, so each block of
 the stack keeps the bits of its own product; the stochastic integral's
-eta^T a comes from the same product as the step's terms.  The step does its
-arithmetic in place wherever the order of operations stays that of the
-plain expression, so the bits do too.  Finiteness is tested once per step
-over the whole batch, and the per-member mask is built only when that
-fails.
+eta^T a comes from the same product as the step's terms.  Heun's corrector
+applies the same Heun stack to its predictor and reads only the zeta rows,
+so no step operator holds zeta alone.  The step does its arithmetic in
+place wherever the order of operations stays that of the plain expression,
+so the bits do too.  Finiteness is tested once per step over the whole
+batch, and the per-member mask is built only when that fails.
 
 The bookkeeping runs once per block of steps, not once per step.  The loop
 collects the states after each step as member-major rows, up to `_BLOCK`
@@ -99,13 +100,15 @@ class _StepOperators:
     gives that matrix back bit for bit.
 
     A scheme's stack holds every linear map the step applies to the state at
-    its left point, so one product serves them all: the rows zeta_s a, then
-    eta^T a for the stochastic integral, then (Euler-Maruyama only) the Ito
-    drift matrix times a.
+    its left point, so one product serves them all: the rows zeta_s a (the
+    leading S*N, S the number of transport modes), then eta^T a for the
+    stochastic integral, then (Euler-Maruyama only) the Ito drift matrix
+    times a.  Heun's corrector applies `heun` to its predictor and reads
+    only the zeta rows; a CSR row's sum does not depend on the rows stacked
+    with it, so those rows keep the bits of a product by zeta alone.
     """
 
     eta: sparse.csr_matrix      # (N, K) additive noise, applied to dW
-    zeta: sparse.csr_matrix     # (S*N, N) the transport matrices zeta_s, stacked
     em: sparse.csr_matrix       # (S*N + K + N, N) [zeta; eta^T; nu*diag(|k|^2) + corr]
     heun: sparse.csr_matrix     # (S*N + K, N) [zeta; eta^T]
     zeta_norms: tuple           # spectral norm of each zeta_s
@@ -119,7 +122,6 @@ class GalerkinSystem:
     conv: ConvectionTensor
     noise: NoiseSpec
     nu: float
-    corr: np.ndarray = None          # (N, N) transport Ito correction
     _ops: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
@@ -129,6 +131,11 @@ class GalerkinSystem:
     @property
     def n_brownian(self) -> int:
         return self.noise.n_brownian
+
+    @property
+    def corr(self) -> np.ndarray:
+        """(N, N) transport Ito correction, the noise's cached `correction()`."""
+        return self.noise.transport.correction()
 
     def _step_operators(self) -> _StepOperators:
         """The step's CSR operators, built on first use and cached.
@@ -143,7 +150,6 @@ class GalerkinSystem:
             heun = np.vstack((zeta.reshape(-1, self.n_modes), eta.T))
             ops = _StepOperators(
                 eta=sparse.csr_matrix(eta),
-                zeta=sparse.csr_matrix(zeta.reshape(-1, self.n_modes)),
                 em=sparse.csr_matrix(
                     np.vstack((heun, dissipation_matrix(self.basis, self.nu, self.corr)))),
                 heun=sparse.csr_matrix(heun),
@@ -171,12 +177,11 @@ def build_system(basis: BasisSpec, noise: NoiseSpec | None = None, nu: float = 0
         noise = build_noise(basis)
     if conv is None:
         conv = convection_tensor(basis)
-    corr = noise.transport.correction()
-    if corr.shape != (basis.n_modes, basis.n_modes):
+    if noise.transport.zeta.shape[1:] != (basis.n_modes, basis.n_modes):
         raise SdeError("noise and basis dimensions are inconsistent")
     if noise.additive.eta.shape[0] != basis.n_modes:
         raise SdeError("additive noise indexed inconsistently with basis")
-    return GalerkinSystem(basis=basis, conv=conv, noise=noise, nu=nu, corr=corr)
+    return GalerkinSystem(basis=basis, conv=conv, noise=noise, nu=nu)
 
 
 # -- drift, diffusion and steps ----------------------------------------------
@@ -252,7 +257,7 @@ def _heun(system: GalerkinSystem, aT: np.ndarray, dWT: np.ndarray, dt: float,
         finite = np.isfinite(pred).all(axis=0)
         pred = np.where(finite, pred, aT)
     f1 = _drift(system, pred)
-    g1 = _diffusion(system, _csr_product(ops.zeta, pred), dWT, additive)
+    g1 = _diffusion(system, _csr_product(ops.heun, pred), dWT, additive)
     del pred
     # aT + 0.5 dt (f0 + f1) + 0.5 (g0 + g1), in place and in that order
     out = f0
@@ -508,7 +513,8 @@ def integrate_batch(
     ksq = system.basis.k_sq
     ops = system._step_operators()
     stack = ops.em if scheme == "euler_maruyama" else ops.heun
-    sigma = slice(ops.zeta.shape[0], ops.zeta.shape[0] + K)  # eta^T a in either stack
+    zeta_rows = len(system.noise.transport.modes) * N
+    sigma = slice(zeta_rows, zeta_rows + K)  # eta^T a in either stack
 
     times = np.arange(n_save + 1) * (dt * store_every)
     states = np.empty((n_save + 1, M, N))

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from stochflow.basis import build_basis, convection_tensor
-from stochflow.noise import assemble_zeta
+from stochflow.noise import build_noise
 
 
 def _digest(*arrays):
@@ -85,7 +85,7 @@ def zeta_case(name):
             for label, value in labels.items():
                 vec[assembly.index_of(label)] = value
         vectors.append((ell, vec))
-    return assemble_zeta(basis, vectors, assembly_basis=assembly)
+    return build_noise(basis, transport_fields=vectors, assembly_basis=assembly).transport
 
 
 @pytest.mark.parametrize("name", sorted(ZETA_CASES))

@@ -252,7 +252,7 @@ def test_dissipation_with_transport_correction(basis2_2, rng):
     field = np.zeros(basis2_2.n_modes)
     field[basis2_2.index_of("1,0:cos")] = 0.7
     noise = build_noise(basis2_2, transport_fields=[(0, field)])
-    D = dissipation_matrix(basis2_2, 0.3, noise.transport)
+    D = dissipation_matrix(basis2_2, 0.3, noise.transport.correction())
     zeta = noise.transport.zeta[0]
     dense_corr = 0.5 * (zeta.T @ zeta)
     expected = 0.3 * np.diag(basis2_2.k_sq) + dense_corr

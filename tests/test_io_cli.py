@@ -638,16 +638,6 @@ def test_failed_ensemble_write_keeps_each_previous_file(tmp_path, additive_syste
         assert summary["meta"]["members"] == (3 if failing >= 2 else 2)
 
 
-def test_damaged_seed_text_storage_error(tmp_path, additive_system):
-    f = tmp_path / "t.bin"
-    save_trajectory(f, _traj(additive_system, n_steps=5), "ab" * 32)
-    data = f.read_bytes()
-    digit = data.rindex(b"seed") + 6  # the text value's first digit, after its u16 length
-    f.write_bytes(data[:digit] + b"x" + data[digit + 1:])
-    with pytest.raises(StorageError):
-        load_trajectory(f)
-
-
 def test_trajectory_header_types_checked(tmp_path, additive_system):
     # a CRC-valid container from another writer: each bad header value is refused
     traj = _traj(additive_system, n_steps=5)
@@ -665,6 +655,29 @@ def test_trajectory_header_types_checked(tmp_path, additive_system):
     # an int is a finite number however large, and a blow-up time may be an int
     save_container(f, "trajectory", "ab" * 32, dict(good, dt=10 ** 400, blowup_time=2), arrays)
     assert load_trajectory(f)[0].dt == 10 ** 400
+
+
+def test_trajectory_shapes_checked(tmp_path, mixed_system):
+    # a CRC-valid container whose arrays disagree on the saved grid is refused:
+    # times (n+1,), states (n+1, N), the four series (n+1,), increments (n, K)
+    path = BrownianPath.generate(3, 1e-3, 8, mixed_system.n_brownian)
+    traj = integrate(mixed_system, np.full(mixed_system.n_modes, 0.1), path)
+    meta = {"dt": traj.dt, "store_every": 1, "seed": 3, "nu": traj.nu,
+            "scheme": "euler_maruyama", "blowup_time": None}
+    arrays = {k: v for k, v in vars(traj).items() if isinstance(v, np.ndarray)}
+    bad = [{"times": traj.times[:-3]},
+           {"times": traj.times[:-3], "increments": traj.increments[:, :1]},
+           {"states": traj.states[:-1]}, {"states": traj.states[:, 0]},
+           {"energy": traj.energy[1:]}, {"grad_int": traj.grad_int[:, None]},
+           {"increments": traj.increments[:-1]}, {"increments": traj.increments[:, 0]},
+           {"stoch_int": traj.stoch_int[:-1], "grad_energy": traj.grad_energy[:-1]}]
+    f = tmp_path / "t.bin"
+    for change in bad:
+        save_container(f, "trajectory", "ab" * 32, meta, dict(arrays, **change))
+        with pytest.raises(StorageError, match="shapes disagree"):
+            load_trajectory(f)
+    save_container(f, "trajectory", "ab" * 32, meta, arrays)
+    assert load_trajectory(f)[0].states.shape == traj.states.shape
 
 
 # -- CLI --------------------------------------------------------------------

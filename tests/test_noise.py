@@ -3,29 +3,30 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stochflow.basis import build_basis
-from stochflow.noise import (
-    NoiseError,
-    NoiseSpec,
-    assemble_eta,
-    assemble_zeta,
-    build_noise,
-    check_orthogonality,
-    hs_norm,
-)
+from stochflow.noise import NoiseError, build_noise, hs_norm
 
 import oracles
 
 
+def _additive(basis, sigma1_modes):
+    return build_noise(basis, sigma1_modes=sigma1_modes).additive
+
+
+def _transport(basis, fields, assembly=None):
+    return build_noise(basis, transport_fields=fields, assembly_basis=assembly).transport
+
+
 def test_empty_eta(basis2_2):
-    add = assemble_eta(basis2_2, [])
-    assert add.eta.shape == (basis2_2.n_modes, 0)
-    assert hs_norm(add) == 0.0
+    noise = build_noise(basis2_2)
+    assert noise.additive.eta.shape == (basis2_2.n_modes, 0)
+    assert noise.n_brownian == 0
+    assert hs_norm(noise.additive) == 0.0
 
 
 def test_single_entry_hs_norm(basis2_2):
     vec = np.zeros(basis2_2.n_modes)
     vec[1] = 0.5
-    add = assemble_eta(basis2_2, [(0, vec)])
+    add = _additive(basis2_2, [(0, vec)])
     assert hs_norm(add) == 0.25
 
 
@@ -34,7 +35,7 @@ def test_two_columns_match_frobenius(basis2_2, rng):
 
     v1 = rng.normal(size=basis2_2.n_modes)
     v2 = rng.normal(size=basis2_2.n_modes)
-    add = assemble_eta(basis2_2, [(0, v1), (2, v2)], n_brownian=3)
+    add = _additive(basis2_2, [(0, v1), (2, v2)])  # K = 3, from the largest mode
     assert add.eta.shape == (basis2_2.n_modes, 3)
     assert np.array_equal(add.eta[:, 1], np.zeros(basis2_2.n_modes))
     naive = math.fsum(add.eta[j, l] ** 2
@@ -43,10 +44,28 @@ def test_two_columns_match_frobenius(basis2_2, rng):
 
 
 def test_eta_mode_out_of_range(basis2_2):
+    field = np.zeros(basis2_2.n_modes)
+    field[basis2_2.index_of("1,0:cos")] = 1.0
+    with pytest.raises(NoiseError, match="negative"):
+        build_noise(basis2_2, sigma1_modes=[(0, np.ones(basis2_2.n_modes)),
+                                            (-1, np.zeros(basis2_2.n_modes))])
+    with pytest.raises(NoiseError, match="negative"):
+        build_noise(basis2_2, transport_fields=[(-2, field)])
     with pytest.raises(NoiseError):
-        assemble_eta(basis2_2, [(5, np.zeros(basis2_2.n_modes))], n_brownian=2)
-    with pytest.raises(NoiseError):
-        assemble_eta(basis2_2, [(0, np.zeros(3))])
+        build_noise(basis2_2, sigma1_modes=[(0, np.zeros(3))])
+
+
+def test_repeated_mode_sums_in_order(basis2_2, rng):
+    # a mode named more than once sums its terms in the order given
+    v = rng.normal(size=(3, basis2_2.n_modes))
+    f = rng.normal(size=(3, basis2_2.n_modes)) * (basis2_2.k_sq <= 2)
+    noise = build_noise(basis2_2, sigma1_modes=[(1, v[0]), (1, v[1]), (1, v[2])],
+                        transport_fields=[(3, f[0]), (0, f[1]), (3, f[1]), (3, f[2])])
+    assert noise.n_brownian == 4 and noise.transport.modes == (0, 3)
+    assert np.array_equal(noise.additive.eta[:, 1], (v[0] + v[1]) + v[2])
+    z = [_transport(basis2_2, [(0, x)]).zeta[0] for x in f]
+    assert np.array_equal(noise.transport.zeta[0], z[1])
+    assert np.array_equal(noise.transport.zeta[1], (z[0] + z[1]) + z[2])
 
 
 @given(perm_seed=st.integers(0, 2**32 - 1))
@@ -54,8 +73,8 @@ def test_eta_mode_out_of_range(basis2_2):
 def test_hs_norm_reordering_invariant(perm_seed):
     b = build_basis(2, 1)
     gen = np.random.default_rng(7)
-    add = assemble_eta(b, [(0, gen.normal(size=b.n_modes)),
-                           (1, gen.normal(size=b.n_modes))])
+    add = _additive(b, [(0, gen.normal(size=b.n_modes)),
+                        (1, gen.normal(size=b.n_modes))])
     perm = np.random.default_rng(perm_seed).permutation(b.n_modes)
     reordered = float(np.sum(add.eta[perm] ** 2))
     assert abs(reordered - hs_norm(add)) <= 1e-15 * hs_norm(add)
@@ -65,14 +84,14 @@ def test_hs_norm_reordering_invariant(perm_seed):
 
 
 def test_zero_transport(basis2_2):
-    tr = assemble_zeta(basis2_2, [])
+    tr = _transport(basis2_2, [])
     assert tr.zeta.shape == (0, basis2_2.n_modes, basis2_2.n_modes)
     assert np.abs(tr.correction()).max() == 0.0
 
 
 def test_zeta_skew_bitwise(basis2_2, rng):
     field = rng.normal(size=basis2_2.n_modes) * (basis2_2.k_sq <= 2)
-    tr = assemble_zeta(basis2_2, [(0, field)])
+    tr = _transport(basis2_2, [(0, field)])
     z = tr.zeta[0]
     assert np.abs(z + z.T).max() == 0.0
 
@@ -81,7 +100,7 @@ def test_zeta_entry_matches_quadrature(basis2_2):
     field = np.zeros(basis2_2.n_modes)
     m = basis2_2.index_of("1,0:cos")
     field[m] = 1.0
-    tr = assemble_zeta(basis2_2, [(0, field)])
+    tr = _transport(basis2_2, [(0, field)])
     i = basis2_2.index_of("0,1:cos")
     j = basis2_2.index_of("1,1:sin")
     # <(v_m . grad) v_i, v_j> with the advecting field v_m
@@ -103,7 +122,7 @@ def test_zeta_dense_matrix_against_quadrature(basis2_1):
         field = np.zeros(assembly.n_modes)
         for label, value in labels.items():
             field[assembly.index_of(label)] = value
-        tr = assemble_zeta(basis, [(0, field)], assembly_basis=assembly)
+        tr = _transport(basis, [(0, field)], assembly)
         emb = basis.embedding_into(assembly)
         N = basis.n_modes
         dense = np.zeros((N, N))
@@ -118,14 +137,14 @@ def test_zeta_dense_matrix_against_quadrature(basis2_1):
 
 def test_zeta_rejects_wrong_assembly_length(basis2_2):
     with pytest.raises(NoiseError):
-        assemble_zeta(basis2_2, [(0, np.zeros(basis2_2.n_modes + 1))])
+        _transport(basis2_2, [(0, np.zeros(basis2_2.n_modes + 1))])
 
 
 def test_zeta_larger_assembly_cutoff(basis2_1):
     fine = build_basis(2, 2)
     field = np.zeros(fine.n_modes)
     field[fine.index_of("2,1:cos")] = 1.0  # outside the coarse cutoff
-    tr = assemble_zeta(basis2_1, [(0, field)], assembly_basis=fine)
+    tr = _transport(basis2_1, [(0, field)], fine)
     z = tr.zeta[0]
     assert np.abs(z + z.T).max() == 0.0
     i = basis2_1.index_of("1,1:sin")
@@ -138,7 +157,7 @@ def test_zeta_larger_assembly_cutoff(basis2_1):
 
 def test_correction_psd(basis2_2, rng):
     field = rng.normal(size=basis2_2.n_modes) * (basis2_2.k_sq <= 2)
-    tr = assemble_zeta(basis2_2, [(0, field)])
+    tr = _transport(basis2_2, [(0, field)])
     corr = tr.correction()
     assert np.abs(corr - corr.T).max() == 0.0
     assert np.linalg.eigvalsh(corr).min() >= -1e-13
@@ -147,7 +166,7 @@ def test_correction_psd(basis2_2, rng):
 def test_correction_quadratic_identity(basis2_2, rng):
     fields = [(0, rng.normal(size=basis2_2.n_modes) * (basis2_2.k_sq <= 2)),
               (1, rng.normal(size=basis2_2.n_modes) * (basis2_2.k_sq <= 1))]
-    tr = assemble_zeta(basis2_2, fields)
+    tr = _transport(basis2_2, fields)
     corr = tr.correction()
     for _ in range(20):
         a = rng.normal(size=basis2_2.n_modes)
@@ -159,31 +178,27 @@ def test_correction_quadratic_identity(basis2_2, rng):
 # -- orthogonality ---------------------------------------------------------------
 
 
-def _spec(basis, add_modes, trans_modes, rng):
-    # assembled directly: build_noise rejects overlapping supports
+def _noise(basis, add_modes, trans_modes, rng):
     sig1 = [(l, rng.normal(size=basis.n_modes)) for l in add_modes]
     low = basis.k_sq <= 2
     sig2 = [(l, rng.normal(size=basis.n_modes) * low) for l in trans_modes]
-    K = max((*add_modes, *trans_modes), default=-1) + 1
-    return NoiseSpec(additive=assemble_eta(basis, sig1, n_brownian=K),
-                     transport=assemble_zeta(basis, sig2), n_brownian=K)
+    return build_noise(basis, sig1, sig2)
 
 
 def test_orthogonality_disjoint(basis2_2, rng):
-    ok, overlap = check_orthogonality(_spec(basis2_2, (0, 1), (2, 3), rng))
-    assert ok and not overlap
+    noise = _noise(basis2_2, (0, 1), (2, 3), rng)
+    assert noise.additive.support == (0, 1) and noise.transport.modes == (2, 3)
+    assert noise.n_brownian == 4
 
 
 def test_orthogonality_overlap_named(basis2_2, rng):
-    ok, overlap = check_orthogonality(_spec(basis2_2, (0, 1), (1, 2), rng))
-    assert not ok
-    assert overlap == {1}
-    with pytest.raises(NoiseError, match="1"):
-        _spec_modes = [(1, np.ones(basis2_2.n_modes))]
-        build_noise(basis2_2, _spec_modes,
+    with pytest.raises(NoiseError, match=r"modes \[1\]; supports must be disjoint"):
+        _noise(basis2_2, (0, 1), (1, 2), rng)
+    with pytest.raises(NoiseError, match=r"modes \[1\]"):
+        build_noise(basis2_2, [(1, np.ones(basis2_2.n_modes))],
                     [(1, np.ones(basis2_2.n_modes) * (basis2_2.k_sq <= 2))])
 
 
 def test_orthogonality_empty_transport(basis2_2, rng):
-    ok, overlap = check_orthogonality(_spec(basis2_2, (0, 1), (), rng))
-    assert ok
+    noise = _noise(basis2_2, (0, 1), (), rng)
+    assert noise.transport.modes == () and noise.n_brownian == 2

@@ -1,3 +1,4 @@
+import dataclasses
 import tempfile
 import warnings
 from pathlib import Path
@@ -31,8 +32,9 @@ def drift(system, a):
 
 
 def diffusion(system, a, dW):
-    """The noise increment of one state and one increment, as columns."""
-    za = _csr_product(system._step_operators().zeta, a[:, None])
+    """The noise increment of one state and one increment, as columns; the
+    zeta rows lead the Heun stack's product."""
+    za = _csr_product(system._step_operators().heun, a[:, None])
     additive = _csr_product(system._step_operators().eta, dW[:, None])
     return _diffusion(system, za, dW[:, None], additive)[:, 0]
 
@@ -372,6 +374,14 @@ def test_steps_and_paths_refuse_bad_dt(basis2_2, conv2_2, dt):
 def test_build_system_refuses_bad_viscosity(basis2_2, conv2_2, nu):
     with pytest.raises(SdeError, match="viscosity"):
         build_system(basis2_2, nu=nu, conv=conv2_2)
+
+
+def test_corr_is_the_noise_correction(mixed_system):
+    # the system reads the noise's cached correction and holds no copy that a
+    # caller could set apart from the noise
+    assert mixed_system.corr is mixed_system.noise.transport.correction()
+    with pytest.raises(TypeError):
+        dataclasses.replace(mixed_system, corr=np.zeros_like(mixed_system.corr))
 
 
 def test_energy_series_is_parseval(additive_system, rng):
