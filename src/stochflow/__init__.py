@@ -15,7 +15,6 @@ from .basis import (
     ConvectionTensor,
     build_basis,
     convection_tensor,
-    dissipation_matrix,
     evaluate_field,
     project_field,
 )

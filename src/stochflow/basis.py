@@ -748,18 +748,3 @@ def advection_matrix(
     np.add.at(Z, (j, i), adv_coeffs[m] * values)
     return Z
 
-
-def dissipation_matrix(basis: BasisSpec, nu: float, corr: np.ndarray | None = None) -> np.ndarray:
-    """Drift dissipation matrix d = nu * diag(|k|^2) + corr.
-
-    `corr` is the transport Ito correction (`TransportNoise.correction()`) or
-    None for none.  Symmetric and positive semidefinite for nu >= 0.
-    """
-    if not 0 <= nu < np.inf:
-        raise BasisError(f"viscosity must be nonnegative and finite, got {nu}")
-    D = nu * np.diag(basis.k_sq)
-    if corr is None:
-        return D
-    if corr.shape != (basis.n_modes, basis.n_modes):
-        raise BasisError("transport correction indexed inconsistently with basis")
-    return D + corr

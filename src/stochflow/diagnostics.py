@@ -256,6 +256,15 @@ def neg_sup_series(basis: BasisSpec, coeff_series: np.ndarray) -> np.ndarray:
 # -- the energy residual -------------------------------------------------------
 
 
+def _check_run(traj: Trajectory, system: GalerkinSystem) -> None:
+    if (traj.states.shape[1:] != (system.n_modes,)
+            or traj.increments.shape[1:] != (system.n_brownian,)):
+        raise DiagnosticsError(
+            f"trajectory has states {traj.states.shape} and increments "
+            f"{traj.increments.shape}; the system has {system.n_modes} modes and "
+            f"{system.n_brownian} Brownian motions")
+
+
 def energy_residual(
     traj: Trajectory,
     system: GalerkinSystem,
@@ -270,8 +279,10 @@ def energy_residual(
 
     Zero for the exact SDE; O(sqrt(dt)) pathwise and O(dt) in the mean for
     the discrete schemes.  Both integrals come from the full-resolution
-    left-point accumulators stored on the trajectory.
+    left-point accumulators stored on the trajectory.  Raises
+    DiagnosticsError when traj is not a run of the system or when t < s.
     """
+    _check_run(traj, system)
     if t < s:
         raise DiagnosticsError(f"need s <= t, got s={s}, t={t}")
     i = traj.index_of_time(s)
@@ -416,9 +427,11 @@ def energy_variational_gap(
     (`TestProcessRep.series`).  A relaxed `energy_series` adds
     `neg_sup_series` over T rows (one row if phi is static).
 
-    Raises DiagnosticsError when phi's B is not (K, N), phi0 not (N,), A not
-    (n_saved_steps, N), or `energy_series` not of `traj.energy`'s shape.
+    Raises DiagnosticsError when traj is not a run of the system, phi's B is
+    not (K, N), phi0 not (N,), A not (n_saved_steps, N), or `energy_series`
+    not of `traj.energy`'s shape.
     """
+    _check_run(traj, system)
     if phi.B is not None and phi.B.shape != (system.n_brownian, system.n_modes):
         raise DiagnosticsError(
             f"test-process B has shape {phi.B.shape}; system expects "
@@ -516,10 +529,14 @@ def relative_energy(
     coupling).  The envelope is RE(s) * exp(int_s^t 2 |(grad u~)_sym,-|),
     with the rate evaluated as a grid supremum of the fine field.
 
-    Raises DiagnosticsError when the two trajectories do not share a grid
-    and a path, when t < s, or when `energy_series` is not of
-    `coarse.energy`'s shape.
+    Raises DiagnosticsError when a trajectory's states are not of its
+    basis's modes, when the two trajectories do not share a grid and a path,
+    when t < s, or when `energy_series` is not of `coarse.energy`'s shape.
     """
+    for name, traj, basis in (("coarse", coarse, coarse_basis), ("fine", fine, fine_basis)):
+        if traj.states.shape[1:] != (basis.n_modes,):
+            raise DiagnosticsError(f"{name} states have shape {traj.states.shape}; its "
+                                   f"basis has {basis.n_modes} modes")
     shared = DiagnosticsError("relative energy requires a shared grid and Brownian path")
     spacing, last = coarse.dt * coarse.store_every, coarse.times.size - 1
     if coarse.seed != fine.seed or coarse.times.shape != fine.times.shape or any(

@@ -38,7 +38,10 @@ class EnsembleError(ValueError):
 def member_seeds(base_seed: int, n_members: int) -> np.ndarray:
     """Member seeds base_seed XOR index: distinct within one ensemble only,
     since two base seeds whose XOR is below n_members share seeds (0 and 1
-    give the same 64 seeds in another order)."""
+    give the same 64 seeds in another order).  Raises EnsembleError unless
+    base_seed is an integer in [0, 2**64)."""
+    if not (isinstance(base_seed, (int, np.integer)) and 0 <= base_seed < 2 ** 64):
+        raise EnsembleError(f"base seed must be an integer in [0, 2**64), got {base_seed!r}")
     return np.uint64(base_seed) ^ np.arange(n_members, dtype=np.uint64)
 
 
@@ -78,15 +81,18 @@ def constant_initial(a0: np.ndarray) -> Callable:
 _CHUNK_BYTES = 1 << 28
 
 
-def _chunk_size(n_modes: int, n_brownian: int, n_steps: int) -> int:
-    # integrate_batch holds (n_steps + 1) states and n_steps increments per
-    # member; a member that alone exceeds the budget runs in a chunk of one
-    per_member = 8 * ((n_steps + 1) * n_modes + n_steps * n_brownian)
+def _chunk_size(n_modes: int, n_brownian: int, n_steps: int, store_every: int = 1) -> int:
+    # per member, a batch keeps its n_save + 1 saved states and four series
+    # and its n_steps drawn and n_save saved increments; a member that alone
+    # exceeds the budget runs in a chunk of one
+    n_save = n_steps // store_every
+    per_member = 8 * ((n_save + 1) * (n_modes + 4) + (n_steps + n_save) * n_brownian)
     return max(1, _CHUNK_BYTES // per_member)
 
 
-def _chunks(system: GalerkinSystem, n_members: int, n_steps: int) -> list[slice]:
-    chunk = _chunk_size(system.n_modes, system.n_brownian, n_steps)
+def _chunks(system: GalerkinSystem, n_members: int, n_steps: int,
+            store_every: int = 1) -> list[slice]:
+    chunk = _chunk_size(system.n_modes, system.n_brownian, n_steps, store_every)
     return [slice(lo, min(lo + chunk, n_members)) for lo in range(0, n_members, chunk)]
 
 
@@ -218,7 +224,7 @@ def run_ensemble(
         for p, j in enumerate(probe_idx):
             probe_states[p, sl] = out.states[j]
 
-    slices = _chunks(system, n_members, n_steps)
+    slices = _chunks(system, n_members, n_steps, store_every)
     if threads > 1 and len(slices) > 1:
         from concurrent.futures import ThreadPoolExecutor
 

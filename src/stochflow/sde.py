@@ -14,12 +14,13 @@ Stratonovich form directly (drift without the correction, midpoint-averaged
 diffusion).  Both converge to the same law as dt -> 0.
 
 Brownian increments are counter-based: a path is a pure function of
-(seed, base_dt, level, n_steps, K) through the Philox generator, keyed by
-(seed, level).  One level-0 draw serves `BrownianPath.generate` and
-`batch_increments`; one midpoint-bridge split, `_refine`, serves one member
-(`BrownianPath.refine`) or many (`experiments.order_study`).  It halves dt
-so that the refined path sums pairwise to its parent, which is what coupled
-strong-order studies need.  Nothing has to be stored.
+(seed, dt, n_steps, K, level) through the Philox generator, keyed by
+(seed, level).  `batch_increments` is the one level-0 draw, and
+`BrownianPath.generate` is a row of it; one midpoint-bridge split,
+`_refine`, serves one member (`BrownianPath.refine`) or many
+(`experiments.order_study`).  It halves dt so that the refined path sums
+pairwise to its parent, which is what coupled strong-order studies need.
+Nothing has to be stored.
 
 Every layer maps a time to a grid index by one rule, `_grid_index`: on a
 grid of spacing h, time t names index j = round(t / h), accepted when
@@ -78,8 +79,7 @@ from typing import Iterable, Iterator
 import numpy as np
 from scipy import sparse
 
-from .basis import (BasisSpec, ConvectionTensor, _csr_product, convection_tensor,
-                    dissipation_matrix)
+from .basis import BasisSpec, ConvectionTensor, _csr_product, convection_tensor
 from .noise import NoiseSpec, build_noise
 
 SCHEMES = ("euler_maruyama", "heun")
@@ -103,9 +103,10 @@ class _StepOperators:
     its left point, so one product serves them all: the rows zeta_s a (the
     leading S*N, S the number of transport modes), then eta^T a for the
     stochastic integral, then (Euler-Maruyama only) the Ito drift matrix
-    times a.  Heun's corrector applies `heun` to its predictor and reads
-    only the zeta rows; a CSR row's sum does not depend on the rows stacked
-    with it, so those rows keep the bits of a product by zeta alone.
+    nu * diag(|k|^2) + corr times a.  Heun's corrector applies `heun` to its
+    predictor and reads only the zeta rows; a CSR row's sum does not depend
+    on the rows stacked with it, so those rows keep the bits of a product by
+    zeta alone.
     """
 
     eta: sparse.csr_matrix      # (N, K) additive noise, applied to dW
@@ -151,7 +152,7 @@ class GalerkinSystem:
             ops = _StepOperators(
                 eta=sparse.csr_matrix(eta),
                 em=sparse.csr_matrix(
-                    np.vstack((heun, dissipation_matrix(self.basis, self.nu, self.corr)))),
+                    np.vstack((heun, self.nu * np.diag(self.basis.k_sq) + self.corr))),
                 heun=sparse.csr_matrix(heun),
                 zeta_norms=tuple(float(np.linalg.norm(z, 2)) for z in zeta),
             )
@@ -272,11 +273,6 @@ def _heun(system: GalerkinSystem, aT: np.ndarray, dWT: np.ndarray, dt: float,
     return out
 
 
-def _check_state(system: GalerkinSystem, a: np.ndarray) -> None:
-    if a.shape[-1:] != (system.n_modes,):
-        raise SdeError(f"state has shape {a.shape}, expected (..., {system.n_modes})")
-
-
 _STEPPERS = {
     "euler_maruyama": _euler_maruyama,
     "heun": _heun,
@@ -293,8 +289,18 @@ def _philox_streams(seeds: Iterable, word: int) -> Iterator[np.random.Generator]
     state a fresh `Generator(Philox(key))` starts in (zero counter, empty
     buffer), which costs far less than building one.  A caller finishes with
     each stream before it asks for the next.  The generator is local to the
-    call, so threads never share it.
+    call, so threads never share it.  Raises SdeError unless every seed is an
+    integer in [0, 2**64), which numpy would wrap, truncate or overflow; an
+    integer array is checked in one pass, any other iterable (numpy casts a
+    list of ints below and above 2**63 to float) element by element.
     """
+    if isinstance(seeds, np.ndarray) and seeds.dtype.kind in "iu":
+        valid = not seeds.size or seeds.min() >= 0
+    else:
+        seeds = list(seeds)
+        valid = all(isinstance(s, (int, np.integer)) and 0 <= s < 2 ** 64 for s in seeds)
+    if not valid:
+        raise SdeError("seeds must be integers in [0, 2**64)")
     bitgen = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
     gen = np.random.Generator(bitgen)
     zero = np.zeros(4, dtype=np.uint64)
@@ -307,18 +313,13 @@ def _philox_streams(seeds: Iterable, word: int) -> Iterator[np.random.Generator]
         yield gen
 
 
-def _level0(gen: np.random.Generator, dt: float, n_steps: int, n_brownian: int) -> np.ndarray:
-    """Level-0 increments from a seed's stream (word 0): n_steps x K normals of variance dt."""
-    return gen.normal(0.0, math.sqrt(dt), size=(n_steps, n_brownian))
-
-
 @dataclass(frozen=True)
 class BrownianPath:
     """Counter-based Brownian increments on a uniform grid.
 
-    Reproducible from (seed, base_dt, level, n_steps, K) alone: level 0 draws
-    n0 x K normals with variance base_dt from Philox(seed, 0), and each
-    further level is one `refine()` of the level below.
+    Level 0 is row 0 of `batch_increments` for the seed: n_steps x K normals
+    of variance dt from Philox(seed, 0).  Each further level is one
+    `refine()` of the level below.
     """
 
     seed: int
@@ -329,20 +330,11 @@ class BrownianPath:
     increments: np.ndarray = field(default=None, repr=False, compare=False)
 
     @classmethod
-    def generate(cls, seed: int, dt: float, n_steps: int, n_brownian: int,
-                 level: int = 0) -> "BrownianPath":
+    def generate(cls, seed: int, dt: float, n_steps: int, n_brownian: int) -> "BrownianPath":
         if not 0 < dt < math.inf or n_steps < 0:
             raise SdeError("BrownianPath needs a finite dt > 0 and n_steps >= 0")
-        base_dt = dt * (2 ** level)
-        n_base = n_steps >> level
-        if n_base << level != n_steps:
-            raise SdeError("n_steps must be divisible by 2**level")
-        gen = next(_philox_streams([seed], 0))
-        path = cls(seed=seed, dt=base_dt, n_steps=n_base, n_brownian=n_brownian,
-                   increments=_level0(gen, base_dt, n_base, n_brownian))
-        for _ in range(level):
-            path = path.refine()
-        return path
+        return cls(seed=seed, dt=dt, n_steps=n_steps, n_brownian=n_brownian,
+                   increments=batch_increments([seed], dt, n_steps, n_brownian)[0])
 
     def refine(self) -> "BrownianPath":
         """The same Brownian motion sampled at dt/2 (`_refine` of one member)."""
@@ -365,10 +357,11 @@ def _refine(seeds, inc: np.ndarray, dt: float, level: int) -> np.ndarray:
 
 
 def batch_increments(seeds: np.ndarray, dt: float, n_steps: int, n_brownian: int) -> np.ndarray:
-    """Level-0 paths of many seeds as one (M, n_steps, K) array."""
+    """Level-0 paths of many seeds as one (M, n_steps, K) array: row m holds
+    n_steps x K normals of variance dt from Philox(seeds[m], 0)."""
     out = np.empty((len(seeds), n_steps, n_brownian))
     for m, gen in enumerate(_philox_streams(seeds, 0)):
-        out[m] = _level0(gen, dt, n_steps, n_brownian)
+        out[m] = gen.normal(0.0, math.sqrt(dt), size=(n_steps, n_brownian))
     return out
 
 
@@ -419,11 +412,6 @@ class Trajectory:
     def index_of_time(self, t: float) -> int:
         return _grid_index(t, self.dt * self.store_every, self.times.size - 1,
                            SdeError(f"time {t} is not on the saved grid"))
-
-
-def _check_scheme(scheme: str):
-    if scheme not in SCHEMES:
-        raise SdeError(f"unknown scheme {scheme!r}; choose from {SCHEMES}")
 
 
 @dataclass(frozen=True)
@@ -480,18 +468,20 @@ def integrate_batch(
     store_every: int = 1,
 ) -> BatchResult:
     """Vectorized integration over a member batch; the core time loop."""
-    _check_scheme(scheme)
+    if scheme not in SCHEMES:
+        raise SdeError(f"unknown scheme {scheme!r}; choose from {SCHEMES}")
     step = _STEPPERS[scheme]
     a = np.array(a0, dtype=np.float64)
-    if a.ndim != 2:
-        raise SdeError("integrate_batch expects a (members, modes) state array")
+    if a.ndim != 2 or a.shape[1] != system.n_modes:
+        raise SdeError(f"state has shape {a.shape}, expected (members, {system.n_modes})")
     M, N = a.shape
-    _check_state(system, a)
     if not 0 < dt < math.inf:  # also refuses NaN, which `dt <= 0` lets through
         raise SdeError(f"dt must be positive and finite, got {dt}")
+    if not (isinstance(increments, np.ndarray) and increments.ndim == 3
+            and increments.shape[::2] == (M, system.n_brownian)):
+        raise SdeError("increment array inconsistent with batch and noise dimensions: "
+                       f"expected an ({M}, n_steps, {system.n_brownian}) array")
     n_steps = increments.shape[1]
-    if increments.shape[0] != M or increments.shape[2] != system.n_brownian:
-        raise SdeError("increment array inconsistent with batch and noise dimensions")
     if not (isinstance(store_every, (int, np.integer)) and store_every >= 1):
         raise SdeError(f"store_every must be a positive integer, got {store_every}")
     if n_steps % store_every != 0 and n_steps > 0:
@@ -616,10 +606,6 @@ def integrate(
     a0 = np.asarray(a0, dtype=np.float64)
     if a0.shape != (system.n_modes,):
         raise SdeError(f"initial state has shape {a0.shape}, expected ({system.n_modes},)")
-    if path.n_brownian != system.n_brownian:
-        raise SdeError(
-            f"path has {path.n_brownian} brownian modes, system needs {system.n_brownian}"
-        )
     inc = path.increments.reshape(1, path.n_steps, path.n_brownian)
     return integrate_batch(system, a0[None, :], inc, path.dt, scheme,
                            store_every).member(0, path.seed)

@@ -10,12 +10,13 @@ from stochflow.basis import (
     build_basis,
     convection_tensor,
     default_grid,
-    dissipation_matrix,
     evaluate_field,
     parse_label,
     project_field,
     velocity_gradient,
 )
+from stochflow.noise import build_noise
+from stochflow.sde import build_system
 
 import oracles
 
@@ -230,15 +231,23 @@ def test_csr_product_refuses_mismatched_arrays():
             _csr_product(op, np.ones((3, 4)), out)
 
 
-# -- dissipation matrix ------------------------------------------------------------
+# -- the drift's dissipation block ---------------------------------------------
+#
+# the Euler-Maruyama step stack ends in nu * diag(|k|^2) + corr; a bad nu is
+# refused by build_system before any stack is built
 
 
-def test_dissipation_zero(basis2_2):
-    assert np.abs(dissipation_matrix(basis2_2, 0.0)).max() == 0.0
+def _dissipation_block(system):
+    return system._step_operators().em.toarray()[-system.n_modes:]
 
 
-def test_dissipation_stokes_eigenvalues(basis2_2):
-    D = dissipation_matrix(basis2_2, 1.0)
+def test_dissipation_zero(basis2_2, conv2_2):
+    system = build_system(basis2_2, nu=0.0, conv=conv2_2)
+    assert np.abs(_dissipation_block(system)).max() == 0.0
+
+
+def test_dissipation_stokes_eigenvalues(basis2_2, conv2_2):
+    D = _dissipation_block(build_system(basis2_2, nu=1.0, conv=conv2_2))
     i10 = basis2_2.index_of("1,0:cos")
     i11 = basis2_2.index_of("1,1:cos")
     assert D[i10, i10] == 1.0
@@ -246,25 +255,17 @@ def test_dissipation_stokes_eigenvalues(basis2_2):
     assert np.abs(D - np.diag(np.diag(D))).max() == 0.0
 
 
-def test_dissipation_with_transport_correction(basis2_2, rng):
-    from stochflow.noise import build_noise
-
+def test_dissipation_with_transport_correction(basis2_2, conv2_2):
     field = np.zeros(basis2_2.n_modes)
     field[basis2_2.index_of("1,0:cos")] = 0.7
     noise = build_noise(basis2_2, transport_fields=[(0, field)])
-    D = dissipation_matrix(basis2_2, 0.3, noise.transport.correction())
+    D = _dissipation_block(build_system(basis2_2, noise, nu=0.3, conv=conv2_2))
     zeta = noise.transport.zeta[0]
     dense_corr = 0.5 * (zeta.T @ zeta)
     expected = 0.3 * np.diag(basis2_2.k_sq) + dense_corr
     assert np.abs(D - expected).max() <= 1e-13
     assert np.abs(D - D.T).max() == 0.0
     assert np.linalg.eigvalsh(D).min() >= -1e-13
-
-
-def test_dissipation_rejects_negative_nu(basis2_2):
-    for nu in (-0.1, np.nan, np.inf):
-        with pytest.raises(BasisError):
-            dissipation_matrix(basis2_2, nu)
 
 
 # -- grid projection ------------------------------------------------------------

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from stochflow.diagnostics import (
 )
 from stochflow.ensemble import run_ensemble
 from stochflow.noise import build_noise
-from stochflow.sde import BrownianPath, _drift, build_system, integrate
+from stochflow.sde import BrownianPath, SdeError, _drift, build_system, integrate
 
 import oracles
 
@@ -48,8 +49,6 @@ def test_residual_rejects_offgrid(additive_system, rng):
     a0 = rng.normal(size=additive_system.n_modes) * 0.3
     path = BrownianPath.generate(3, 1e-3, 100, additive_system.n_brownian)
     traj = integrate(additive_system, a0, path)
-    from stochflow.sde import SdeError
-
     with pytest.raises(SdeError):
         energy_residual(traj, additive_system, 0.0, 0.0505)
 
@@ -397,12 +396,34 @@ def test_gap_scaling_of_linear_terms(additive_system, rng):
     assert w2 == pytest.approx(2.0 * w1, rel=1e-12)
 
 
+@pytest.mark.parametrize("seed", [-1, 2 ** 64, 1.5], ids=repr)
+def test_test_processes_refuse_seeds_outside_uint64(additive_system, seed):
+    with pytest.raises(SdeError, match="seeds must be integers"):
+        make_test_processes(additive_system, 10, 1e-3, seed=seed)
+
+
 def test_gap_dimension_mismatch_rejected(additive_system):
     phi = TestProcessRep(phi0=np.zeros(3))
     path = BrownianPath.generate(1, 1e-3, 10, additive_system.n_brownian)
     traj = integrate(additive_system, np.zeros(additive_system.n_modes), path)
     with pytest.raises(DiagnosticsError):
         energy_variational_gap(traj, additive_system, phi, 0.0, 0.01)
+
+
+@pytest.mark.parametrize("drop", ["increment columns", "last mode"])
+def test_residual_and_gaps_refuse_a_run_of_another_system(mixed_system, drop):
+    N, K = mixed_system.n_modes, mixed_system.n_brownian
+    traj = integrate(mixed_system, np.full(N, 0.05), BrownianPath.generate(1, 1e-3, 10, K))
+    if drop == "last mode":
+        traj = replace(traj, states=traj.states[:, :-1])
+    else:
+        traj = replace(traj, increments=traj.increments[:, :0])
+    with pytest.raises(DiagnosticsError, match="the system has"):
+        energy_residual(traj, mixed_system, 0.0, 0.01)
+    # one static, one modulated and one martingale test process
+    for phi in make_test_processes(mixed_system, 10, 1e-3, seed=1, count=3):
+        with pytest.raises(DiagnosticsError, match="the system has"):
+            energy_variational_gap(traj, mixed_system, phi, 0.0, 0.01)
 
 
 @pytest.mark.parametrize("bad", ["short A", "long A", "short series", "long series",
@@ -486,6 +507,15 @@ def test_relative_energy_refuses_bad_interval_and_energy(additive_system, rng):
     for energy in (traj.energy[:-1], np.append(traj.energy, 0.0)):
         with pytest.raises(DiagnosticsError, match="energy_series"):
             relative_energy(traj, traj, b, b, 0.0, 0.1, energy_series=energy)
+
+
+def test_relative_energy_refuses_trajectories_of_other_bases(additive_system, rng):
+    traj = integrate(additive_system, rng.normal(size=additive_system.n_modes) * 0.3,
+                     BrownianPath.generate(1, 1e-3, 20, additive_system.n_brownian))
+    b, other = additive_system.basis, build_basis(2, 3)
+    for coarse_basis, fine_basis in ((other, other), (b, other)):
+        with pytest.raises(DiagnosticsError, match="basis has"):
+            relative_energy(traj, traj, coarse_basis, fine_basis, 0.0, 0.02)
 
 
 def test_relative_energy_coarse_fine(basis2_2, rng):

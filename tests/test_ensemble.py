@@ -82,14 +82,20 @@ def test_chunk_memory_bounded_in_steps(mixed_system, monkeypatch):
 
     monkeypatch.setattr(ensemble_mod, "batch_increments", first_chunk)
     N, K = mixed_system.n_modes, mixed_system.n_brownian
-    for n_members, n_steps in ((1024, 12), (10_000, 10_000), (4, 10_000_000)):
+    for n_members, n_steps, store_every in ((1024, 12, 12), (10_000, 10_000, 10_000),
+                                            (4, 10_000_000, 10_000_000),
+                                            (10_000, 10_000, 100)):
         with pytest.raises(_Stop):
             run_ensemble(mixed_system, np.zeros(N), n_members, base_seed=0, dt=1e-3,
-                         n_steps=n_steps, store_every=n_steps)
+                         n_steps=n_steps, store_every=store_every)
         chunk = sizes.pop()
-        # states (n_steps + 1, N) and increments (n_steps, K) per member
-        held = chunk * ((n_steps + 1) * N + n_steps * K) * 8
+        # per member, the saved states (n_save + 1, N) and four (n_save + 1)
+        # series, the drawn increments (n_steps, K) and the saved (n_save, K)
+        n_save = n_steps // store_every
+        held = chunk * ((n_save + 1) * (N + 4) + (n_steps + n_save) * K) * 8
         assert chunk == 1 or held <= 2 ** 30, (n_steps, chunk)
+        # the states a batch does not save do not shrink its chunk
+        assert chunk == n_members or held >= 2 ** 26, (n_steps, store_every, chunk)
         # a short run stays one chunk; a member too large for a budget runs alone
         assert chunk == {12: n_members, 10_000_000: 1}.get(n_steps, chunk), (n_steps, chunk)
 
@@ -107,6 +113,17 @@ def test_member_trajectory_matches_ensemble(mixed_system, monkeypatch, scheme, c
         assert np.array_equal(traj.states[-1], ens.final_states[m]), m
         for key in ("energy", "grad_energy", "stoch_int", "grad_int"):
             assert np.array_equal(getattr(traj, key), getattr(ens, key)[:, m]), (m, key)
+
+
+@pytest.mark.parametrize("base_seed", [-1, 2 ** 64, 1.5, np.float64(2.0), "3"], ids=repr)
+def test_rejects_base_seed_outside_uint64(additive_system, base_seed):
+    with pytest.raises(EnsembleError, match="base seed"):
+        member_seeds(base_seed, 4)
+    with pytest.raises(EnsembleError, match="base seed"):
+        run_ensemble(additive_system, np.zeros(additive_system.n_modes), 2,
+                     base_seed=base_seed, dt=1e-3, n_steps=4)
+    # the largest base seed keys its members' streams
+    assert member_seeds(2 ** 64 - 1, 2).tolist() == [2 ** 64 - 1, 2 ** 64 - 2]
 
 
 def test_rejects_empty_ensemble(additive_system):

@@ -36,10 +36,13 @@ def _digest(arr):
 PATH_SEED, PATH_K = 2024, 3
 
 
-def path_case(level):
-    """The path on [0, 0.32] at dt = 0.02 / 2**level."""
-    return BrownianPath.generate(PATH_SEED, 0.02 / 2 ** level, 16 * 2 ** level, PATH_K,
-                                 level=level)
+def path_case(level, n_brownian=PATH_K):
+    """The path on [0, 0.32] at dt = 0.02 / 2**level: the level-0 path at
+    dt = 0.02, refined `level` times."""
+    path = BrownianPath.generate(PATH_SEED, 0.02, 16, n_brownian)
+    for _ in range(level):
+        path = path.refine()
+    return path
 
 
 # one seed above 2**63 exercises the full uint64 key word
@@ -257,9 +260,8 @@ def test_saved_spacing_is_dt_times_store_every(mixed_system, mixed_system_c4):
         grids.append(ens.member_trajectory(7))
     a0 = gaussian_initial(0.5)(member_seeds(1, 1), mixed_system.basis)[0]
     for level in range(4):
-        path = BrownianPath.generate(PATH_SEED, 0.02 / 2 ** level, 16 * 2 ** level,
-                                     mixed_system.n_brownian, level=level)
-        grids.append(integrate(mixed_system, a0, path, store_every=4))
+        grids.append(integrate(mixed_system, a0, path_case(level, mixed_system.n_brownian),
+                               store_every=4))
     grids.append(run_ensemble(mixed_system, gaussian_initial(0.5), 2, base_seed=4, dt=1e-2,
                               n_steps=20, store_every=4))
     for grid in grids:

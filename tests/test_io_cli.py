@@ -2,6 +2,7 @@ import io
 import json
 import math
 import zipfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -735,10 +736,10 @@ def test_cli_diagnose_damaged_container(tmp_path, capsys):
     assert main(["--config", str(cfg), "simulate"]) == 0
     out = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     states = load_trajectory(out["written"])[0].states.tobytes()
-    data = bytearray(open(out["written"], "rb").read())
+    data = bytearray(Path(out["written"]).read_bytes())
     # one bit inside the `states` member's data
     data[data.index(states) + len(states) // 2] ^= 0x01
-    open(out["written"], "wb").write(bytes(data))
+    Path(out["written"]).write_bytes(bytes(data))
     assert main(["--config", str(cfg), "diagnose", "--data", out["written"]]) == 2
     records = [json.loads(l) for l in capsys.readouterr().out.strip().splitlines()]
     assert len(records) == 1 and "CRC" in records[0]["error"], records
@@ -817,10 +818,10 @@ def test_cli_determinism_bitwise(tmp_path, capsys):
     )
     assert main(["--config", str(cfg), "simulate"]) == 0
     out1 = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
-    first = open(out1["written"], "rb").read()
+    first = Path(out1["written"]).read_bytes()
     assert main(["--config", str(cfg), "simulate"]) == 0
     out2 = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
-    assert open(out2["written"], "rb").read() == first
+    assert Path(out2["written"]).read_bytes() == first
 
 
 def test_cli_seed_override_changes_output(tmp_path, capsys):

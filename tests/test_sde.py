@@ -17,6 +17,7 @@ from stochflow.sde import (
     Trajectory,
     _diffusion,
     _drift,
+    batch_increments,
     build_system,
     integrate,
     integrate_batch,
@@ -186,9 +187,35 @@ def test_path_refinement_consistency():
     finer = fine.refine()
     recon2 = finer.increments[0::2] + finer.increments[1::2]
     assert np.abs(recon2 - fine.increments).max() <= 1e-12
-    # a refined path is reproducible from scalars alone
-    direct = BrownianPath.generate(3, 0.01, 128, 2, level=1)
-    assert np.array_equal(direct.increments, fine.increments)
+
+
+BAD_SEEDS = [-1, -2 ** 63, 2 ** 64, 1.5, 2.0, np.float64(3.0), "3", None]
+
+
+@pytest.mark.parametrize("seed", BAD_SEEDS, ids=repr)
+def test_draws_refuse_seeds_outside_uint64(seed):
+    # numpy would wrap a negative seed, truncate a float and overflow past 2**64
+    with pytest.raises(SdeError, match="seeds must be integers"):
+        BrownianPath.generate(seed, 1e-3, 4, 2)
+    with pytest.raises(SdeError, match="seeds must be integers"):
+        batch_increments([3, seed], 1e-3, 4, 2)
+    with pytest.raises(SdeError, match="seeds must be integers"):
+        batch_increments(np.array([3, seed]), 1e-3, 4, 2)
+    path = BrownianPath.generate(3, 1e-3, 4, 2)
+    with pytest.raises(SdeError, match="seeds must be integers"):
+        dataclasses.replace(path, seed=seed).refine()
+
+
+def test_draws_key_every_uint64_seed():
+    # a list that mixes seeds below and above 2**63, which numpy casts to
+    # float, draws the rows of its uint64 array; so do an int64 array and
+    # numpy integers
+    seeds = [0, 2 ** 63 + 11, 2 ** 64 - 1, np.uint64(7), np.int64(5)]
+    want = batch_increments(np.array([int(s) for s in seeds], dtype=np.uint64), 1e-3, 4, 2)
+    assert np.array_equal(batch_increments(seeds, 1e-3, 4, 2), want)
+    assert np.array_equal(batch_increments(np.array([0, 5]), 1e-3, 4, 2), want[[0, 4]])
+    for m, seed in enumerate(seeds):
+        assert np.array_equal(BrownianPath.generate(seed, 1e-3, 4, 2).increments, want[m])
 
 
 def test_path_increment_statistics():
@@ -321,9 +348,12 @@ def test_integrate_batch_rejects_bad_shapes_and_dt(basis2_2, conv2_2, scheme):
         integrate_batch(system, np.zeros((2, N - 1)), inc, 1e-3, scheme)
     with pytest.raises(SdeError, match="state has shape"):
         integrate_batch(system, np.zeros((2, N - 1)), np.zeros((2, 0, K)), 1e-3, scheme)
-    for bad in (np.zeros((3, 3, K)), np.zeros((2, 3, K - 1))):
+    for bad in (np.zeros((3, 3, K)), np.zeros((2, 3, K - 1)), np.zeros((2, 3)),
+                np.zeros((2, 3, K, 1)), np.zeros((2, 3, K)).tolist()):
         with pytest.raises(SdeError, match="increment array inconsistent"):
             integrate_batch(system, np.zeros((2, N)), bad, 1e-3, scheme)
+    with pytest.raises(SdeError, match="increment array inconsistent"):
+        integrate(system, np.zeros(N), BrownianPath.generate(1, 1e-3, 3, K - 1), scheme)
     for dt in (0.0, -1e-3, np.nan, np.inf, -np.inf):
         with pytest.raises(SdeError, match="dt must be positive"):
             integrate_batch(system, np.zeros((2, N)), inc, dt, scheme)
