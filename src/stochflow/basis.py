@@ -54,6 +54,7 @@ stable sort on j alone.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
@@ -512,10 +513,24 @@ def _triads(
     return tuple(np.concatenate(p) for p in zip(*parts))
 
 
-def _csr_product(op: sparse.csr_matrix, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+class _CsrArrays(NamedTuple):
+    """The arrays of a CSR matrix, as `_csr_product` reads them from one: a
+    kernel partition keeps its blocks so, because building a
+    `sparse.csr_matrix` checks its format at ~50 us a block."""
+
+    shape: tuple
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+
+
+def _csr_product(op: sparse.csr_matrix | _CsrArrays, x: np.ndarray,
+                 out: np.ndarray | None = None) -> np.ndarray:
     """op @ x for a float64 (n, R) array x, into the C-contiguous (m, R) `out` if given.
 
-    Calls the routine `op @ x` calls, without scipy's Python dispatch:
+    `op` is a `sparse.csr_matrix` or its `_CsrArrays`, with indptr and
+    indices of one integer type.  Calls the routine `op @ x` calls, without
+    scipy's Python dispatch:
     csr_matvec at R = 1 and csr_matvecs otherwise, each adding into a zeroed
     output.  Both form each output entry as the sequential sum over the
     stored entries of its row, so the bits are those of `op @ x` and do not
@@ -563,13 +578,14 @@ class ConvectionTensor:
     and out of it and so has the same bits.  Output modes are walked in row
     blocks, runs of whole scatter rows [j0, j1).  A block gathers a product
     table, one row fl(a_i a_k) of R members per distinct unordered pair
-    {i, k} in the block, and sums it with a per-block CSR matrix whose column
-    indices point into that table (`sub @ table`, by `_csr_product`): the
-    stored entries (i, k, j) and (k, i, j) multiply the same product, since
-    IEEE multiplication commutes.  At 2-D cutoff 4 and R = 1024 that gathers
-    3310 rows per call instead of nnz = 6176.  A block grows row by row while
-    its distinct pairs fill at most a fixed workspace of R doubles per pair
-    (one row may exceed it).  The entries of each scatter row keep their
+    {i, k} in the block, and sums it with a per-block CSR matrix, kept as
+    its arrays (`_CsrArrays`), whose column indices point into that table
+    (`sub @ table`, by `_csr_product`): the stored entries (i, k, j) and
+    (k, i, j) multiply the same product, since IEEE multiplication
+    commutes.  At 2-D cutoff 4 and R = 1024 that gathers 3310 rows per call
+    instead of nnz = 6176.  A block grows row by row while its distinct
+    pairs fill at most a fixed workspace of R doubles per pair (one row may
+    exceed it).  The entries of each scatter row keep their
     order, so every output entry is the same sequential sum, over the same
     terms v_e * fl(a_i a_k) in the same order, as the single sparse product
     over the full (nnz, R) product: the bits do not depend on R, on the
@@ -628,9 +644,8 @@ class ConvectionTensor:
                     j1 += 1
                 lo, hi = indptr[j0], indptr[j1]
                 table, col = np.unique(pair[lo:hi], return_inverse=True)
-                sub = sparse.csr_matrix(
-                    (self.values[lo:hi], col, indptr[j0:j1 + 1] - lo),
-                    shape=(j1 - j0, table.size))
+                sub = _CsrArrays((j1 - j0, table.size), indptr[j0:j1 + 1] - lo,
+                                 col.astype(indptr.dtype), self.values[lo:hi])
                 blocks.append((j0, j1, table // n, table % n, sub))
                 j0 = j1
             part = max(b[2].size for b in blocks), blocks

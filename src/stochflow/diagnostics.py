@@ -25,6 +25,11 @@ every sample.  Time series are walked in blocks of time rows of a fixed
 workspace, so the memory of `neg_sup_series` is bounded in the series
 length.
 
+A battery of test processes on one trajectory shares the gap's
+phi-independent products: the trajectory keeps `conv.apply(a)`, a @ corr
+and a @ zeta for the last interval a gap read, one entry of (S + 2) T N
+doubles plus the bytes of the T N states that guard it.
+
 The energy-variational gap contracts no more than two operands at a time.
 Over T saved steps, N modes and S transport fields, a matrix product with
 the trajectory comes first (`a @ corr`, `a @ zeta`, or `zeta_l B_l` before
@@ -36,6 +41,7 @@ at T = 500, N = 80, S = 1.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -340,9 +346,9 @@ class TestProcessRep:
         if self.A is not None:
             terms[1::per_step] = self.A[:n_steps] * dt
         if self.B is not None:
-            # row by row: a (n_steps, K) @ (K, N) product may round otherwise
-            for m, dw in enumerate(increments):
-                terms[per_step * (m + 1)] = dw @ self.B
+            # numpy's vector-matrix product per row, as `dw @ B` forms it: a
+            # (n_steps, K) @ (K, N) product may round otherwise
+            terms[per_step::per_step] = np.matmul(increments[:, None, :], self.B)[:, 0]
         # each step's last term sits on a row the grid keeps
         return np.cumsum(terms, axis=0)[::per_step]
 
@@ -395,6 +401,28 @@ def make_test_processes(
 # -- the energy-variational gap ------------------------------------------------
 
 
+def _trajectory_products(traj: Trajectory, system: GalerkinSystem, i: int, j: int) -> tuple:
+    """(conv.apply(a_l), a_l @ corr, a_l @ zeta or None) for a_l = traj.states[i:j].
+
+    Reused from `traj._gap_memo` while the interval, the operators (by
+    identity) and the bytes of a_l are those it was built from, so an
+    in-place edit of the states recomputes.  Otherwise one attribute
+    assignment replaces the entry: concurrent callers at worst compute twice.
+    """
+    a_l = traj.states[i:j]
+    ops = (system.conv, system.corr, system.noise.transport.zeta)
+    rows = a_l.tobytes()
+    memo = traj._gap_memo
+    if memo is not None:
+        interval, memo_ops, memo_rows, products = memo
+        if interval == (i, j) and all(map(operator.is_, memo_ops, ops)) and memo_rows == rows:
+            return products
+    conv, corr, zeta = ops
+    products = (conv.apply(a_l), a_l @ corr, a_l @ zeta if zeta.shape[0] else None)
+    traj._gap_memo = ((i, j), ops, rows, products)
+    return products
+
+
 def energy_variational_gap(
     traj: Trajectory,
     system: GalerkinSystem,
@@ -426,6 +454,12 @@ def energy_variational_gap(
     phi.  The test process itself is one cumulative sum
     (`TestProcessRep.series`).  A relaxed `energy_series` adds
     `neg_sup_series` over T rows (one row if phi is static).
+
+    The phi-independent products `conv.apply(a)`, a @ corr and a @ zeta
+    are kept on the trajectory for the last [s, t] (`_trajectory_products`),
+    so a battery on one trajectory pays for them once.  The one entry holds
+    (S + 2) T N doubles plus the bytes of a that guard it, and every gap is
+    bitwise that of a fresh trajectory.
 
     Raises DiagnosticsError when traj is not a run of the system, phi's B is
     not (K, N), phi0 not (N,), A not (n_saved_steps, N), or `energy_series`
@@ -468,6 +502,7 @@ def energy_variational_gap(
 
     sl = slice(i, j)            # left points of the steps inside [s, t)
     a_l = a[sl]
+    conv_a, a_corr, a_zeta = _trajectory_products(traj, system, i, j)
     phi_l = phi_series[sl]
     dW = inc[sl]
 
@@ -478,7 +513,7 @@ def energy_variational_gap(
         gap += -nu * float(np.einsum("tn,n,tn->", a_l, ksq, phi_l)) * dt_s
     # int [u (x) u] : grad phi  ==  sum b[i,k,j] a_i phi_k a_j  ==  -phi . B(a, a),
     # as b is skew in its last two slots
-    gap -= float(np.einsum("tn,tn->", system.conv.apply(a_l), phi_l)) * dt_s
+    gap -= float(np.einsum("tn,tn->", conv_a, phi_l)) * dt_s
     # weight term 2 |(grad phi)_sym,-| (1/2|u|^2 - E)
     slack = 0.5 * np.einsum("tn,tn->t", a_l, a_l) - E[sl]
     if np.any(slack):
@@ -491,12 +526,12 @@ def energy_variational_gap(
     if phi.A is not None:
         gap += float(np.einsum("tn,tn->", phi.A[sl], a_l)) * dt_s
     # int 1/2 [P(sigma2.grad)]^2 phi . u  ==  -a^T corr phi
-    gap += -float(np.einsum("tm,tm->", a_l @ system.corr, phi_l)) * dt_s
+    gap += -float(np.einsum("tm,tm->", a_corr, phi_l)) * dt_s
     # minus the phi-dependent stochastic integral:
     #   int (-phi . sigma1 + u^T zeta phi - u . B) dW
     integrand = -(phi_l @ eta)                        # (T, K)
     if tr.zeta.shape[0]:
-        uzp = np.einsum("sti,ti->ts", a_l @ tr.zeta, phi_l)
+        uzp = np.einsum("sti,ti->ts", a_zeta, phi_l)
         integrand[:, list(tr.modes)] += uzp
     if phi.B is not None:
         integrand -= np.einsum("tn,ln->tl", a_l, phi.B)
@@ -646,9 +681,15 @@ def dissipative_weak_residual(ensemble, phi, t: float) -> dict:
     lin = np.tile(system.nu * ksq_phi + corr_phi, j)
     phi_rows = np.tile(phi, j)
     residuals = np.empty(ensemble.n_members)
+    # besides its batch, a chunk holds per member and step the member-major
+    # copy u of the state (N doubles), the kernel's transposed copy of u and
+    # its output (2 N), and the kernel's gather workspace, which past a fixed
+    # 2^17 doubles takes two per entry of the longest scatter row
+    widest = int(np.bincount(system.conv.j_idx).max(initial=0))
+    held = 8 * j * (3 * system.n_modes + 2 * widest)
     # every sum over a member's steps and modes runs along one contiguous
     # member-major row, so its bits do not depend on the chunk's size
-    for sl in _chunks(system, ensemble.n_members, j):
+    for sl in _chunks(system, ensemble.n_members, j, 1, held):
         a = _run_members(system, ensemble.seeds[sl], ensemble.initial_states[sl], dt, j,
                          ensemble.scheme).states            # (j+1, M, N)
         boundary = np.einsum("mn,n->m", a[j] - a[0], phi)

@@ -81,18 +81,20 @@ def constant_initial(a0: np.ndarray) -> Callable:
 _CHUNK_BYTES = 1 << 28
 
 
-def _chunk_size(n_modes: int, n_brownian: int, n_steps: int, store_every: int = 1) -> int:
-    # per member, a batch keeps its n_save + 1 saved states and four series
-    # and its n_steps drawn and n_save saved increments; a member that alone
-    # exceeds the budget runs in a chunk of one
-    n_save = n_steps // store_every
-    per_member = 8 * ((n_save + 1) * (n_modes + 4) + (n_steps + n_save) * n_brownian)
+def _chunk_size(per_member: int) -> int:
+    # a member that alone exceeds the budget runs in a chunk of one
     return max(1, _CHUNK_BYTES // per_member)
 
 
 def _chunks(system: GalerkinSystem, n_members: int, n_steps: int,
-            store_every: int = 1) -> list[slice]:
-    chunk = _chunk_size(system.n_modes, system.n_brownian, n_steps, store_every)
+            store_every: int = 1, held: int = 0) -> list[slice]:
+    """Member slices within `_CHUNK_BYTES`: per member, a batch keeps its
+    n_save + 1 saved states and four series and its n_steps drawn and n_save
+    saved increments, and the caller holds `held` bytes more."""
+    n_save = n_steps // store_every
+    per_member = 8 * ((n_save + 1) * (system.n_modes + 4)
+                      + (n_steps + n_save) * system.n_brownian)
+    chunk = _chunk_size(per_member + held)
     return [slice(lo, min(lo + chunk, n_members)) for lo in range(0, n_members, chunk)]
 
 

@@ -331,8 +331,6 @@ class BrownianPath:
 
     @classmethod
     def generate(cls, seed: int, dt: float, n_steps: int, n_brownian: int) -> "BrownianPath":
-        if not 0 < dt < math.inf or n_steps < 0:
-            raise SdeError("BrownianPath needs a finite dt > 0 and n_steps >= 0")
         return cls(seed=seed, dt=dt, n_steps=n_steps, n_brownian=n_brownian,
                    increments=batch_increments([seed], dt, n_steps, n_brownian)[0])
 
@@ -358,7 +356,13 @@ def _refine(seeds, inc: np.ndarray, dt: float, level: int) -> np.ndarray:
 
 def batch_increments(seeds: np.ndarray, dt: float, n_steps: int, n_brownian: int) -> np.ndarray:
     """Level-0 paths of many seeds as one (M, n_steps, K) array: row m holds
-    n_steps x K normals of variance dt from Philox(seeds[m], 0)."""
+    n_steps x K normals of variance dt from Philox(seeds[m], 0).  Raises
+    SdeError unless dt is finite and > 0 and n_steps and K are integers >= 0."""
+    if not all(isinstance(n, (int, np.integer)) and n >= 0 for n in (n_steps, n_brownian)):
+        raise SdeError(f"n_steps and n_brownian must be integers >= 0, got {n_steps!r} "
+                       f"and {n_brownian!r}")
+    if not 0 < dt < math.inf:  # also refuses NaN
+        raise SdeError(f"Brownian draws need a finite dt > 0, got {dt}")
     out = np.empty((len(seeds), n_steps, n_brownian))
     for m, gen in enumerate(_philox_streams(seeds, 0)):
         out[m] = gen.normal(0.0, math.sqrt(dt), size=(n_steps, n_brownian))
@@ -408,6 +412,11 @@ class Trajectory:
     scheme: str
     nu: float
     blowup_time: float | None = None
+    # `diagnostics.energy_variational_gap`'s one entry of phi-independent
+    # products.  A class default that `__init__` does not assign: every new
+    # trajectory (`replace` and `load_trajectory` too) starts without one,
+    # and `vars()` lists only the stored fields until a gap sets it
+    _gap_memo: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def index_of_time(self, t: float) -> int:
         return _grid_index(t, self.dt * self.store_every, self.times.size - 1,

@@ -398,6 +398,18 @@ def test_steps_and_paths_refuse_bad_dt(basis2_2, conv2_2, dt):
             step(system, np.zeros(N), np.zeros(K), dt, scheme)
     with pytest.raises(SdeError, match="dt > 0"):
         BrownianPath.generate(1, dt, 4, K)
+    with pytest.raises(SdeError, match="dt > 0"):
+        batch_increments([1], dt, 4, K)
+
+
+@pytest.mark.parametrize("n_steps,K", [(4, -1), (-1, 2), (4.5, 2), (4, 2.0), (4.0, 2),
+                                       ("4", 2), (4, None)], ids=repr)
+def test_draws_refuse_bad_counts(n_steps, K):
+    # numpy raised its own ValueError or a TypeError for these
+    with pytest.raises(SdeError, match="integers >= 0"):
+        BrownianPath.generate(1, 0.1, n_steps, K)
+    with pytest.raises(SdeError, match="integers >= 0"):
+        batch_increments([1, 2], 0.1, n_steps, K)
 
 
 @pytest.mark.parametrize("nu", [-1e-3, np.nan, np.inf])
