@@ -91,10 +91,10 @@ def _format_label(k, pol: int, phase: int) -> str:
 def parse_label(label: str, dim: int, cutoff: int) -> tuple[tuple[int, ...], int, int]:
     """(wavevector, polarization, phase) of the mode `label` names.
 
-    The one label grammar: `label` must be exactly the `mode_label` of a mode
-    of build_basis(dim, cutoff), i.e. a canonical nonzero k with
-    |k|_inf <= cutoff, a polarization below dim - 1 and a phase cos or sin,
-    written as the formatter writes it (no sign, padding or spaces).  Raises
+    The one label grammar: `label` must name a mode of build_basis(dim,
+    cutoff), i.e. a canonical nonzero k with |k|_inf <= cutoff, a
+    polarization below dim - 1 and a phase cos or sin, written as
+    `_format_label` writes it (no sign, padding or spaces).  Raises
     BasisError otherwise.  Costs no basis, so it is free of the cutoff.
     """
     fields = label.split(":")
@@ -213,14 +213,8 @@ class BasisSpec:
     def mode_k(self, i: int) -> np.ndarray:
         return self.wavevectors[self.mode_wave[i]]
 
-    def mode_p(self, i: int) -> np.ndarray:
-        return self.polarizations[self.mode_wave[i], self.mode_pol[i]]
-
-    def mode_label(self, i: int) -> str:
-        return _format_label(self.mode_k(i), self.mode_pol[i], self.mode_phase[i])
-
     def index_of(self, label: str) -> int:
-        """Inverse of mode_label; raises BasisError for unknown labels."""
+        """The mode a label names (see `parse_label`); raises BasisError for unknown labels."""
         k, pol, phase = parse_label(label, self.dim, self.cutoff)
         return self._mode_index(self.wave_index(k), pol, phase)
 
@@ -610,10 +604,16 @@ class ConvectionTensor:
     _scatter: sparse.csr_matrix = field(repr=False, compare=False, default=None)
     _blocks: dict = field(repr=False, compare=False, default_factory=dict)
     frobenius: float = field(init=False, repr=False, compare=False)
+    workspace_per_row: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # read by the stability guardrail once per integration
         object.__setattr__(self, "frobenius", float(np.sqrt(np.sum(self.values ** 2))))
+        # doubles per state of `_apply_members`' workspace past 2 * _APPLY_WORKSPACE:
+        # a block gathers at most _APPLY_WORKSPACE / R' pairs (R' >= R) or one
+        # scatter row's, and no row has more pairs than entries
+        object.__setattr__(self, "workspace_per_row",
+                           2 * int(np.bincount(self.j_idx).max(initial=0)))
 
     @property
     def nnz(self) -> int:

@@ -672,33 +672,31 @@ def dissipative_weak_residual(ensemble, phi, t: float) -> dict:
     phi = np.asarray(phi, dtype=np.float64)
     if phi.shape != (basis.n_modes,):
         raise DiagnosticsError(f"test field has shape {phi.shape}, expected ({basis.n_modes},)")
-    ksq_phi = system.basis.k_sq * phi
-    corr_phi = system.corr @ phi
+    lin = system.nu * (basis.k_sq * phi) + system.corr @ phi
     # members are regenerated at every step up to t, whatever the saved grid
     dt = ensemble.dt
     j = _grid_index(t, dt, ensemble.n_steps,
                     DiagnosticsError(f"time {t} is not on the ensemble's step grid"))
-    lin = np.tile(system.nu * ksq_phi + corr_phi, j)
-    phi_rows = np.tile(phi, j)
     residuals = np.empty(ensemble.n_members)
-    # besides its batch, a chunk holds per member and step the member-major
-    # copy u of the state (N doubles), the kernel's transposed copy of u and
-    # its output (2 N), and the kernel's gather workspace, which past a fixed
-    # 2^17 doubles takes two per entry of the longest scatter row
-    widest = int(np.bincount(system.conv.j_idx).max(initial=0))
-    held = 8 * j * (3 * system.n_modes + 2 * widest)
+    # held besides the batch, per step: the kernel's operand and workspace
+    held = 8 * j * (system.n_modes + system.conv.workspace_per_row)
     # every sum over a member's steps and modes runs along one contiguous
     # member-major row, so its bits do not depend on the chunk's size
     for sl in _chunks(system, ensemble.n_members, j, 1, held):
         a = _run_members(system, ensemble.seeds[sl], ensemble.initial_states[sl], dt, j,
                          ensemble.scheme).states            # (j+1, M, N)
+        _, M, N = a.shape
         boundary = np.einsum("mn,n->m", a[j] - a[0], phi)
-        u = np.ascontiguousarray(a[:-1].transpose(1, 0, 2))   # (M, j, N)
-        del a  # the member-major copy replaces it before the kernel allocates
+        linear = np.einsum("mk,k->m", a[:-1].transpose(1, 0, 2).reshape(M, -1), np.tile(lin, j))
+        # the kernel's columns in (step, member) order move no bit; its output
+        # takes the freed batch's place, and only it is laid out member-major
+        aT = np.ascontiguousarray(a[:-1].reshape(-1, N).T)
+        del a
         # sum b[i,k,j] u_i phi_k u_j == -phi . B(u, u), as b is skew in (k, j)
-        conv = system.conv.apply(u).reshape(len(u), -1)
-        u = u.reshape(len(u), -1)
-        quad = -np.einsum("mk,k->m", conv, phi_rows) - np.einsum("mk,k->m", u, lin)
+        conv = system.conv._apply_members(aT)
+        del aT
+        conv = conv.reshape(N, j, M).transpose(2, 1, 0).reshape(M, -1)
+        quad = -np.einsum("mk,k->m", conv, np.tile(phi, j)) - linear
         residuals[sl] = -boundary + quad * dt
     mean, se = mean_stderr(residuals)
     return {"residual": mean, "stderr": se, "n_members": ensemble.n_members, "t": t}

@@ -54,11 +54,6 @@ class SweepPlan:
             raise ExperimentError("viscosity axis must be strictly decreasing")
 
 
-def _grad_norm_l2l2(system: GalerkinSystem, phi: np.ndarray, t_final: float) -> float:
-    """|grad phi|_{L^2(0,T;L^2)} for a static field phi."""
-    return math.sqrt(t_final * float(system.basis.k_sq @ (phi ** 2)))
-
-
 def viscosity_sweep(
     plan: SweepPlan,
     base_system: GalerkinSystem,
@@ -81,7 +76,8 @@ def viscosity_sweep(
     test_field = np.zeros(base_system.n_modes)
     low = np.nonzero(base_system.basis.k_sq <= 2.0)[0]
     test_field[low] = 0.5 / math.sqrt(low.size)
-    grad_phi = _grad_norm_l2l2(base_system, test_field, t_final)
+    # |grad phi|_{L^2(0,T;L^2)} of the static field
+    grad_phi = math.sqrt(t_final * float(base_system.basis.k_sq @ (test_field ** 2)))
 
     points = []
     finals = []

@@ -208,7 +208,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", default=os.environ.get(ENV_OUT),
                         help=f"override the output directory (or set {ENV_OUT})")
     parser.add_argument("--threads", type=_thread_count, default=0,
-                        help="worker threads for ensemble chunks, 0 = auto")
+                        help="worker threads for ensemble chunks, 0 = auto; they start only "
+                             "when the 256 MiB chunk budget gives more than one chunk")
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("simulate", help="integrate one trajectory").set_defaults(fn=cmd_simulate)
     sub.add_parser("ensemble", help="run a Monte-Carlo ensemble").set_defaults(fn=cmd_ensemble)

@@ -66,7 +66,7 @@ def quadrature_advection_oracle(basis, i, k, j, factor: int = 4) -> float:
 
     def mode(idx):
         kvec = basis.mode_k(idx).astype(float)
-        p = basis.mode_p(idx)
+        p = basis.polarizations[basis.mode_wave[idx], basis.mode_pol[idx]]
         theta = x @ kvec
         trig = np.cos(theta) if basis.mode_phase[idx] == 0 else np.sin(theta)
         dtrig = -np.sin(theta) if basis.mode_phase[idx] == 0 else np.cos(theta)

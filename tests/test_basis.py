@@ -7,6 +7,7 @@ from stochflow import basis as basis_mod
 from stochflow.basis import (
     BasisError,
     _csr_product,
+    _format_label,
     build_basis,
     convection_tensor,
     default_grid,
@@ -39,12 +40,17 @@ def test_invalid_arguments_rejected():
         build_basis(1, 1)
 
 
+def _labels(basis):
+    # every mode's label, in mode order, by the formatter parse_label checks against
+    return [_format_label(basis.mode_k(i), basis.mode_pol[i], basis.mode_phase[i])
+            for i in range(basis.n_modes)]
+
+
 def test_mode_ordering_stable(basis2_2):
     again = build_basis(2, 2)
     assert np.array_equal(again.wavevectors, basis2_2.wavevectors)
     assert np.array_equal(again.mode_phase, basis2_2.mode_phase)
-    assert [again.mode_label(i) for i in range(4)] == \
-        [basis2_2.mode_label(i) for i in range(4)]
+    assert _labels(again)[:4] == _labels(basis2_2)[:4]
 
 
 def test_polarization_counts():
@@ -386,16 +392,16 @@ def _near(label: str) -> set[str]:
 
 def test_label_round_trip():
     # parse_label accepts exactly the strings of a label table built with
-    # mode_label, and index_of maps each to its mode
+    # _format_label, and index_of maps each to its mode
     for dim, cutoff in ((2, 1), (2, 2), (2, 3), (3, 1), (3, 2)):
         basis = build_basis(dim, cutoff)
-        table = {basis.mode_label(i): i for i in range(basis.n_modes)}
+        table = {label: i for i, label in enumerate(_labels(basis))}
         for label, i in table.items():
             assert basis.index_of(label) == i
         wider = build_basis(dim, cutoff + 1)
         other = build_basis(5 - dim, cutoff)
         candidates = set().union(*map(_near, table))
-        candidates |= {b.mode_label(i) for b in (wider, other) for i in range(b.n_modes)}
+        candidates |= {label for b in (wider, other) for label in _labels(b)}
         assert len(candidates - table.keys()) > len(table)
         for s in candidates:
             if s in table:
@@ -410,12 +416,12 @@ def test_label_round_trip():
 
 
 def test_embedding(basis2_2, basis2_3):
-    # the map a label table built with mode_label gives
+    # the map a label table built with _format_label gives
     for coarse, fine in ((basis2_2, basis2_3), (build_basis(2, 1), basis2_3),
                          (build_basis(3, 1), build_basis(3, 2))):
-        table = {fine.mode_label(j): j for j in range(fine.n_modes)}
+        table = {label: j for j, label in enumerate(_labels(fine))}
         emb = coarse.embedding_into(fine)
         assert emb.dtype == np.int64
-        assert emb.tolist() == [table[coarse.mode_label(i)] for i in range(coarse.n_modes)]
+        assert emb.tolist() == [table[label] for label in _labels(coarse)]
     with pytest.raises(BasisError):
         basis2_3.embedding_into(basis2_2)

@@ -119,7 +119,7 @@ def test_apply_shared_across_threads(dim, cutoff):
 
 
 @pytest.mark.parametrize("dim,cutoff", SIZES)
-@pytest.mark.parametrize("rows", [1, 32, 64, 1024])
+@pytest.mark.parametrize("rows", [1, 32, 64, 1024, 3200, (1 << 16) + 1])
 def test_symmetric_partition_gathers_distinct_pairs(dim, cutoff, rows):
     conv = conv_of(dim, cutoff)
     n = conv.n_modes
@@ -144,6 +144,8 @@ def test_symmetric_partition_gathers_distinct_pairs(dim, cutoff, rows):
         assert j1 == n or len(pairs(j0, j1 + 1)) > cap
         gathered += i_idx.size
     assert width == max(b[2].size for b in blocks)
+    # the (2, width, rows) workspace `_apply_members` allocates keeps its bound
+    assert 2 * width * rows <= 2 * _APPLY_WORKSPACE + rows * conv.workspace_per_row
     if (dim, cutoff, rows) == (2, 4, 1024):
         assert (gathered, len(blocks)) == (3310, 68)
 
