@@ -590,10 +590,12 @@ class ConvectionTensor:
     Each call allocates one (2, widest block, R) workspace and every block
     gathers into it, so a call makes one allocation instead of two fresh
     gathers per block, which the allocator returned to the system and faulted
-    in again block after block.  The workspace belongs to the call, so threads
-    may share a tensor.  The gathers use `mode="clip"`: with `out=`, numpy's
-    default `mode="raise"` gathers into a hidden temporary and copies it over,
-    and every index is in range by construction, so clipping never acts.
+    in again block after block.  It holds at most 2 max(_APPLY_WORKSPACE, R p)
+    doubles, with p the distinct pairs of the widest scatter row.  The
+    workspace belongs to the call, so threads may share a tensor.  The
+    gathers use `mode="clip"`: with `out=`, numpy's default `mode="raise"`
+    gathers into a hidden temporary and copies it over, and every index is
+    in range by construction, so clipping never acts.
     """
 
     n_modes: int
@@ -604,16 +606,10 @@ class ConvectionTensor:
     _scatter: sparse.csr_matrix = field(repr=False, compare=False, default=None)
     _blocks: dict = field(repr=False, compare=False, default_factory=dict)
     frobenius: float = field(init=False, repr=False, compare=False)
-    workspace_per_row: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # read by the stability guardrail once per integration
         object.__setattr__(self, "frobenius", float(np.sqrt(np.sum(self.values ** 2))))
-        # doubles per state of `_apply_members`' workspace past 2 * _APPLY_WORKSPACE:
-        # a block gathers at most _APPLY_WORKSPACE / R' pairs (R' >= R) or one
-        # scatter row's, and no row has more pairs than entries
-        object.__setattr__(self, "workspace_per_row",
-                           2 * int(np.bincount(self.j_idx).max(initial=0)))
 
     @property
     def nnz(self) -> int:

@@ -25,10 +25,12 @@ every sample.  Time series are walked in blocks of time rows of a fixed
 workspace, so the memory of `neg_sup_series` is bounded in the series
 length.
 
-A battery of test processes on one trajectory shares the gap's
-phi-independent products: the trajectory keeps `conv.apply(a)`, a @ corr
-and a @ zeta for the last interval a gap read, one entry of (S + 2) T N
-doubles plus the bytes of the T N states that guard it.
+`gap_battery` runs the battery on a trajectory's own saved spacing, and its
+gaps share their phi-independent products: the trajectory keeps
+`conv.apply(a)`, a @ corr and a @ zeta for the last interval a gap read, one
+entry of (S + 2) T N doubles plus the bytes of the T N states that guard it.
+The weak residual pairs states with a static field phi through one sparse
+matrix P[i, j] = sum_k b[i,k,j] phi_k and runs no convection kernel.
 
 The energy-variational gap contracts no more than two operands at a time.
 Over T saved steps, N modes and S transport fields, a matrix product with
@@ -45,9 +47,10 @@ import operator
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
-from .basis import (BasisSpec, _gradient_block_rows, default_grid, evaluate_field,
-                    velocity_gradient)
+from .basis import (BasisSpec, _csr_product, _gradient_block_rows, default_grid,
+                    evaluate_field, velocity_gradient)
 from .ensemble import _chunks, _run_members, mean_stderr
 from .noise import hs_norm
 from .sde import GalerkinSystem, Trajectory, _grid_index, _philox_streams
@@ -324,13 +327,6 @@ class TestProcessRep:
 
     __test__ = False  # not a pytest class, despite the name
 
-    def is_zero(self) -> bool:
-        return (
-            not np.any(self.phi0)
-            and (self.A is None or not np.any(self.A))
-            and (self.B is None or not np.any(self.B))
-        )
-
     def series(self, increments: np.ndarray, dt: float) -> np.ndarray:
         """phi on the grid implied by the increments, shape (n_steps + 1, N).
 
@@ -364,8 +360,9 @@ def make_test_processes(
 
     Static solenoidal fields (A = B = 0), deterministically time-modulated
     fields (B = 0, A from smooth profiles sampled consistently on the grid),
-    and martingale-type processes with constant B supported on the additive
-    Brownian modes.
+    and martingale-type processes with a constant B row on every Brownian
+    mode, additive and transport alike, so the battery reads both trace
+    terms, sigma1 . B and u^T zeta_l B_l.
     """
     rng = next(_philox_streams([seed], 0x7E57))
     N = system.n_modes
@@ -388,10 +385,9 @@ def make_test_processes(
         profile = np.sin(omega * tgrid) * np.cos(tgrid)
         A = np.diff(profile)[:, None] / dt * psi[None, :]
         reps.append(TestProcessRep(phi0=low_mode_vec(0.3), A=A, label=f"modulated-{idx}"))
-    additive_modes = system.noise.additive.support or tuple(range(min(1, K)))
     for idx in range(count // 3):
         B = np.zeros((K, N))
-        for ell in additive_modes:
+        for ell in range(K):
             B[ell] = low_mode_vec(0.3)
         reps.append(TestProcessRep(phi0=low_mode_vec(0.3), B=B if K else None,
                                    label=f"martingale-{idx}"))
@@ -443,8 +439,8 @@ def energy_variational_gap(
     `energy_series` overrides E(t); the weight term with
     2 |(grad phi)_sym,-| * (1/2 |u|^2 - E) is then active.
 
-    For phi == 0 every phi-dependent term is an exact zero and the value
-    reduces bitwise to `energy_residual`.
+    For phi == 0 every phi-dependent term is an exact zero, so the value is
+    bitwise that of `energy_residual`.
 
     Over the T = j - i steps of [s, t], with N modes and S transport fields:
     the Ito correction is the row-wise dot of (a @ corr) with phi, T N^2
@@ -488,9 +484,6 @@ def energy_variational_gap(
     j = traj.index_of_time(t)
     nu = 0.0 if euler_form else system.nu
     gap = energy_residual(traj, system, s, t, nu=nu)
-    if phi.is_zero() and energy_series is None:
-        return gap
-
     dt_s = traj.dt * traj.store_every
     inc = traj.increments
     phi_series = phi.series(inc, dt_s)
@@ -543,6 +536,16 @@ def energy_variational_gap(
             uzB = a_l @ np.einsum("sji,si->sj", tr.zeta, phi.B[list(tr.modes)]).T
             gap -= float(np.sum(uzB)) * dt_s
     return gap
+
+
+def gap_battery(traj: Trajectory, system: GalerkinSystem, seed: int,
+                euler_form: bool = False) -> list[tuple[str, float]]:
+    """(label, gap) of each of the ten `make_test_processes` over the whole
+    trajectory, on its saved spacing dt * store_every."""
+    t = float(traj.times[-1])
+    return [(phi.label, energy_variational_gap(traj, system, phi, 0.0, t, euler_form=euler_form))
+            for phi in make_test_processes(system, traj.times.size - 1,
+                                           traj.dt * traj.store_every, seed=seed)]
 
 
 # -- relative energy and the Gronwall bound ------------------------------------
@@ -665,21 +668,26 @@ def dissipative_weak_residual(ensemble, phi, t: float) -> dict:
     to the mean-field weak form with the second-moment defect substituted;
     the martingale term is averaged out, so the mean residual decays like
     M^(-1/2) with standard error reported alongside.  For viscous systems the
-    weak form includes the viscous coupling.
+    weak form includes the viscous coupling.  The quadratic term
+    sum b[i,k,j] u_i phi_k u_j is u . (P u), with P applied as one CSR
+    product to every step's and member's state as a column of its own.
     """
     system = ensemble.system
-    basis = system.basis
+    basis, conv = system.basis, system.conv
     phi = np.asarray(phi, dtype=np.float64)
     if phi.shape != (basis.n_modes,):
         raise DiagnosticsError(f"test field has shape {phi.shape}, expected ({basis.n_modes},)")
     lin = system.nu * (basis.k_sq * phi) + system.corr @ phi
+    pairing = sparse.csr_matrix((conv.values * phi[conv.k_idx], (conv.i_idx, conv.j_idx)),
+                                shape=(basis.n_modes,) * 2)
     # members are regenerated at every step up to t, whatever the saved grid
     dt = ensemble.dt
     j = _grid_index(t, dt, ensemble.n_steps,
                     DiagnosticsError(f"time {t} is not on the ensemble's step grid"))
     residuals = np.empty(ensemble.n_members)
-    # held besides the batch, per step: the kernel's operand and workspace
-    held = 8 * j * (system.n_modes + system.conv.workspace_per_row)
+    # held besides the batch, per member and step: two rows of N, the operand
+    # and P's product or the linear term's member-major copy and tile
+    held = 16 * j * system.n_modes
     # every sum over a member's steps and modes runs along one contiguous
     # member-major row, so its bits do not depend on the chunk's size
     for sl in _chunks(system, ensemble.n_members, j, 1, held):
@@ -688,15 +696,13 @@ def dissipative_weak_residual(ensemble, phi, t: float) -> dict:
         _, M, N = a.shape
         boundary = np.einsum("mn,n->m", a[j] - a[0], phi)
         linear = np.einsum("mk,k->m", a[:-1].transpose(1, 0, 2).reshape(M, -1), np.tile(lin, j))
-        # the kernel's columns in (step, member) order move no bit; its output
-        # takes the freed batch's place, and only it is laid out member-major
+        # columns in (step, member) order; the product forms each column alone
         aT = np.ascontiguousarray(a[:-1].reshape(-1, N).T)
         del a
-        # sum b[i,k,j] u_i phi_k u_j == -phi . B(u, u), as b is skew in (k, j)
-        conv = system.conv._apply_members(aT)
+        quad = _csr_product(pairing, aT)
+        quad *= aT
         del aT
-        conv = conv.reshape(N, j, M).transpose(2, 1, 0).reshape(M, -1)
-        quad = -np.einsum("mk,k->m", conv, np.tile(phi, j)) - linear
-        residuals[sl] = -boundary + quad * dt
+        quad = quad.reshape(N, j, M).transpose(2, 1, 0).reshape(M, -1).sum(axis=1)
+        residuals[sl] = -boundary + (quad - linear) * dt
     mean, se = mean_stderr(residuals)
     return {"residual": mean, "stderr": se, "n_members": ensemble.n_members, "t": t}

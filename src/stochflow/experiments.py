@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagnostics import energy_variational_gap, make_test_processes
+from .diagnostics import gap_battery
 from .ensemble import mean_stderr, member_seeds, moment_report, run_ensemble
 from .noise import hs_norm
 from .sde import (GalerkinSystem, _grid_index, _refine, batch_increments, build_system,
@@ -43,7 +43,6 @@ class SweepPlan:
     scheme: str = "euler_maruyama"
     store_every: int = 10
     moment_p: float = 4.0
-    gap_battery: int = 10
 
     def validate(self):
         if len(self.nus) < 1:
@@ -123,15 +122,8 @@ def viscosity_sweep(
         exponent = math.nan
 
     # inviscid-form gap battery on the smallest-nu endpoint, the last run
-    smallest = ens
-    traj = smallest.member_trajectory(0)
-    battery = make_test_processes(smallest.system, traj.times.size - 1, traj.dt,
-                                  seed=plan.base_seed, count=plan.gap_battery)
-    gaps = [
-        energy_variational_gap(traj, smallest.system, phi, 0.0, traj.times[-1],
-                               euler_form=True)
-        for phi in battery
-    ]
+    gaps = [gap for _, gap in gap_battery(ens.member_trajectory(0), ens.system,
+                                          plan.base_seed, euler_form=True)]
 
     return {
         "plan": plan,

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..diagnostics import energy_residual, energy_variational_gap, make_test_processes
+from ..diagnostics import energy_residual, gap_battery
 from ..ensemble import run_ensemble
 from ..experiments import viscosity_sweep
 from ..sde import BrownianPath, integrate
@@ -130,14 +130,9 @@ def cmd_diagnose(args) -> int:
                    "tolerance": tol, "pass": ok})
             failures += not ok
         elif check == "gap_battery":
-            battery = make_test_processes(system, traj.times.size - 1,
-                                          traj.dt * traj.store_every,
-                                          seed=cfg["ensemble"]["base_seed"])
-            for phi in battery:
-                value = energy_variational_gap(traj, system, phi, 0.0, t_final)
+            for label, value in gap_battery(traj, system, cfg["ensemble"]["base_seed"]):
                 ok = value <= tol
-                _emit({"check": f"gap[{phi.label}]", "value": value,
-                       "tolerance": tol, "pass": ok})
+                _emit({"check": f"gap[{label}]", "value": value, "tolerance": tol, "pass": ok})
                 failures += not ok
         else:  # a requested check that did not run has not passed
             _emit({"check": check, "skipped": "needs ensemble data", "pass": False})

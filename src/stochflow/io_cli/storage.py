@@ -185,6 +185,12 @@ def load_trajectory(path, expect_hash: str | None = None) -> tuple[Trajectory, s
     if not _trajectory_shapes_ok(traj):
         shapes = {k: v.shape for k, v in box["arrays"].items()}
         raise StorageError(f"trajectory array shapes disagree on the saved grid: {shapes}")
+    try:  # the diagnostics read times off the header's grid, so they must be its bits
+        grid = np.arange(traj.times.size) * float(traj.dt * traj.store_every)
+    except OverflowError:  # an int dt past the float range
+        grid = np.array(())
+    if traj.times.tobytes() != grid.tobytes():
+        raise StorageError("trajectory times are not the header's grid of step dt * store_every")
     return traj, box["config_hash"]
 
 

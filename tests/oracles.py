@@ -204,8 +204,6 @@ def energy_variational_gap(traj, system, phi, s, t, euler_form=False, energy_ser
     gap = ((traj.energy[j] - traj.energy[i]) + nu * (traj.grad_int[j] - traj.grad_int[i])
            - (traj.stoch_int[j] - traj.stoch_int[i])
            - 0.5 * (traj.times[j] - traj.times[i]) * float(np.sum(eta * eta)))
-    if phi.is_zero() and energy_series is None:
-        return gap
     inc = traj.increments
     phi_series = process_series(phi, inc, dt_s)
     a = traj.states

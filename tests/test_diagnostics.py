@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 from dataclasses import replace
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from stochflow import ensemble as ensemble_mod
+from stochflow import diagnostics as diagnostics_mod, ensemble as ensemble_mod
 from stochflow.basis import ConvectionTensor, _csr_product, build_basis
 from stochflow.diagnostics import (
     DiagnosticsError,
@@ -14,6 +15,7 @@ from stochflow.diagnostics import (
     dissipative_weak_residual,
     energy_residual,
     energy_variational_gap,
+    gap_battery,
     make_test_processes,
     neg_sup_series,
     relative_energy,
@@ -21,7 +23,7 @@ from stochflow.diagnostics import (
 )
 from stochflow.ensemble import run_ensemble
 from stochflow.noise import build_noise
-from stochflow.sde import BrownianPath, SdeError, _drift, build_system, integrate
+from stochflow.sde import SCHEMES, BrownianPath, SdeError, _drift, build_system, integrate
 
 import oracles
 
@@ -313,24 +315,39 @@ def test_process_series_bitwise_loop(rng, parts, n_steps):
     assert oracles.bit_equal(series, oracles.process_series(phi, inc, 1e-3))
 
 
-def test_battery_structure(additive_system):
-    battery = make_test_processes(additive_system, 100, 1e-3, seed=0, count=10)
-    assert len(battery) == 10
-    kinds = {p.label.split("-")[0] for p in battery}
-    assert kinds == {"static", "modulated", "martingale"}
+def test_battery_structure(additive_system, mixed_system):
+    for system in (additive_system, mixed_system):
+        battery = make_test_processes(system, 100, 1e-3, seed=0, count=10)
+        assert len(battery) == 10
+        kinds = {p.label.split("-")[0] for p in battery}
+        assert kinds == {"static", "modulated", "martingale"}
+        # a B row on every Brownian mode, the transport ones too, so the
+        # battery reads the trace term u^T zeta_l B_l
+        for phi in battery[-3:]:
+            assert phi.label.startswith("martingale") and np.all(np.any(phi.B, axis=1))
 
 
 # -- energy-variational gap ------------------------------------------------------
 
 
-def test_gap_zero_phi_bitwise(additive_system, rng):
-    a0 = rng.normal(size=additive_system.n_modes) * 0.3
-    path = BrownianPath.generate(7, 1e-3, 500, additive_system.n_brownian)
-    traj = integrate(additive_system, a0, path)
-    zero = TestProcessRep(phi0=np.zeros(additive_system.n_modes))
-    for (s, t) in ((0.0, 0.5), (0.1, 0.3)):
-        assert energy_variational_gap(traj, additive_system, zero, s, t) == \
-            energy_residual(traj, additive_system, s, t)
+def test_gap_zero_phi_bitwise(request, rng):
+    # no shortcut: every phi term of a zero process is an exact zero, with
+    # transport noise, in 3-D, on thinned grids and in both forms
+    for name in ("additive_system", "mixed_system", "mixed_system_c4", "mixed_system_3d"):
+        system = request.getfixturevalue(name)
+        N, K = system.n_modes, system.n_brownian
+        a0 = rng.normal(size=N) * 0.3 * (system.basis.k_sq <= 2.0)
+        path = BrownianPath.generate(7, 1e-3, 200, K)
+        for scheme, store_every in itertools.product(SCHEMES, (1, 4)):
+            traj = integrate(system, a0, path, scheme=scheme, store_every=store_every)
+            n_save = traj.increments.shape[0]
+            static = TestProcessRep(phi0=np.zeros(N))
+            full = TestProcessRep(phi0=np.zeros(N), A=np.zeros((n_save, N)), B=np.zeros((K, N)))
+            for phi, (s, t), euler_form in itertools.product(
+                    (static, full), ((0.0, 0.2), (0.04, 0.12)), (False, True)):
+                gap = energy_variational_gap(traj, system, phi, s, t, euler_form=euler_form)
+                resid = energy_residual(traj, system, s, t, nu=0.0 if euler_form else None)
+                assert gap.hex() == resid.hex(), (name, scheme, store_every, s, euler_form)
 
 
 def test_gap_phi_equals_u_on_em_path(additive_system, rng):
@@ -494,6 +511,27 @@ def test_gap_battery_applies_the_kernel_once(mixed_system, monkeypatch):
         fresh = energy_variational_gap(replace(traj), mixed_system, phi, 0.0, t)
         assert gap.hex() == fresh.hex(), phi.label
     assert len(calls) == 1 + len(battery)
+
+
+@pytest.mark.parametrize("euler_form", [False, True])
+@pytest.mark.parametrize("store_every", [1, 3])
+def test_gap_battery_is_the_per_process_loop(mixed_system, store_every, euler_form):
+    # the loop `diagnose`, the sweep and `verify` each ran, on the saved spacing
+    gen = np.random.default_rng(3)
+    a0 = gen.normal(scale=0.4, size=mixed_system.n_modes) * (mixed_system.basis.k_sq <= 2.0)
+    traj = integrate(mixed_system, a0,
+                     BrownianPath.generate(17, 2e-3, 60, mixed_system.n_brownian),
+                     store_every=store_every)
+    got = gap_battery(traj, mixed_system, 4, euler_form=euler_form)
+    fresh = replace(traj)
+    battery = make_test_processes(mixed_system, fresh.times.size - 1,
+                                  fresh.dt * fresh.store_every, seed=4)
+    want = [(phi.label, energy_variational_gap(fresh, mixed_system, phi, 0.0,
+                                               float(fresh.times[-1]), euler_form=euler_form))
+            for phi in battery]
+    assert len(got) == 10
+    assert [(label, gap.hex()) for label, gap in got] == \
+        [(label, gap.hex()) for label, gap in want]
 
 
 @pytest.mark.parametrize("change", ["states edited in place", "other noise, same conv",
@@ -673,14 +711,63 @@ def test_weak_residual_independent_of_chunking(mixed_system_c4, monkeypatch, t):
         assert chunked[key].hex() == one[key].hex(), key
 
 
+def test_weak_residual_runs_no_kernel_besides_the_integration(mixed_system, monkeypatch):
+    ens = run_ensemble(mixed_system, ensemble_mod.gaussian_initial(0.5), 6, base_seed=2,
+                       dt=1e-3, n_steps=20)
+    phi = np.random.default_rng(4).normal(size=mixed_system.n_modes)
+    depth, inside, stray = [0], [], []
+    apply, run = ConvectionTensor._apply_members, diagnostics_mod._run_members
+
+    def run_members(*args):
+        depth[0] += 1
+        try:
+            return run(*args)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(diagnostics_mod, "_run_members", run_members)
+    monkeypatch.setattr(ConvectionTensor, "_apply_members",
+                        lambda self, aT: (inside if depth[0] else stray).append(aT.shape)
+                        or apply(self, aT))
+    dissipative_weak_residual(ens, phi, ens.t_final)
+    # one Euler-Maruyama step per kernel call regenerates the members
+    assert len(inside) == 20 and stray == []
+
+
+@pytest.mark.parametrize("system_name", ["mixed_system", "mixed_system_3d"])
+def test_weak_residual_pairing_is_the_convection_term(request, monkeypatch, system_name):
+    # u . (P u) with P[i, j] = sum_k b[i,k,j] phi_k, column by column, is
+    # -phi . B(u, u) of the tensor assembled by quadrature
+    system = request.getfixturevalue(system_name)
+    ens = run_ensemble(system, ensemble_mod.gaussian_initial(0.5), 3, base_seed=5,
+                       dt=1e-3, n_steps=12)
+    phi = np.random.default_rng(6).normal(size=system.n_modes) * 0.5
+    products = []
+    product = diagnostics_mod._csr_product
+
+    def spy(op, x):
+        out = product(op, x)
+        products.append((x.copy(), out.copy()))
+        return out
+
+    monkeypatch.setattr(diagnostics_mod, "_csr_product", spy)
+    dissipative_weak_residual(ens, phi, ens.t_final)
+    ((u, pu),) = products
+    assert u.shape == (system.n_modes, 12 * 3)
+    got = np.einsum("ic,ic->c", u, pu)
+    dense = oracles.dense_convection(system.basis)
+    want = -np.einsum("ikj,ic,kc,j->c", dense, u, u, phi, optimize=True)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
 def test_weak_residual_peak_within_its_chunk_charge(mixed_system_c4, monkeypatch):
-    # the chunk budget charged 0.69 MB per member for a 2.96 MB peak at
+    # the chunk budget once charged 0.69 MB per member for a 2.96 MB peak at
     # N = 80, 1000 steps; here N = 80, 200 steps
     ens = run_ensemble(mixed_system_c4, ensemble_mod.gaussian_initial(0.5), 16, base_seed=21,
                        dt=1e-3, n_steps=200)
     phi = np.zeros(mixed_system_c4.n_modes)
     phi[:4] = 0.5
-    dissipative_weak_residual(ens, phi, ens.t_final)  # builds the kernel's partition
+    dissipative_weak_residual(ens, phi, ens.t_final)  # builds the step's kernel partition
     charges = []
     size = ensemble_mod._chunk_size
     monkeypatch.setattr(ensemble_mod, "_chunk_size",
@@ -693,11 +780,11 @@ def test_weak_residual_peak_within_its_chunk_charge(mixed_system_c4, monkeypatch
         tracemalloc.stop()
     assert len(charges) == 1 and size(charges[0]) >= ens.n_members
     assert peak <= ens.n_members * charges[0], (peak / ens.n_members, charges[0])
-    # at the kernel call a member holds its member-minor operand, the output
-    # and 2 * 64 / 80 = 1.6 (T, N) arrays of workspace, and no other copy
-    # of its states; 64 KiB cover the small arrays of the call
+    # a member holds two (T, N) arrays at a time: its states and the
+    # member-minor operand, the operand and P's product, or the product and
+    # its member-major copy (2.07 measured); 64 KiB cover the small arrays
     state = 8 * 200 * mixed_system_c4.n_modes
-    assert peak <= ens.n_members * 3.6 * state + (1 << 16), peak / (ens.n_members * state)
+    assert peak <= ens.n_members * 2.5 * state + (1 << 16), peak / (ens.n_members * state)
 
 
 def test_weak_residual_additive_ci(additive_system):

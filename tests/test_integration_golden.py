@@ -70,7 +70,7 @@ def order_case(system, scheme):
 
 def sweep_case(system):
     plan = SweepPlan(nus=(0.1, 0.05, 0.02), n_members=6, base_seed=4, dt=1e-2,
-                     n_steps=20, store_every=4, gap_battery=2)
+                     n_steps=20, store_every=4)
     return viscosity_sweep(plan, system, gaussian_initial(0.5))
 
 

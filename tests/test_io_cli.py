@@ -653,14 +653,21 @@ def test_trajectory_header_types_checked(tmp_path, additive_system):
         save_container(f, "trajectory", "ab" * 32, dict(good, **{key: value}), arrays)
         with pytest.raises(StorageError, match="wrong type"):
             load_trajectory(f)
-    # an int is a finite number however large, and a blow-up time may be an int
-    save_container(f, "trajectory", "ab" * 32, dict(good, dt=10 ** 400, blowup_time=2), arrays)
-    assert load_trajectory(f)[0].dt == 10 ** 400
+    # an int is a finite number however large, and a blow-up time may be an int:
+    # dt = 1 loads with its times on its grid, and dt = 10**400 passes the type
+    # check but not the grid check, as no float grid has that spacing
+    save_container(f, "trajectory", "ab" * 32, dict(good, dt=1, blowup_time=2),
+                   dict(arrays, times=np.arange(traj.times.size) * 1.0))
+    assert load_trajectory(f)[0].dt == 1
+    save_container(f, "trajectory", "ab" * 32, dict(good, dt=10 ** 400), arrays)
+    with pytest.raises(StorageError, match="header's grid"):
+        load_trajectory(f)
 
 
 def test_trajectory_shapes_checked(tmp_path, mixed_system):
     # a CRC-valid container whose arrays disagree on the saved grid is refused:
-    # times (n+1,), states (n+1, N), the four series (n+1,), increments (n, K)
+    # times (n+1,), states (n+1, N), the four series (n+1,), increments (n, K),
+    # and the times bitwise arange(n + 1) * (dt * store_every)
     path = BrownianPath.generate(3, 1e-3, 8, mixed_system.n_brownian)
     traj = integrate(mixed_system, np.full(mixed_system.n_modes, 0.1), path)
     meta = {"dt": traj.dt, "store_every": 1, "seed": 3, "nu": traj.nu,
@@ -672,10 +679,15 @@ def test_trajectory_shapes_checked(tmp_path, mixed_system):
            {"energy": traj.energy[1:]}, {"grad_int": traj.grad_int[:, None]},
            {"increments": traj.increments[:-1]}, {"increments": traj.increments[:, 0]},
            {"stoch_int": traj.stoch_int[:-1], "grad_energy": traj.grad_energy[:-1]}]
+    # times off the header's grid: far off (the gap used to raise SdeError on
+    # them), and within the grid rule's 1e-9, where a diagnostic used to read
+    # the stored end time
+    off_grid = [{"times": traj.times * 1.5}, {"times": traj.times * (1 + 1e-12)}]
     f = tmp_path / "t.bin"
-    for change in bad:
+    for change, refusal in [(c, "shapes disagree") for c in bad] + \
+            [(c, "header's grid") for c in off_grid]:
         save_container(f, "trajectory", "ab" * 32, meta, dict(arrays, **change))
-        with pytest.raises(StorageError, match="shapes disagree"):
+        with pytest.raises(StorageError, match=refusal):
             load_trajectory(f)
     save_container(f, "trajectory", "ab" * 32, meta, arrays)
     assert load_trajectory(f)[0].states.shape == traj.states.shape

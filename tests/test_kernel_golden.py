@@ -144,8 +144,11 @@ def test_symmetric_partition_gathers_distinct_pairs(dim, cutoff, rows):
         assert j1 == n or len(pairs(j0, j1 + 1)) > cap
         gathered += i_idx.size
     assert width == max(b[2].size for b in blocks)
-    # the (2, width, rows) workspace `_apply_members` allocates keeps its bound
-    assert 2 * width * rows <= 2 * _APPLY_WORKSPACE + rows * conv.workspace_per_row
+    # the (2, width, rows) workspace `_apply_members` allocates keeps its bound:
+    # a block gathers at most _APPLY_WORKSPACE / R' pairs (R' >= rows) or one
+    # scatter row's, and no row has more pairs than entries
+    widest_row = int(np.bincount(conv.j_idx).max(initial=0))
+    assert 2 * width * rows <= 2 * _APPLY_WORKSPACE + 2 * rows * widest_row
     if (dim, cutoff, rows) == (2, 4, 1024):
         assert (gathered, len(blocks)) == (3310, 68)
 
