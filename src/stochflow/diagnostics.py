@@ -5,7 +5,8 @@ identity or inequality that holds exactly for the continuous-time Galerkin
 system: the pathwise energy balance, the family of energy-variational
 inequalities indexed by test processes, the relative-energy/Gronwall bound
 against a resolved reference, and the positive-semidefinite second-moment
-defect of an ensemble together with its trace identity.
+defect of an ensemble together with its trace identity.  The inviscid
+(Euler) form of a check is the check against the nu = 0 system.
 
 Conventions, fixed once for all residuals: time integrals are left-point
 Riemann sums on the saved grid, stochastic integrals are left-point (Ito)
@@ -53,7 +54,7 @@ from .basis import (BasisSpec, _csr_product, _gradient_block_rows, default_grid,
                     evaluate_field, velocity_gradient)
 from .ensemble import _chunks, _run_members, mean_stderr
 from .noise import hs_norm
-from .sde import GalerkinSystem, Trajectory, _grid_index, _philox_streams
+from .sde import GalerkinSystem, Trajectory, _grid_index, _normals
 
 
 class DiagnosticsError(ValueError):
@@ -279,7 +280,6 @@ def energy_residual(
     system: GalerkinSystem,
     s: float,
     t: float,
-    nu: float | None = None,
 ) -> float:
     """Residual of the pathwise energy identity over [s, t].
 
@@ -296,12 +296,10 @@ def energy_residual(
         raise DiagnosticsError(f"need s <= t, got s={s}, t={t}")
     i = traj.index_of_time(s)
     j = traj.index_of_time(t)
-    if nu is None:
-        nu = system.nu
     hs2 = hs_norm(system.noise.additive)
     return float(
         (traj.energy[j] - traj.energy[i])
-        + nu * (traj.grad_int[j] - traj.grad_int[i])
+        + system.nu * (traj.grad_int[j] - traj.grad_int[i])
         - (traj.stoch_int[j] - traj.stoch_int[i])
         - 0.5 * (traj.times[j] - traj.times[i]) * hs2
     )
@@ -362,36 +360,40 @@ def make_test_processes(
     fields (B = 0, A from smooth profiles sampled consistently on the grid),
     and martingale-type processes with a constant B row on every Brownian
     mode, additive and transport alike, so the battery reads both trace
-    terms, sigma1 . B and u^T zeta_l B_l.
+    terms, sigma1 . B and u^T zeta_l B_l.  Raises DiagnosticsError for a
+    negative count.
     """
-    rng = next(_philox_streams([seed], 0x7E57))
+    if count < 0:
+        raise DiagnosticsError(f"count must be >= 0, got {count}")
     N = system.n_modes
     K = system.n_brownian
+    n_static, n_each = count - 2 * (count // 3), count // 3
+    # N normals per vector, in the order the loops below read them
+    draws = iter(_normals([seed], 0x7E57, (count + n_each * (K + 1), N))[0])
     low = system.basis.k_sq <= max(2.0, float(np.median(system.basis.k_sq)))
     reps: list[TestProcessRep] = []
 
     def low_mode_vec(scale):
-        v = rng.normal(size=N) * low
+        v = next(draws) * low
         nrm = np.linalg.norm(v)
         return scale * v / nrm if nrm > 0 else v
 
-    n_static = count - 2 * (count // 3)
     for idx in range(n_static):
         reps.append(TestProcessRep(phi0=low_mode_vec(0.5), label=f"static-{idx}"))
     tgrid = np.arange(n_steps + 1) * dt
-    for idx in range(count // 3):
+    for idx in range(n_each):
         psi = low_mode_vec(0.5)
         omega = 1.0 + idx
         profile = np.sin(omega * tgrid) * np.cos(tgrid)
         A = np.diff(profile)[:, None] / dt * psi[None, :]
         reps.append(TestProcessRep(phi0=low_mode_vec(0.3), A=A, label=f"modulated-{idx}"))
-    for idx in range(count // 3):
+    for idx in range(n_each):
         B = np.zeros((K, N))
         for ell in range(K):
             B[ell] = low_mode_vec(0.3)
         reps.append(TestProcessRep(phi0=low_mode_vec(0.3), B=B if K else None,
                                    label=f"martingale-{idx}"))
-    return reps[:count]
+    return reps
 
 
 # -- the energy-variational gap ------------------------------------------------
@@ -425,7 +427,6 @@ def energy_variational_gap(
     phi: TestProcessRep,
     s: float,
     t: float,
-    euler_form: bool = False,
     energy_series: np.ndarray | None = None,
 ) -> float:
     """LHS minus RHS of the energy-variational inequality over [s, t].
@@ -434,9 +435,10 @@ def energy_variational_gap(
     Galerkin data with E = 1/2 |u|^2 the continuous-time gap is exactly zero
     for test processes in the span of the basis.
 
-    With `euler_form` the viscous coupling is dropped (the inviscid form of
-    the inequality, evaluated on a trajectory of any viscosity).  Passing an
-    `energy_series` overrides E(t); the weight term with
+    The viscous coupling is the system's: the inviscid form of the inequality,
+    on a trajectory of any viscosity, is the gap against the nu = 0 system of
+    the same basis, noise and kernel.  Passing an `energy_series` overrides
+    E(t); the weight term with
     2 |(grad phi)_sym,-| * (1/2 |u|^2 - E) is then active.
 
     For phi == 0 every phi-dependent term is an exact zero, so the value is
@@ -482,8 +484,7 @@ def energy_variational_gap(
         )
     i = traj.index_of_time(s)
     j = traj.index_of_time(t)
-    nu = 0.0 if euler_form else system.nu
-    gap = energy_residual(traj, system, s, t, nu=nu)
+    gap = energy_residual(traj, system, s, t)
     dt_s = traj.dt * traj.store_every
     inc = traj.increments
     phi_series = phi.series(inc, dt_s)
@@ -502,8 +503,8 @@ def energy_variational_gap(
     # boundary term of -<u, phi>
     gap += -(a[j] @ phi_series[j]) + (a[i] @ phi_series[i])
     # -nu int grad u : grad phi
-    if nu:
-        gap += -nu * float(np.einsum("tn,n,tn->", a_l, ksq, phi_l)) * dt_s
+    if system.nu:
+        gap += -system.nu * float(np.einsum("tn,n,tn->", a_l, ksq, phi_l)) * dt_s
     # int [u (x) u] : grad phi  ==  sum b[i,k,j] a_i phi_k a_j  ==  -phi . B(a, a),
     # as b is skew in its last two slots
     gap -= float(np.einsum("tn,tn->", conv_a, phi_l)) * dt_s
@@ -538,12 +539,11 @@ def energy_variational_gap(
     return gap
 
 
-def gap_battery(traj: Trajectory, system: GalerkinSystem, seed: int,
-                euler_form: bool = False) -> list[tuple[str, float]]:
+def gap_battery(traj: Trajectory, system: GalerkinSystem, seed: int) -> list[tuple[str, float]]:
     """(label, gap) of each of the ten `make_test_processes` over the whole
     trajectory, on its saved spacing dt * store_every."""
     t = float(traj.times[-1])
-    return [(phi.label, energy_variational_gap(traj, system, phi, 0.0, t, euler_form=euler_form))
+    return [(phi.label, energy_variational_gap(traj, system, phi, 0.0, t))
             for phi in make_test_processes(system, traj.times.size - 1,
                                            traj.dt * traj.store_every, seed=seed)]
 

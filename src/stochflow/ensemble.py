@@ -27,7 +27,7 @@ from typing import Callable
 import numpy as np
 
 from .basis import BasisSpec, default_grid, evaluate_field
-from .sde import (BatchResult, GalerkinSystem, Trajectory, _grid_index, _philox_streams,
+from .sde import (BatchResult, GalerkinSystem, Trajectory, _grid_index, _normals,
                   batch_increments, integrate_batch)
 
 
@@ -62,9 +62,8 @@ def gaussian_initial(scale: float, max_ksq: float = 2.0, decay: float = 1.0) -> 
     def sample(seeds: np.ndarray, basis: BasisSpec) -> np.ndarray:
         mask = basis.k_sq <= max_ksq
         sig = scale / (1.0 + basis.k_sq) ** decay * mask
-        out = np.empty((len(seeds), basis.n_modes))
-        for m, gen in enumerate(_philox_streams(seeds, 0x1717)):
-            out[m] = gen.normal(size=basis.n_modes) * sig
+        out = _normals(seeds, 0x1717, (basis.n_modes,))
+        out *= sig
         return out
 
     return sample

@@ -6,7 +6,8 @@ strong solution path seen at several viscosities.  That turns the
 vanishing-viscosity program into something observable at desk scale:
 per-member field differences between consecutive nu values act as a Cauchy
 surrogate for the limit, while moments and the weighted viscous functional
-are tracked for uniformity and decay.
+are tracked for uniformity and decay.  The Euler system is the nu = 0 member
+of the family, and the inviscid gaps are its gaps.
 
 The order study measures strong convergence rates by dyadic refinement of a
 single family of Brownian paths against a finer reference run: the members'
@@ -66,8 +67,8 @@ def viscosity_sweep(
     |grad phi| whose fitted log-log exponent against nu is the decay
     observable; phi is the static field with the same coefficient on every
     mode with |k|^2 <= 2 and |phi| = 1/2.  Consecutive-axis field differences
-    at T are reported, and the inviscid-form gap battery runs on one member
-    of the smallest-nu ensemble.
+    at T are reported, and the gap battery of the Euler system, the nu = 0
+    member of the family, runs on one member of the smallest-nu ensemble.
     """
     plan.validate()
     t_final = plan.dt * plan.n_steps
@@ -121,9 +122,9 @@ def viscosity_sweep(
     else:
         exponent = math.nan
 
-    # inviscid-form gap battery on the smallest-nu endpoint, the last run
-    gaps = [gap for _, gap in gap_battery(ens.member_trajectory(0), ens.system,
-                                          plan.base_seed, euler_form=True)]
+    # the nu = 0 system's battery on the smallest-nu endpoint, the last run
+    euler = build_system(base_system.basis, base_system.noise, nu=0.0, conv=base_system.conv)
+    gaps = [gap for _, gap in gap_battery(ens.member_trajectory(0), euler, plan.base_seed)]
 
     return {
         "plan": plan,

@@ -33,10 +33,8 @@ ENV_OUT = "STOCHFLOW_OUT"
 
 
 def _plain(obj):
-    # numpy values as Python ones, and non-finite floats as None, which strict
+    # numpy scalars as Python ones, and non-finite floats as None, which strict
     # JSON has no token for
-    if isinstance(obj, np.ndarray):
-        obj = obj.tolist()
     if isinstance(obj, dict):
         return {key: _plain(val) for key, val in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -228,7 +226,3 @@ def main(argv=None) -> int:
         for err in exc.errors:
             _emit({"config_error": err})
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

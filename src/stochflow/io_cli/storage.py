@@ -149,9 +149,10 @@ def load_container(path, expect_kind: str | None = None, expect_hash: str | None
 
 
 def _trajectory_meta_ok(m: dict) -> bool:
-    # `type` keeps out bools; a comparison, unlike math.isfinite, takes ints of any size
-    finite = [type(m.get(key)) in (int, float) and -math.inf < m[key] < math.inf
-              for key in ("dt", "nu")]
+    # `type` keeps out bools; a comparison, unlike math.isfinite, takes ints of any
+    # size; a step dt <= 0 names no time grid, though its times pass the grid check
+    finite = [type(m.get(key)) in (int, float) and low < m[key] < math.inf
+              for key, low in (("dt", 0), ("nu", -math.inf))]
     return (type(m.get("seed")) is int and type(m.get("store_every")) is int
             and m["store_every"] >= 1 and all(finite) and m.get("scheme") in SCHEMES
             and type(m.get("blowup_time")) in (int, float, type(None)))
@@ -177,7 +178,7 @@ def save_trajectory(path, traj: Trajectory, config_hash: str):
 def load_trajectory(path, expect_hash: str | None = None) -> tuple[Trajectory, str]:
     box = load_container(path, expect_kind="trajectory", expect_hash=expect_hash)
     if not _trajectory_meta_ok(box["meta"]):
-        raise StorageError(f"trajectory header holds a value of the wrong type: {box['meta']}")
+        raise StorageError(f"trajectory header value of the wrong type or range: {box['meta']}")
     try:
         traj = Trajectory(**box["arrays"], **box["meta"])
     except TypeError as exc:

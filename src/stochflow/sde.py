@@ -15,12 +15,14 @@ diffusion).  Both converge to the same law as dt -> 0.
 
 Brownian increments are counter-based: a path is a pure function of
 (seed, dt, n_steps, K, level) through the Philox generator, keyed by
-(seed, level).  `batch_increments` is the one level-0 draw, and
-`BrownianPath.generate` is a row of it; one midpoint-bridge split,
-`_refine`, serves one member (`BrownianPath.refine`) or many
-(`experiments.order_study`).  It halves dt so that the refined path sums
-pairwise to its parent, which is what coupled strong-order studies need.
-Nothing has to be stored.
+(seed, level).  Every random stream, initial data and test processes too,
+is one `_normals` draw keyed by (seed, a word per purpose), and one draw of
+n rows gives the bytes of n draws of one row.  `batch_increments` is the
+one level-0 draw, and `BrownianPath.generate` is a row of it; one
+midpoint-bridge split, `_refine`, serves one member (`BrownianPath.refine`)
+or many (`experiments.order_study`).  It halves dt so that the refined path
+sums pairwise to its parent, which is what coupled strong-order studies
+need.  Nothing has to be stored.
 
 Every layer maps a time to a grid index by one rule, `_grid_index`: on a
 grid of spacing h, time t names index j = round(t / h), accepted when
@@ -74,7 +76,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 from scipy import sparse
@@ -282,13 +284,12 @@ _STEPPERS = {
 # -- Brownian paths ----------------------------------------------------------
 
 
-def _philox_streams(seeds: Iterable, word: int) -> Iterator[np.random.Generator]:
-    """The stream of Philox(key=[seed, word]) for each seed in turn.
+def _normals(seeds: Iterable, word: int, shape: tuple) -> np.ndarray:
+    """(M, *shape) standard normals, row m in C order from Philox(key=[seeds[m], word]).
 
     One generator serves the whole call: it is re-keyed for every seed to the
     state a fresh `Generator(Philox(key))` starts in (zero counter, empty
-    buffer), which costs far less than building one.  A caller finishes with
-    each stream before it asks for the next.  The generator is local to the
+    buffer), which costs far less than building one, and it is local to the
     call, so threads never share it.  Raises SdeError unless every seed is an
     integer in [0, 2**64), which numpy would wrap, truncate or overflow; an
     integer array is checked in one pass, any other iterable (numpy casts a
@@ -301,16 +302,18 @@ def _philox_streams(seeds: Iterable, word: int) -> Iterator[np.random.Generator]
         valid = all(isinstance(s, (int, np.integer)) and 0 <= s < 2 ** 64 for s in seeds)
     if not valid:
         raise SdeError("seeds must be integers in [0, 2**64)")
+    out = np.empty((len(seeds), *shape))
     bitgen = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
     gen = np.random.Generator(bitgen)
     zero = np.zeros(4, dtype=np.uint64)
-    for seed in seeds:
+    for seed, row in zip(seeds, out):
         bitgen.state = {
             "bit_generator": "Philox",
             "state": {"counter": zero, "key": np.array([int(seed), word], dtype=np.uint64)},
             "buffer": zero, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
         }
-        yield gen
+        gen.standard_normal(out=row)
+    return out
 
 
 @dataclass(frozen=True)
@@ -347,8 +350,8 @@ def _refine(seeds, inc: np.ndarray, dt: float, level: int) -> np.ndarray:
     Each increment of member m is split at its midpoint by a bridge normal
     from Philox(seeds[m], level + 1), so consecutive pairs sum to it.
     """
-    bridge = np.stack([gen.normal(0.0, math.sqrt(dt / 2.0 / 2.0), size=inc.shape[1:])
-                       for gen in _philox_streams(seeds, level + 1)])
+    bridge = _normals(seeds, level + 1, inc.shape[1:])
+    bridge *= math.sqrt(dt / 2.0 / 2.0)
     half = 0.5 * inc
     M, n, K = inc.shape
     return np.stack((half + bridge, half - bridge), axis=2).reshape(M, 2 * n, K)
@@ -363,9 +366,8 @@ def batch_increments(seeds: np.ndarray, dt: float, n_steps: int, n_brownian: int
                        f"and {n_brownian!r}")
     if not 0 < dt < math.inf:  # also refuses NaN
         raise SdeError(f"Brownian draws need a finite dt > 0, got {dt}")
-    out = np.empty((len(seeds), n_steps, n_brownian))
-    for m, gen in enumerate(_philox_streams(seeds, 0)):
-        out[m] = gen.normal(0.0, math.sqrt(dt), size=(n_steps, n_brownian))
+    out = _normals(seeds, 0, (n_steps, n_brownian))
+    out *= math.sqrt(dt)
     return out
 
 

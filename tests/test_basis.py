@@ -8,6 +8,7 @@ from stochflow.basis import (
     BasisError,
     _csr_product,
     _format_label,
+    advection_matrix,
     build_basis,
     convection_tensor,
     default_grid,
@@ -38,6 +39,13 @@ def test_invalid_arguments_rejected():
         build_basis(4, 2)
     with pytest.raises(BasisError):
         build_basis(1, 1)
+    # an advecting field of another dimension or coefficient count
+    b2, b3 = build_basis(2, 1), build_basis(3, 1)
+    with pytest.raises(BasisError, match="dimension mismatch"):
+        advection_matrix(b2, b3, np.ones(b3.n_modes))
+    for coeffs in (np.ones(b2.n_modes + 1), np.ones((1, b2.n_modes))):
+        with pytest.raises(BasisError, match="advecting coefficients have shape"):
+            advection_matrix(b2, b2, coeffs)
 
 
 def _labels(basis):
@@ -365,6 +373,11 @@ def test_project_field_rejects_underresolved(basis2_2):
     n = default_grid(basis2_2.cutoff) - 1
     with pytest.raises(BasisError):
         project_field(basis2_2, np.zeros((n * n, 2)), n)
+    # samples off the grid's layout (G, d)
+    n += 1
+    for samples in (np.zeros((n * n, 3)), np.zeros((n * n - 1, 2)), np.zeros(n * n)):
+        with pytest.raises(BasisError, match="samples have shape"):
+            project_field(basis2_2, samples, n)
 
 
 # -- labels ------------------------------------------------------------------------

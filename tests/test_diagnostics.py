@@ -53,6 +53,12 @@ def test_residual_rejects_offgrid(additive_system, rng):
     traj = integrate(additive_system, a0, path)
     with pytest.raises(SdeError):
         energy_residual(traj, additive_system, 0.0, 0.0505)
+    # a reversed interval, which the gap refuses through the residual too
+    with pytest.raises(DiagnosticsError, match="s <= t"):
+        energy_residual(traj, additive_system, 0.05, 0.04)
+    with pytest.raises(DiagnosticsError, match="s <= t"):
+        energy_variational_gap(traj, additive_system,
+                               TestProcessRep(phi0=np.zeros(additive_system.n_modes)), 0.05, 0.04)
 
 
 def test_residual_additive_mean_small_ensemble(additive_system):
@@ -319,6 +325,9 @@ def test_battery_structure(additive_system, mixed_system):
     for system in (additive_system, mixed_system):
         battery = make_test_processes(system, 100, 1e-3, seed=0, count=10)
         assert len(battery) == 10
+        assert make_test_processes(system, 100, 1e-3, seed=0, count=0) == []
+        with pytest.raises(DiagnosticsError, match="count must be >= 0"):
+            make_test_processes(system, 100, 1e-3, seed=0, count=-1)
         kinds = {p.label.split("-")[0] for p in battery}
         assert kinds == {"static", "modulated", "martingale"}
         # a B row on every Brownian mode, the transport ones too, so the
@@ -330,9 +339,16 @@ def test_battery_structure(additive_system, mixed_system):
 # -- energy-variational gap ------------------------------------------------------
 
 
+def _euler(system):
+    """The nu = 0 system of `system`'s basis, noise and kernel: the inviscid
+    form of every check, as the viscosity sweep builds it."""
+    return build_system(system.basis, system.noise, nu=0.0, conv=system.conv)
+
+
 def test_gap_zero_phi_bitwise(request, rng):
     # no shortcut: every phi term of a zero process is an exact zero, with
-    # transport noise, in 3-D, on thinned grids and in both forms
+    # transport noise, in 3-D, on thinned grids and against the run's system
+    # and its nu = 0 system
     for name in ("additive_system", "mixed_system", "mixed_system_c4", "mixed_system_3d"):
         system = request.getfixturevalue(name)
         N, K = system.n_modes, system.n_brownian
@@ -343,11 +359,11 @@ def test_gap_zero_phi_bitwise(request, rng):
             n_save = traj.increments.shape[0]
             static = TestProcessRep(phi0=np.zeros(N))
             full = TestProcessRep(phi0=np.zeros(N), A=np.zeros((n_save, N)), B=np.zeros((K, N)))
-            for phi, (s, t), euler_form in itertools.product(
-                    (static, full), ((0.0, 0.2), (0.04, 0.12)), (False, True)):
-                gap = energy_variational_gap(traj, system, phi, s, t, euler_form=euler_form)
-                resid = energy_residual(traj, system, s, t, nu=0.0 if euler_form else None)
-                assert gap.hex() == resid.hex(), (name, scheme, store_every, s, euler_form)
+            for phi, (s, t), check in itertools.product(
+                    (static, full), ((0.0, 0.2), (0.04, 0.12)), (system, _euler(system))):
+                gap = energy_variational_gap(traj, check, phi, s, t)
+                resid = energy_residual(traj, check, s, t)
+                assert gap.hex() == resid.hex(), (name, scheme, store_every, s, check.nu)
 
 
 def test_gap_phi_equals_u_on_em_path(additive_system, rng):
@@ -423,11 +439,14 @@ def test_test_processes_refuse_seeds_outside_uint64(additive_system, seed):
 
 
 def test_gap_dimension_mismatch_rejected(additive_system):
-    phi = TestProcessRep(phi0=np.zeros(3))
-    path = BrownianPath.generate(1, 1e-3, 10, additive_system.n_brownian)
-    traj = integrate(additive_system, np.zeros(additive_system.n_modes), path)
-    with pytest.raises(DiagnosticsError):
-        energy_variational_gap(traj, additive_system, phi, 0.0, 0.01)
+    N, K = additive_system.n_modes, additive_system.n_brownian
+    path = BrownianPath.generate(1, 1e-3, 10, K)
+    traj = integrate(additive_system, np.zeros(N), path)
+    for phi, match in ((TestProcessRep(phi0=np.zeros(3)), "dimension mismatch"),
+                       (TestProcessRep(phi0=np.zeros(N), B=np.zeros((K + 1, N))), "B has shape"),
+                       (TestProcessRep(phi0=np.zeros(N), B=np.zeros((K, N - 1))), "B has shape")):
+        with pytest.raises(DiagnosticsError, match=match):
+            energy_variational_gap(traj, additive_system, phi, 0.0, 0.01)
 
 
 @pytest.mark.parametrize("drop", ["increment columns", "last mode"])
@@ -480,11 +499,14 @@ def test_gap_matches_three_operand_oracle(request, system_name, variant):
     assert {p.label.split("-")[0] for p in battery} == {"static", "modulated", "martingale",
                                                         "both"}
     s, t = (4 * dt_s, 26 * dt_s) if variant == "interior" else (0.0, float(traj.times[-1]))
-    kwargs = {"euler_form": variant == "euler_form",
-              "energy_series": None if variant == "plain" else traj.energy + 0.05}
+    energy = None if variant == "plain" else traj.energy + 0.05
+    # the oracle drops the viscous terms itself; the package reads nu = 0
+    # off the inviscid system
+    check = _euler(system) if variant == "euler_form" else system
     for phi in battery:
-        got = energy_variational_gap(traj, system, phi, s, t, **kwargs)
-        want = oracles.energy_variational_gap(traj, system, phi, s, t, **kwargs)
+        got = energy_variational_gap(traj, check, phi, s, t, energy_series=energy)
+        want = oracles.energy_variational_gap(traj, system, phi, s, t, energy_series=energy,
+                                              euler_form=variant == "euler_form")
         assert abs(got - want) <= 1e-13 * abs(want), (phi.label, got, want)
 
 
@@ -504,6 +526,10 @@ def test_gap_battery_applies_the_kernel_once(mixed_system, monkeypatch):
                         lambda self, aT: calls.append(aT.shape) or apply(self, aT))
     gaps = [energy_variational_gap(traj, mixed_system, phi, 0.0, t) for phi in battery]
     assert calls == [(mixed_system.n_modes, 60)]
+    # the nu = 0 system shares conv, corr and zeta, so its battery reuses them
+    for phi in battery:
+        energy_variational_gap(traj, _euler(mixed_system), phi, 0.0, t)
+    assert calls == [(mixed_system.n_modes, 60)]
     assert traj._gap_memo is not None and replace(traj)._gap_memo is None
     # the benchmark's round-trip check compares vars() of a saved and a loaded trajectory
     assert "_gap_memo" not in vars(replace(traj))
@@ -522,12 +548,13 @@ def test_gap_battery_is_the_per_process_loop(mixed_system, store_every, euler_fo
     traj = integrate(mixed_system, a0,
                      BrownianPath.generate(17, 2e-3, 60, mixed_system.n_brownian),
                      store_every=store_every)
-    got = gap_battery(traj, mixed_system, 4, euler_form=euler_form)
+    system = _euler(mixed_system) if euler_form else mixed_system
+    got = gap_battery(traj, system, 4)
     fresh = replace(traj)
-    battery = make_test_processes(mixed_system, fresh.times.size - 1,
+    battery = make_test_processes(system, fresh.times.size - 1,
                                   fresh.dt * fresh.store_every, seed=4)
-    want = [(phi.label, energy_variational_gap(fresh, mixed_system, phi, 0.0,
-                                               float(fresh.times[-1]), euler_form=euler_form))
+    want = [(phi.label, energy_variational_gap(fresh, system, phi, 0.0,
+                                               float(fresh.times[-1])))
             for phi in battery]
     assert len(got) == 10
     assert [(label, gap.hex()) for label, gap in got] == \
@@ -644,8 +671,11 @@ def test_reynolds_defect_two_member_hand_case(basis2_2):
 
 
 def test_reynolds_defect_rejects_single_member(basis2_2):
-    with pytest.raises(DiagnosticsError):
+    with pytest.raises(DiagnosticsError, match="at least two"):
         reynolds_defect(np.zeros((1, basis2_2.n_modes)), basis2_2)
+    for states in (np.zeros(basis2_2.n_modes), np.zeros((2, 2, basis2_2.n_modes))):
+        with pytest.raises(DiagnosticsError, match="members, modes"):
+            reynolds_defect(states, basis2_2)
 
 
 def test_reynolds_defect_psd_and_trace(additive_system, rng):
@@ -681,6 +711,9 @@ def test_weak_residual_independent_of_store_every(viscous_system, rng):
     for t in (-0.1, 0.1005, 0.101):
         with pytest.raises(DiagnosticsError, match="step grid"):
             dissipative_weak_residual(ens, phi, t)
+    for bad in (phi[1:], phi[None], np.float64(1.0)):
+        with pytest.raises(DiagnosticsError, match="test field has shape"):
+            dissipative_weak_residual(ens, bad, 0.1)
 
 
 def test_weak_residual_integrates_only_up_to_t(viscous_system, rng, monkeypatch):

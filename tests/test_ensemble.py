@@ -130,6 +130,11 @@ def test_rejects_empty_ensemble(additive_system):
     with pytest.raises(EnsembleError):
         run_ensemble(additive_system, np.zeros(additive_system.n_modes), 0,
                      base_seed=0, dt=1e-3, n_steps=10)
+    # a sampler or fixed state of the wrong shape
+    N = additive_system.n_modes
+    for initial in (np.zeros(N + 1), lambda seeds, basis: np.zeros((len(seeds) + 1, N))):
+        with pytest.raises(EnsembleError, match="initial states have shape"):
+            run_ensemble(additive_system, initial, 3, base_seed=0, dt=1e-3, n_steps=10)
 
 
 @pytest.mark.parametrize("dt,n_steps", [(np.nan, 10), (np.inf, 10), (-np.inf, 10), (0.0, 10),

@@ -11,6 +11,9 @@ keep its state member-minor and to apply the step's linear operators as CSR
 products; the path pins were not.  The `integrate_batch` pins, every field of
 a `BatchResult`, were recorded from the loop that reduced its series and
 accumulators step by step, and hold any blocked reduction of them to its bits.
+The sweep's Euler-gap pin was recorded from the code that ran the battery on
+the smallest-nu system with its viscous terms switched off, and holds the
+battery of the nu = 0 system to the same bits.
 """
 
 import hashlib
@@ -125,6 +128,7 @@ GOLDEN = {
     ("order_study", "heun"): "325b215ac9b6546cc28be3ec8a18fe6de44893e4a2b119b50b90f09efbb2d485",
     ("viscosity_sweep", "cauchy_differences"): "6352a10fb2ea82e4927b86c37fbe0096c841ed67c8ee4982c29060c351b24897",
     ("viscosity_sweep", "residual_mean"): "16179c33c2b790f0a7a47a7bf71b38c6c43fe34e5fba6fad2bb15e0072af2c60",
+    ("viscosity_sweep", "euler_gaps_smallest_nu"): "ab70256a4ac16979752e14e9371e2f3c80bff751ee4f5dcaa53d8a05a2cdb4ae",
     ("integrate_batch", "m12", "euler_maruyama", "times"): "3dc6ee200e5fcdc225e93a92341bbb2fc29c5fedb90dbad1fcf2ef79e1c1e92e",
     ("integrate_batch", "m12", "euler_maruyama", "states"): "18dbbf0373ee54e8980a6c69ac39b5e6e73f7da7887c57b9b3b484ad2f96465c",
     ("integrate_batch", "m12", "euler_maruyama", "energy"): "cd9c3dafe50940529e392c0ed96c2dd97000a6e9e86169c5007e779f5f8f450b",
@@ -248,6 +252,9 @@ def test_viscosity_sweep_bitwise(mixed_system):
     assert _digest(np.array(out["cauchy_differences"])) == \
         GOLDEN[("viscosity_sweep", "cauchy_differences")]
     assert _digest(np.array(residuals)) == GOLDEN[("viscosity_sweep", "residual_mean")]
+    assert len(out["euler_gaps_smallest_nu"]) == 10
+    assert _digest(np.array(out["euler_gaps_smallest_nu"])) == \
+        GOLDEN[("viscosity_sweep", "euler_gaps_smallest_nu")]
 
 
 def test_saved_spacing_is_dt_times_store_every(mixed_system, mixed_system_c4):

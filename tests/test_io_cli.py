@@ -504,6 +504,15 @@ def test_malformed_container_storage_error(tmp_path):
     _npz(f, ok, a=np.zeros(2))
     with pytest.raises(StorageError, match="expected 'ensemble-summary'"):
         load_container(f, expect_kind="ensemble-summary")
+    # the writer refuses what this format cannot hold, and leaves the file as it was
+    before = f.read_bytes()
+    with pytest.raises(StorageError, match="64 hex chars"):
+        save_container(f, "trajectory", "0" * 63)
+    for arrays in ({"a": np.zeros(2, dtype=complex)}, {"a": np.array(["x"])},
+                   {"a": np.array([None, 1], dtype=object)}, {"header": np.zeros(2)}):
+        with pytest.raises(StorageError, match="cannot be stored"):
+            save_container(f, "trajectory", "0" * 64, arrays=arrays)
+    assert f.read_bytes() == before
 
 
 def _npy(shape, data: bytes, descr="<f8") -> bytes:
@@ -653,6 +662,13 @@ def test_trajectory_header_types_checked(tmp_path, additive_system):
         save_container(f, "trajectory", "ab" * 32, dict(good, **{key: value}), arrays)
         with pytest.raises(StorageError, match="wrong type"):
             load_trajectory(f)
+    # a step dt <= 0 is refused with its times on its own grid, where the grid
+    # check alone would pass it
+    for dt in (0.0, -1e-3):
+        save_container(f, "trajectory", "ab" * 32, dict(good, dt=dt),
+                       dict(arrays, times=np.arange(traj.times.size) * dt))
+        with pytest.raises(StorageError, match="wrong type or range"):
+            load_trajectory(f)
     # an int is a finite number however large, and a blow-up time may be an int:
     # dt = 1 loads with its times on its grid, and dt = 10**400 passes the type
     # check but not the grid check, as no float grid has that spacing
@@ -689,6 +705,11 @@ def test_trajectory_shapes_checked(tmp_path, mixed_system):
         save_container(f, "trajectory", "ab" * 32, meta, dict(arrays, **change))
         with pytest.raises(StorageError, match=refusal):
             load_trajectory(f)
+    # a container without one of the arrays
+    save_container(f, "trajectory", "ab" * 32, meta,
+                   {k: v for k, v in arrays.items() if k != "increments"})
+    with pytest.raises(StorageError, match="incomplete trajectory container"):
+        load_trajectory(f)
     save_container(f, "trajectory", "ab" * 32, meta, arrays)
     assert load_trajectory(f)[0].states.shape == traj.states.shape
 
@@ -819,6 +840,13 @@ def test_cli_invalid_config_lists_errors(tmp_path, capsys):
     assert rc == 1
     lines = capsys.readouterr().out.strip().splitlines()
     assert len(lines) >= 2
+    # text that is no JSON, and JSON that is not an object
+    for text, error in (("{", "not valid JSON"), ("[1]", "top level must be an object"),
+                        ("3", "top level must be an object")):
+        p.write_text(text)
+        assert main(["--config", str(p), "simulate"]) == 1, text
+        records = [json.loads(l) for l in capsys.readouterr().out.strip().splitlines()]
+        assert len(records) == 1 and error in records[0]["config_error"], (text, records)
 
 
 def test_cli_determinism_bitwise(tmp_path, capsys):
@@ -869,6 +897,12 @@ def test_cli_seed_override_validated(tmp_path, capsys, monkeypatch):
 
 
 def test_cli_sweep_writes_csv(tmp_path, capsys):
+    # a config without a sweep section runs no sweep and writes no csv
+    cfg = _write_config(tmp_path, output_dir=str(tmp_path / "out"))
+    assert main(["--config", str(cfg), "sweep"]) == 1
+    assert [json.loads(l) for l in capsys.readouterr().out.strip().splitlines()] == \
+        [{"error": "config has no sweep section"}]
+    assert not (tmp_path / "out" / "sweep.csv").exists()
     cfg = _write_config(
         tmp_path, output_dir=str(tmp_path / "out"),
         noise={"additive": [{"mode": 0, "coeffs": {"0,1:cos": 0.4}}], "transport": []},

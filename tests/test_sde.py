@@ -354,9 +354,16 @@ def test_integrate_batch_rejects_bad_shapes_and_dt(basis2_2, conv2_2, scheme):
             integrate_batch(system, np.zeros((2, N)), bad, 1e-3, scheme)
     with pytest.raises(SdeError, match="increment array inconsistent"):
         integrate(system, np.zeros(N), BrownianPath.generate(1, 1e-3, 3, K - 1), scheme)
+    for a0 in (np.zeros(N - 1), np.zeros((1, N))):
+        with pytest.raises(SdeError, match="initial state has shape"):
+            integrate(system, a0, BrownianPath.generate(1, 1e-3, 3, K), scheme)
     for dt in (0.0, -1e-3, np.nan, np.inf, -np.inf):
         with pytest.raises(SdeError, match="dt must be positive"):
             integrate_batch(system, np.zeros((2, N)), inc, dt, scheme)
+    with pytest.raises(SdeError, match="store_every must divide n_steps"):
+        integrate_batch(system, np.zeros((2, N)), inc, 1e-3, scheme, store_every=2)
+    with pytest.raises(SdeError, match="unknown scheme"):
+        integrate_batch(system, np.zeros((2, N)), inc, 1e-3, scheme.upper())
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -416,6 +423,17 @@ def test_draws_refuse_bad_counts(n_steps, K):
 def test_build_system_refuses_bad_viscosity(basis2_2, conv2_2, nu):
     with pytest.raises(SdeError, match="viscosity"):
         build_system(basis2_2, nu=nu, conv=conv2_2)
+
+
+@pytest.mark.parametrize("noise", ["transport", "additive"])
+def test_build_system_refuses_noise_of_another_basis(basis2_1, basis2_2, conv2_2, noise):
+    if noise == "transport":  # zeta of the other basis's modes
+        other, match = build_noise(basis2_1), "noise and basis dimensions"
+    else:  # zeta of these modes, eta rows of the other basis's
+        eta = build_noise(basis2_1, [(0, np.ones(basis2_1.n_modes))]).additive
+        other, match = dataclasses.replace(build_noise(basis2_2), additive=eta), "additive noise"
+    with pytest.raises(SdeError, match=match):
+        build_system(basis2_2, other, nu=0.1, conv=conv2_2)
 
 
 def test_corr_is_the_noise_correction(mixed_system):
